@@ -16,9 +16,9 @@ from pathlib import Path
 
 from . import analysis, pmi as pmi_mod
 from .corpus import GroupMap, ingest, pair, retention_report
-from .costs import binary_cost_model
-from .errors import DialignError, EmptyCorpus, ParseError
-from .pmi import AlignmentCorpus, InductionOptions, PmiTable, to_cost_model
+from .costs import BinaryDistanceTable, CostModel, binary_cost_model
+from .errors import DialignError, EmptyCorpus, ParseError, read_lines, read_table
+from .pmi import AlignmentCorpus, InductionOptions, PmiTable
 from .phonetics import SegmentTable
 from .triple import ChangeRecord, align_triple, column_direction, decompose
 
@@ -31,10 +31,6 @@ EXIT_CONFIG_ERROR = 2
 
 def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _load_segment_table(path) -> SegmentTable:
-    return SegmentTable.from_file(path) if path else SegmentTable.default()
 
 
 def _write_manifest(outdir: Path, args, inputs: list[str]) -> None:
@@ -52,35 +48,37 @@ def _write_manifest(outdir: Path, args, inputs: list[str]) -> None:
     )
 
 
-def _induction_pairs(triples) -> AlignmentCorpus:
-    # Pool (older, standard) and (newer, standard) pairs for induction.
+def _load_triples(args):
+    """Paired triples and exclusions of the corpus; none retained is an error."""
+    if args.segments:
+        table = SegmentTable.from_file(args.segments)
+    else:
+        table = SegmentTable.default()
+    triples, excluded = pair(ingest(args.corpus), table)
+    if not triples:
+        raise EmptyCorpus("no comparison triples after pairing and exclusions")
+    return triples, excluded
+
+
+def _induce(args, triples, outdir: Path) -> PmiTable:
+    """Induce PMI distances from the triples' (older, standard) and
+    (newer, standard) pairs; writes pmi_table.tsv and pmi_log.txt."""
     pairs = []
     for t in triples:
         pairs.append((t.older, t.standard))
         pairs.append((t.newer, t.standard))
-    return AlignmentCorpus(pairs)
-
-
-def _resolve_cost_model(args, triples, outdir: Path):
-    """Returns (cost model, distance table for direction scoring)."""
-    if args.mode == "binary":
-        cm = binary_cost_model(constrained=not args.unconstrained)
-        return cm, cm.distances
-    if args.mode == "load":
-        table = PmiTable.read(args.pmi_table)
-    else:
-        opts = InductionOptions(
-            max_iter=args.max_iter, tol=args.tol, smoothing=args.smoothing
-        )
-        init = binary_cost_model(constrained=not args.unconstrained)
-        table = pmi_mod.induce_distances(_induction_pairs(triples), init, opts)
-        table.write(outdir / "pmi_table.tsv")
-        (outdir / "pmi_log.txt").write_text(
-            f"iterations_run\t{table.iterations_run}\n"
-            f"converged\t{str(table.converged).lower()}\n",
-            encoding="utf-8",
-        )
-    return to_cost_model(table, constrained=not args.unconstrained), table
+    opts = InductionOptions(
+        max_iter=args.max_iter, tol=args.tol, smoothing=args.smoothing
+    )
+    init = binary_cost_model(constrained=not args.unconstrained)
+    table = pmi_mod.induce_distances(AlignmentCorpus(pairs), init, opts)
+    table.write(outdir / "pmi_table.tsv")
+    (outdir / "pmi_log.txt").write_text(
+        f"iterations_run\t{table.iterations_run}\n"
+        f"converged\t{str(table.converged).lower()}\n",
+        encoding="utf-8",
+    )
+    return table
 
 
 def _dump_alignment(t, al, dist_table) -> str:
@@ -112,12 +110,14 @@ def _dump_alignment(t, al, dist_table) -> str:
 def cmd_align(args) -> int:
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    table = _load_segment_table(args.segments)
-    records = ingest(args.corpus)
-    triples, excluded = pair(records, table)
-    if not triples:
-        raise EmptyCorpus("no comparison triples after pairing and exclusions")
-    cm, dist_table = _resolve_cost_model(args, triples, outdir)
+    triples, excluded = _load_triples(args)
+    if args.mode == "binary":
+        dist_table = BinaryDistanceTable()
+    elif args.mode == "load":
+        dist_table = PmiTable.read(args.pmi_table)
+    else:
+        dist_table = _induce(args, triples, outdir)
+    cm = CostModel(dist_table, constrained=not args.unconstrained)
 
     change_records = []
     dumps = []
@@ -148,42 +148,28 @@ def cmd_align(args) -> int:
 def cmd_pmi(args) -> int:
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    table = _load_segment_table(args.segments)
-    records = ingest(args.corpus)
-    triples, _ = pair(records, table)
-    if not triples:
-        raise EmptyCorpus("no comparison triples after pairing and exclusions")
-    opts = InductionOptions(
-        max_iter=args.max_iter, tol=args.tol, smoothing=args.smoothing
-    )
-    init = binary_cost_model(constrained=not args.unconstrained)
-    result = pmi_mod.induce_distances(_induction_pairs(triples), init, opts)
-    result.write(outdir / "pmi_table.tsv")
-    (outdir / "pmi_log.txt").write_text(
-        f"iterations_run\t{result.iterations_run}\n"
-        f"converged\t{str(result.converged).lower()}\n",
-        encoding="utf-8",
-    )
+    triples, _ = _load_triples(args)
+    _induce(args, triples, outdir)
     _write_manifest(outdir, args, [args.corpus, args.segments])
     return EXIT_OK
 
 
 def _read_change_records(path) -> list[ChangeRecord]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_lines(path)
     if not lines or lines[0] != "location,word,conv,div,alignment_length":
-        raise ParseError(1, "not a change-record CSV")
+        raise ParseError(path, 1, "not a change-record CSV")
     records = []
     for lineno, line in enumerate(lines[1:], 2):
         if not line.strip():
             continue
         fields = line.split(",")
         if len(fields) != 5:
-            raise ParseError(lineno, f"expected 5 fields, got {len(fields)}")
-        records.append(
-            ChangeRecord(
-                fields[0], fields[1], float(fields[2]), float(fields[3]), int(fields[4])
-            )
-        )
+            raise ParseError(path, lineno, f"expected 5 fields, got {len(fields)}")
+        try:
+            conv, div, length = float(fields[2]), float(fields[3]), int(fields[4])
+        except ValueError as exc:
+            raise ParseError(path, lineno, str(exc)) from None
+        records.append(ChangeRecord(fields[0], fields[1], conv, div, length))
     return records
 
 
@@ -221,15 +207,12 @@ def cmd_report(args) -> int:
     inputs = [args.records, args.groups]
     if args.coords:
         coords = {}
-        for lineno, line in enumerate(
-            Path(args.coords).read_text(encoding="utf-8").splitlines(), 1
-        ):
-            if not line.strip() or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ParseError(lineno, "expected location<TAB>lon<TAB>lat")
-            coords[fields[0]] = (float(fields[1]), float(fields[2]))
+        usage = "location<TAB>lon<TAB>lat"
+        for lineno, (location, lon, lat) in read_table(args.coords, usage, 3):
+            try:
+                coords[location] = (float(lon), float(lat))
+            except ValueError as exc:
+                raise ParseError(args.coords, lineno, str(exc)) from None
         (outdir / "geo.csv").write_text(
             analysis.export_geo(records, coords), encoding="utf-8"
         )

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
-from .errors import DuplicateRecord, ParseError
+from .errors import DuplicateRecord, ParseError, read_lines, read_table
 from .phonetics import SegmentTable, Source, Transcription, make_transcription
 
 
@@ -68,12 +67,14 @@ class ExcludedPair:
 def ingest(path) -> list[CorpusRecord]:
     """Parse the corpus TSV; duplicate (location, word, source) rows and
     malformed fields are errors."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_lines(path)
     if not lines:
-        raise ParseError(1, "empty corpus file")
+        raise ParseError(path, 1, "empty corpus file")
     header = tuple(lines[0].rstrip("\n").split("\t"))
     if header != _HEADER:
-        raise ParseError(1, f"expected header {list(_HEADER)}, got {list(header)}")
+        raise ParseError(
+            path, 1, f"expected header {list(_HEADER)}, got {list(header)}"
+        )
 
     records = []
     seen: set[tuple[str, str, Source]] = set()
@@ -83,23 +84,31 @@ def ingest(path) -> list[CorpusRecord]:
             continue
         fields = line.split("\t")
         if len(fields) != len(_HEADER):
-            raise ParseError(lineno, f"expected {len(_HEADER)} fields, got {len(fields)}")
+            raise ParseError(
+                path, lineno, f"expected {len(_HEADER)} fields, got {len(fields)}"
+            )
         location, word, source_tok, raw, cognate_id, exclusion_tok = fields
         if not location or not word:
-            raise ParseError(lineno, "location and word must be non-empty")
+            raise ParseError(path, lineno, "location and word must be non-empty")
+        if "," in location or "," in word:
+            raise ParseError(path, lineno, "location and word may not contain ','")
         if source_tok not in _SOURCE_TOKENS:
-            raise ParseError(lineno, f"unknown source {source_tok!r}")
+            raise ParseError(path, lineno, f"unknown source {source_tok!r}")
         source = _SOURCE_TOKENS[source_tok]
         if exclusion_tok == "-":
             exclusion = None
         elif exclusion_tok in _EXCLUSION_TOKENS:
             exclusion = _EXCLUSION_TOKENS[exclusion_tok]
         else:
-            raise ParseError(lineno, f"unknown exclusion tag {exclusion_tok!r}")
+            raise ParseError(
+                path, lineno, f"unknown exclusion tag {exclusion_tok!r}"
+            )
         if raw in ("", "-"):
             if exclusion is not Exclusion.MISSING_DATA:
                 raise ParseError(
-                    lineno, "empty transcription requires the 'missing' exclusion tag"
+                    path,
+                    lineno,
+                    "empty transcription requires the 'missing' exclusion tag",
                 )
             raw = ""
         key = (location, word, source)
@@ -234,20 +243,11 @@ class GroupMap:
     @classmethod
     def from_file(cls, path) -> "GroupMap":
         assignments = {}
-        for lineno, line in enumerate(
-            Path(path).read_text(encoding="utf-8").splitlines(), 1
-        ):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ParseError(lineno, "expected location<TAB>group")
-            location, group = fields
+        for lineno, (location, group) in read_table(path, "location<TAB>group", 2):
             group = "DU-FR" if group == "DUFR" else group
             if group not in GROUPS:
-                raise ParseError(lineno, f"unknown group {group!r}")
+                raise ParseError(path, lineno, f"unknown group {group!r}")
             if location in assignments:
-                raise ParseError(lineno, f"duplicate location {location!r}")
+                raise ParseError(path, lineno, f"duplicate location {location!r}")
             assignments[location] = group
         return cls(assignments)

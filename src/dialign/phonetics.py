@@ -10,9 +10,8 @@ from __future__ import annotations
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
-from .errors import EmptyInput, ParseError, UnknownSymbol
+from .errors import EmptyInput, ParseError, UnknownSymbol, read_table
 
 
 class SegmentClass(Enum):
@@ -103,16 +102,12 @@ class SegmentTable:
         column may be omitted or "-". Lines starting with '#' are comments.
         """
         entries = {}
-        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) < 2:
-                raise ParseError(lineno, "expected symbol<TAB>V|C[<TAB>flags]")
+        for lineno, fields in read_table(path, "symbol<TAB>V|C[<TAB>flags]", 2, 3):
             symbol = unicodedata.normalize("NFC", fields[0])
             if fields[1] not in ("V", "C"):
-                raise ParseError(lineno, f"class must be V or C, got {fields[1]!r}")
+                raise ParseError(
+                    path, lineno, f"class must be V or C, got {fields[1]!r}"
+                )
             klass = SegmentClass.VOWEL if fields[1] == "V" else SegmentClass.CONSONANT
             sonorant = schwa = False
             if len(fields) > 2 and fields[2] not in ("", "-"):
@@ -123,13 +118,15 @@ class SegmentTable:
                     elif flag == "schwa":
                         schwa = True
                     else:
-                        raise ParseError(lineno, f"unknown flag {flag!r}")
+                        raise ParseError(path, lineno, f"unknown flag {flag!r}")
             if symbol in entries:
-                raise ParseError(lineno, f"duplicate entry for {symbol!r}")
+                raise ParseError(path, lineno, f"duplicate entry for {symbol!r}")
             if schwa and klass is not SegmentClass.VOWEL:
-                raise ParseError(lineno, f"{symbol!r}: schwa flag requires a vowel")
+                raise ParseError(path, lineno, f"{symbol!r}: schwa flag requires a vowel")
             if sonorant and klass is not SegmentClass.CONSONANT:
-                raise ParseError(lineno, f"{symbol!r}: sonorant flag requires a consonant")
+                raise ParseError(
+                    path, lineno, f"{symbol!r}: sonorant flag requires a consonant"
+                )
             entries[symbol] = (klass, sonorant, schwa)
         return cls(entries)
 

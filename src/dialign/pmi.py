@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from pathlib import Path
 
 from .costs import GAP, CostModel
-from .errors import EmptyCorpus, ParseError
+from .errors import EmptyCorpus, ParseError, read_table
 from .pairwise import align_pair
 from .phonetics import Transcription
 
@@ -66,21 +67,15 @@ class PmiTable:
     @classmethod
     def read(cls, path) -> "PmiTable":
         dist = {}
-        for lineno, line in enumerate(
-            Path(path).read_text(encoding="utf-8").splitlines(), 1
-        ):
-            if not line.strip() or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ParseError(lineno, "expected symbol_a<TAB>symbol_b<TAB>distance")
-            a, b, value = fields
+        usage = "symbol_a<TAB>symbol_b<TAB>distance"
+        for lineno, (a, b, value) in read_table(path, usage, 3):
             try:
                 d = float(value)
             except ValueError:
-                raise ParseError(lineno, f"bad distance {value!r}")
-            key = (a, b) if a <= b else (b, a)
-            dist[key] = d
+                raise ParseError(path, lineno, f"bad distance {value!r}")
+            if not 0.0 <= d <= 1.0:  # also false for NaN
+                raise ParseError(path, lineno, f"distance {value!r} outside [0, 1]")
+            dist[(a, b)] = d
         return cls(dist, iterations_run=0, converged=True)
 
 
@@ -122,18 +117,21 @@ def distances_from_counts(
 ) -> dict[tuple[str, str], float]:
     """PMI distances from co-occurrence counts (induction steps 3 and 4).
 
-    Counts are over unordered symbol pairs; the pair universe is every
-    unordered pair over the observed alphabet (gap included, gap-gap
-    excluded), each receiving additive smoothing.
+    Counts are over unordered symbol pairs: the counts of (a, b) and
+    (b, a) are summed. The pair universe is every unordered pair over the
+    observed alphabet (gap included, gap-gap excluded), each receiving
+    additive smoothing.
     """
-    alphabet = sorted({s for pair in counts for s in pair} | {GAP})
+    ordered: dict[tuple[str, str], float] = {}
+    for (a, b), c in counts.items():
+        key = (a, b) if a <= b else (b, a)
+        ordered[key] = ordered.get(key, 0) + c
+    alphabet = sorted({s for pair in ordered for s in pair} | {GAP})
+    # Pairs over the sorted alphabet come out as (a, b) with a <= b.
     universe = [
         p for p in combinations_with_replacement(alphabet, 2) if p != (GAP, GAP)
     ]
-    smoothed = {}
-    for a, b in universe:
-        key = (a, b) if a <= b else (b, a)
-        smoothed[key] = counts.get(key, 0.0) + smoothing
+    smoothed = {key: ordered.get(key, 0.0) + smoothing for key in universe}
     total = sum(smoothed.values())
 
     occurrence = {s: 0.0 for s in alphabet}
@@ -158,17 +156,6 @@ def distances_from_counts(
         if s != GAP:
             dist[(s, s)] = 0.0
     return dist
-
-
-def _count_columns(alignments) -> dict[tuple[str, str], int]:
-    counts: dict[tuple[str, str], int] = {}
-    for al in alignments:
-        for col in al.columns:
-            a = col.left.symbol if col.left is not None else GAP
-            b = col.right.symbol if col.right is not None else GAP
-            key = (a, b) if a <= b else (b, a)
-            counts[key] = counts.get(key, 0) + 1
-    return counts
 
 
 def _alignment_signature(alignments):
@@ -214,7 +201,8 @@ def induce_distances(
         if sig == prev_sig:
             converged = True
             break
-        dist = distances_from_counts(_count_columns(alignments), opts.smoothing)
+        counts = Counter(pair for al in sig for pair in al)
+        dist = distances_from_counts(counts, opts.smoothing)
         if prev_dist is not None:
             keys = set(dist) | set(prev_dist)
             delta = max(abs(dist.get(k, 1.0) - prev_dist.get(k, 1.0)) for k in keys)

@@ -10,16 +10,13 @@ divergence from the standard, negative convergence towards it.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
 from .costs import CostModel
 from .errors import RoleMismatch
-from .pairwise import align_pair, normalized_distance
+from .pairwise import _segments, align_pair, normalized_distance
 from .phonetics import Segment, Source, Transcription
-
-log = logging.getLogger(__name__)
 
 # Moves as (dx, dy, dz) in frozen traceback preference order: single-string
 # advances first (x, then y, then z), then pairs, then all three.
@@ -87,10 +84,6 @@ def _pair_cost(cm: CostModel, u: Segment | None, v: Segment | None) -> float:
 
 def column_cost(cm: CostModel, x, y, z) -> float:
     return _pair_cost(cm, x, y) + _pair_cost(cm, x, z) + _pair_cost(cm, y, z)
-
-
-def _segments(s) -> tuple[Segment, ...]:
-    return s.segments if isinstance(s, Transcription) else tuple(s)
 
 
 def _check_roles(x, y, z):
@@ -168,21 +161,12 @@ def align_triple(x, y, z, cm: CostModel) -> TripleAlignment:
     return TripleAlignment(tuple(columns), cost[nx][ny][nz])
 
 
-def _distance(dist_table, u: Segment | None, v: Segment | None) -> float:
-    if u is None and v is None:
-        return 0.0
-    a = u.symbol if u is not None else None
-    b = v.symbol if v is not None else None
-    d = dist_table.distance(a, b)
-    if d == math.inf:
-        log.warning("no finite distance for pair (%s, %s); using 1.0", a, b)
-        return 1.0
-    return d
-
-
 def column_direction(col: TripleColumn, dist_table) -> float:
     """distance(newer, standard) - distance(older, standard) for one column."""
-    return _distance(dist_table, col.y, col.z) - _distance(dist_table, col.x, col.z)
+    x = col.x.symbol if col.x is not None else None
+    y = col.y.symbol if col.y is not None else None
+    z = col.z.symbol if col.z is not None else None
+    return dist_table.distance(y, z) - dist_table.distance(x, z)
 
 
 def decompose(al: TripleAlignment, dist_table) -> tuple[float, float]:

@@ -179,3 +179,74 @@ def test_report_missing_group_map(tmp_path, corpus_path):
         ]
     )
     assert rc == 1
+
+
+def test_pmi_and_align_induce_identically(tmp_path, corpus_path):
+    opts = ["--max-iter", "3", "--tol", "1e-4", "--smoothing", "0.3"]
+    out_pmi, out_align = tmp_path / "pmi", tmp_path / "align"
+    rc = main(["pmi", "--corpus", str(corpus_path), "--out-dir", str(out_pmi)] + opts)
+    assert rc == 0
+    rc = main(
+        ["align", "--corpus", str(corpus_path), "--out-dir", str(out_align), "--mode", "pmi"]
+        + opts
+    )
+    assert rc == 0
+    for name in ("pmi_table.tsv", "pmi_log.txt"):
+        assert (out_pmi / name).read_bytes() == (out_align / name).read_bytes()
+
+
+RECORDS_6 = "location,word,conv,div,alignment_length\n" + "".join(
+    f"loc0{i},w,0.{i},0.1,7\n" for i in range(1, 7)
+)
+
+
+def run_report(tmp_path, records=RECORDS_6, coords=None, encoding="utf-8"):
+    rec_path = tmp_path / "change_records.csv"
+    rec_path.write_text(records, encoding=encoding)
+    groups = tmp_path / "groups.tsv"
+    groups.write_text(GROUPS_6, encoding="utf-8")
+    argv = [
+        "report", "--records", str(rec_path), "--groups", str(groups),
+        "--out-dir", str(tmp_path / "rep"), "--n-perm", "999",
+    ]
+    if coords is not None:
+        coords_path = tmp_path / "coords.tsv"
+        coords_path.write_text(coords, encoding="utf-8")
+        argv += ["--coords", str(coords_path)]
+    return main(argv)
+
+
+@pytest.mark.parametrize("field", [2, 3, 4])
+def test_report_non_numeric_change_record(tmp_path, capsys, field):
+    lines = RECORDS_6.splitlines()
+    fields = lines[2].split(",")
+    fields[field] = "x"
+    lines[2] = ",".join(fields)
+    assert run_report(tmp_path, records="\n".join(lines) + "\n") == 1
+    path = tmp_path / "change_records.csv"
+    assert capsys.readouterr().err.startswith(f"error: {path}: line 3: ")
+
+
+@pytest.mark.parametrize("line", ["loc02\tx\t53.0", "loc02\t5.0\tnorth"])
+def test_report_non_numeric_coords(tmp_path, capsys, line):
+    coords = make_coords(6).splitlines()
+    coords[1] = line
+    assert run_report(tmp_path, coords="\n".join(coords) + "\n") == 1
+    path = tmp_path / "coords.tsv"
+    assert capsys.readouterr().err.startswith(f"error: {path}: line 2: ")
+
+
+@pytest.mark.parametrize("command", ["align", "report"])
+def test_non_utf8_input(tmp_path, capsys, command):
+    # 0xE9 is "é" in Latin-1 and, followed by these bytes, not UTF-8
+    if command == "align":
+        path = worked_example_corpus(tmp_path)
+        path.write_bytes(path.read_bytes().replace("ɔ".encode(), b"\xe9"))
+        rc = main(
+            ["align", "--corpus", str(path), "--out-dir", str(tmp_path / "o"), "--mode", "binary"]
+        )
+    else:
+        path = tmp_path / "change_records.csv"
+        rc = run_report(tmp_path, RECORDS_6.replace("loc02", "locé2"), encoding="latin-1")
+    assert rc == 1
+    assert f"error: {path}: line 3: not UTF-8" in capsys.readouterr().err

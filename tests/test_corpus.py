@@ -67,6 +67,7 @@ def test_ingest_duplicate_standard_word(tmp_path):
         "kampen\tstraat\tolder\tstrat\tstraat",  # missing field
         "\tstraat\tolder\tstrat\tstraat\t-",  # empty location
         "kampen\tstraat\tolder\t\tstraat\t-",  # empty raw without missing tag
+        "kam,pen\tstraat\tolder\tstrat\tstraat\t-",  # comma breaks the CSV output
     ],
 )
 def test_ingest_parse_errors(tmp_path, row):

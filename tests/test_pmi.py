@@ -5,7 +5,7 @@ import random
 import pytest
 
 from dialign.costs import FORBIDDEN, GAP, binary_cost_model
-from dialign.errors import EmptyCorpus
+from dialign.errors import EmptyCorpus, ParseError
 from dialign.pairwise import align_pair
 from dialign.phonetics import make_transcription
 from dialign.pmi import (
@@ -115,6 +115,14 @@ def test_distances_from_counts_range_and_diagonal():
     assert (GAP, GAP) not in dist
 
 
+def test_distances_from_counts_key_order():
+    counts = {("a", "a"): 50, ("a", "b"): 10, ("b", "b"): 40}
+    descending = distances_from_counts({**counts, ("a", GAP): 3}, 0.5)
+    ascending = distances_from_counts({**counts, (GAP, "a"): 3}, 0.5)
+    assert descending == ascending
+    assert descending != distances_from_counts(counts, 0.5)
+
+
 def test_monotonicity_in_cooccurrence_count():
     rng = random.Random(5)
     symbols = ["a", "b", "c", "d"]
@@ -170,6 +178,15 @@ def test_serialization_roundtrip(tmp_path, table):
     loaded = PmiTable.read(path)
     for key, value in result.dist.items():
         assert loaded.dist[key] == pytest.approx(value, abs=1e-10)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-0.5", "1.5"])
+def test_read_rejects_distance_outside_unit_interval(tmp_path, value):
+    path = tmp_path / "pmi.tsv"
+    path.write_text(f"a\tb\t0.5\nd\t{GAP}\t{value}\n", encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        PmiTable.read(path)
+    assert str(exc.value).startswith(f"{path}: line 2: ")
 
 
 def test_induction_respects_constraint(table):
