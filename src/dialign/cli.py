@@ -121,8 +121,12 @@ def cmd_align(args) -> int:
 
     change_records = []
     dumps = []
+    memo = {}  # each distinct (older, newer, standard) is aligned once
     for t in triples:  # already sorted by (location, word)
-        al = align_triple(t.older, t.newer, t.standard, cm)
+        key = (t.older.segments, t.newer.segments, t.standard.segments)
+        al = memo.get(key)
+        if al is None:
+            al = memo[key] = align_triple(t.older, t.newer, t.standard, cm)
         conv, div = decompose(al, dist_table)
         change_records.append(
             ChangeRecord(t.location, t.word, conv, div, al.length)
@@ -178,6 +182,18 @@ def cmd_report(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     records = _read_change_records(args.records)
     groups = GroupMap.from_file(args.groups)
+    inputs = [args.records, args.groups]
+    geo = None
+    if args.coords:  # a bad coords file fails before the permutation test
+        coords = {}
+        usage = "location<TAB>lon<TAB>lat"
+        for lineno, (location, lon, lat) in read_table(args.coords, usage, 3):
+            try:
+                coords[location] = (float(lon), float(lat))
+            except ValueError as exc:
+                raise ParseError(args.coords, lineno, str(exc)) from None
+        geo = analysis.export_geo(records, coords)
+        inputs.append(args.coords)
 
     summaries = analysis.summarize(records, groups)
     lines = ["group\tn_records\tmean_conv\tmean_div\tmean_change"]
@@ -204,19 +220,8 @@ def cmd_report(args) -> int:
         "\n".join(contrast_lines) + "\n", encoding="utf-8"
     )
 
-    inputs = [args.records, args.groups]
-    if args.coords:
-        coords = {}
-        usage = "location<TAB>lon<TAB>lat"
-        for lineno, (location, lon, lat) in read_table(args.coords, usage, 3):
-            try:
-                coords[location] = (float(lon), float(lat))
-            except ValueError as exc:
-                raise ParseError(args.coords, lineno, str(exc)) from None
-        (outdir / "geo.csv").write_text(
-            analysis.export_geo(records, coords), encoding="utf-8"
-        )
-        inputs.append(args.coords)
+    if geo is not None:
+        (outdir / "geo.csv").write_text(geo, encoding="utf-8")
     _write_manifest(outdir, args, inputs)
     return EXIT_OK
 
@@ -291,6 +296,8 @@ def _validate(args) -> None:
             raise ValueError("--mode load requires --pmi-table")
         if args.mode == "binary" and args.pmi_table:
             raise ValueError("--pmi-table is only valid with --mode load")
+    if getattr(args, "command", None) == "report" and args.n_perm < 999:
+        raise ValueError("--n-perm must be >= 999")
 
 
 def main(argv=None) -> int:

@@ -11,7 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DuplicateRecord, ParseError, read_lines, read_table
+from .errors import (
+    DialignError,
+    DuplicateRecord,
+    ParseError,
+    UnknownSymbol,
+    read_lines,
+    read_table,
+)
 from .phonetics import SegmentTable, Source, Transcription, make_transcription
 
 
@@ -180,12 +187,25 @@ def pair(
             PairedTriple(
                 location,
                 word,
-                make_transcription(older.raw, table, location, word, Source.OLDER),
-                make_transcription(newer.raw, table, location, word, Source.NEWER),
-                make_transcription(std.raw, table, std.location, word, Source.STANDARD),
+                _transcribe(older, table),
+                _transcribe(newer, table),
+                _transcribe(std, table),
             )
         )
     return triples, excluded
+
+
+def _transcribe(r: CorpusRecord, table: SegmentTable) -> Transcription:
+    """Tokenized transcription of a record; an unknown symbol is an error
+    naming the record."""
+    try:
+        return make_transcription(r.raw, table, r.location, r.word, r.source)
+    except UnknownSymbol as exc:
+        raise DialignError(
+            f"location {r.location!r}, word {r.word!r}, {r.source.value} "
+            f"transcription {r.raw!r}: unknown symbol {exc.char!r} "
+            f"at position {exc.position}"
+        ) from None
 
 
 @dataclass(frozen=True)

@@ -44,35 +44,41 @@ def align_pair(a, b, cm: CostModel) -> PairAlignment:
     sa, sb = _segments(a), _segments(b)
     n, m = len(sa), len(sb)
 
+    # Each segment distance is looked up once per call.
+    ga = [cm.indel(s) for s in sa]
+    gb = [cm.indel(s) for s in sb]
+    sub = [[cm.subst(u, v) for v in sb] for u in sa]
+
     # cost[i][j]: minimal cost aligning sa[:i] with sb[:j];
     # alen[i][j]: maximal column count among minimal-cost alignments.
     cost = [[math.inf] * (m + 1) for _ in range(n + 1)]
     alen = [[0] * (m + 1) for _ in range(n + 1)]
     cost[0][0] = 0.0
     for i in range(1, n + 1):
-        cost[i][0] = cost[i - 1][0] + cm.indel(sa[i - 1])
+        cost[i][0] = cost[i - 1][0] + ga[i - 1]
         alen[i][0] = i
     for j in range(1, m + 1):
-        cost[0][j] = cost[0][j - 1] + cm.indel(sb[j - 1])
+        cost[0][j] = cost[0][j - 1] + gb[j - 1]
         alen[0][j] = j
     for i in range(1, n + 1):
-        ca = cost[i - 1]
-        cb = cost[i]
+        ca, cb = cost[i - 1], cost[i]
+        la, lb = alen[i - 1], alen[i]
+        g, sub_i = ga[i - 1], sub[i - 1]
         for j in range(1, m + 1):
-            best = ca[j] + cm.indel(sa[i - 1])
-            blen = alen[i - 1][j] + 1
-            c = cb[j - 1] + cm.indel(sb[j - 1])
+            best = ca[j] + g
+            blen = la[j] + 1
+            c = cb[j - 1] + gb[j - 1]
             if c < best:
-                best, blen = c, alen[i][j - 1] + 1
-            elif c == best:
-                blen = max(blen, alen[i][j - 1] + 1)
-            c = ca[j - 1] + cm.subst(sa[i - 1], sb[j - 1])
+                best, blen = c, lb[j - 1] + 1
+            elif c == best and lb[j - 1] >= blen:
+                blen = lb[j - 1] + 1
+            c = ca[j - 1] + sub_i[j - 1]
             if c < best:
-                best, blen = c, alen[i - 1][j - 1] + 1
-            elif c == best:
-                blen = max(blen, alen[i - 1][j - 1] + 1)
+                best, blen = c, la[j - 1] + 1
+            elif c == best and la[j - 1] >= blen:
+                blen = la[j - 1] + 1
             cb[j] = best
-            alen[i][j] = blen
+            lb[j] = blen
 
     # Traceback, right-to-left; tie preference: del > ins > sub.
     columns = []
@@ -80,18 +86,18 @@ def align_pair(a, b, cm: CostModel) -> PairAlignment:
     while i > 0 or j > 0:
         here_cost, here_len = cost[i][j], alen[i][j]
         if i > 0:
-            c = cm.indel(sa[i - 1])
+            c = ga[i - 1]
             if cost[i - 1][j] + c == here_cost and alen[i - 1][j] + 1 == here_len:
                 columns.append(AlignmentColumn(sa[i - 1], None, "del", c))
                 i -= 1
                 continue
         if j > 0:
-            c = cm.indel(sb[j - 1])
+            c = gb[j - 1]
             if cost[i][j - 1] + c == here_cost and alen[i][j - 1] + 1 == here_len:
                 columns.append(AlignmentColumn(None, sb[j - 1], "ins", c))
                 j -= 1
                 continue
-        c = cm.subst(sa[i - 1], sb[j - 1])
+        c = sub[i - 1][j - 1]
         assert cost[i - 1][j - 1] + c == here_cost
         op = "match" if sa[i - 1].symbol == sb[j - 1].symbol else "sub"
         columns.append(AlignmentColumn(sa[i - 1], sb[j - 1], op, c))

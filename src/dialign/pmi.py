@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .costs import GAP, CostModel
 from .errors import EmptyCorpus, ParseError, read_table
-from .pairwise import align_pair
+from .pairwise import _segments, align_pair
 from .phonetics import Transcription
 
 log = logging.getLogger(__name__)
@@ -189,6 +189,15 @@ def induce_distances(
             opts.min_pairs,
         )
 
+    # Pairs with equal segments align alike under any one cost model, so
+    # each iteration aligns only the first of them; first[i] is the index
+    # of the first pair equal to pair i. Keys are hashed once per run.
+    seen: dict = {}
+    first = [
+        seen.setdefault((_segments(a), _segments(b)), i)
+        for i, (a, b) in enumerate(corpus.pairs)
+    ]
+
     cm = init
     prev_dist = None
     prev_sig = None
@@ -196,7 +205,10 @@ def induce_distances(
     converged = False
     iterations = 0
     for iterations in range(1, opts.max_iter + 1):
-        alignments = [align_pair(a, b, cm) for a, b in corpus.pairs]
+        alignments = []
+        for i, (a, b) in enumerate(corpus.pairs):
+            j = first[i]
+            alignments.append(align_pair(a, b, cm) if j == i else alignments[j])
         sig = _alignment_signature(alignments)
         if sig == prev_sig:
             converged = True

@@ -3,7 +3,11 @@ import json
 import pytest
 
 from dialign.cli import main
+from dialign.corpus import ingest, pair
+from dialign.costs import BinaryDistanceTable, binary_cost_model
+from dialign.phonetics import SegmentTable
 from dialign.synth import make_benchmark_corpus, make_coords
+from dialign.triple import align_triple, decompose
 
 HEADER = "location\tword\tsource\ttranscription\tcognate_id\texclusion"
 
@@ -200,14 +204,14 @@ RECORDS_6 = "location,word,conv,div,alignment_length\n" + "".join(
 )
 
 
-def run_report(tmp_path, records=RECORDS_6, coords=None, encoding="utf-8"):
+def run_report(tmp_path, records=RECORDS_6, coords=None, encoding="utf-8", n_perm=999):
     rec_path = tmp_path / "change_records.csv"
     rec_path.write_text(records, encoding=encoding)
     groups = tmp_path / "groups.tsv"
     groups.write_text(GROUPS_6, encoding="utf-8")
     argv = [
         "report", "--records", str(rec_path), "--groups", str(groups),
-        "--out-dir", str(tmp_path / "rep"), "--n-perm", "999",
+        "--out-dir", str(tmp_path / "rep"), "--n-perm", str(n_perm),
     ]
     if coords is not None:
         coords_path = tmp_path / "coords.tsv"
@@ -227,13 +231,30 @@ def test_report_non_numeric_change_record(tmp_path, capsys, field):
     assert capsys.readouterr().err.startswith(f"error: {path}: line 3: ")
 
 
-@pytest.mark.parametrize("line", ["loc02\tx\t53.0", "loc02\t5.0\tnorth"])
+@pytest.mark.parametrize(
+    "line", ["loc02\tx\t53.0", "loc02\t5.0\tnorth", "loc01\tx\t1"]
+)
 def test_report_non_numeric_coords(tmp_path, capsys, line):
     coords = make_coords(6).splitlines()
     coords[1] = line
     assert run_report(tmp_path, coords="\n".join(coords) + "\n") == 1
     path = tmp_path / "coords.tsv"
     assert capsys.readouterr().err.startswith(f"error: {path}: line 2: ")
+    # the coords are read before the permutation test writes anything
+    assert not (tmp_path / "rep" / "summary.txt").exists()
+    assert not (tmp_path / "rep" / "contrasts.csv").exists()
+
+
+def test_report_coords_missing_location(tmp_path, capsys):
+    coords = "".join(make_coords(6).splitlines(keepends=True)[:5])
+    assert run_report(tmp_path, coords=coords) == 1
+    assert "no coordinates for location 'loc06'" in capsys.readouterr().err
+    assert not (tmp_path / "rep" / "summary.txt").exists()
+
+
+def test_report_rejects_low_n_perm(tmp_path, capsys):
+    assert run_report(tmp_path, n_perm=998) == 2
+    assert capsys.readouterr().err == "config error: --n-perm must be >= 999\n"
 
 
 @pytest.mark.parametrize("command", ["align", "report"])
@@ -250,3 +271,56 @@ def test_non_utf8_input(tmp_path, capsys, command):
         rc = run_report(tmp_path, RECORDS_6.replace("loc02", "locé2"), encoding="latin-1")
     assert rc == 1
     assert f"error: {path}: line 3: not UTF-8" in capsys.readouterr().err
+
+
+def test_align_unknown_symbol_names_the_record(tmp_path, capsys):
+    corpus = worked_example_corpus(tmp_path)
+    segments = tmp_path / "segments.tsv"
+    segments.write_text(
+        "s\tC\nt\tC\nr\tC\nd\tC\no\tV\na\tV\nə\tV\tschwa\n", encoding="utf-8"
+    )
+    rc = main(
+        [
+            "align", "--corpus", str(corpus), "--segments", str(segments),
+            "--out-dir", str(tmp_path / "o"), "--mode", "binary",
+        ]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: location 'kampen', word 'straat', newer transcription 'strɔət': "
+        "unknown symbol 'ɔ' at position 3\n"
+    )
+
+
+def test_align_repeated_triples_match_fresh_alignments(tmp_path):
+    # loc01 and loc02 hold identical triples, aligned once per run
+    rows = [HEADER]
+    for word, std, older, newer in [
+        ("straat", "strat", "strodə", "strɔət"),
+        ("kamp", "kamp", "kampə", "kamən"),
+    ]:
+        rows.append(f"standard\t{word}\tstandard\t{std}\t{word}\t-")
+        for loc in ("loc01", "loc02"):
+            rows.append(f"{loc}\t{word}\tolder\t{older}\t{word}\t-")
+            rows.append(f"{loc}\t{word}\tnewer\t{newer}\t{word}\t-")
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    out = tmp_path / "o"
+    rc = main(["align", "--corpus", str(corpus), "--out-dir", str(out), "--mode", "binary"])
+    assert rc == 0
+
+    dump = (out / "alignments.txt").read_text(encoding="utf-8")
+    blocks = dump.rstrip("\n").split("\n\n")
+    assert len(blocks) == 4
+    for first, second in zip(blocks[:2], blocks[2:]):
+        assert first.startswith("# loc01 / ") and second.startswith("# loc02 / ")
+        assert first.replace("# loc01", "# loc02", 1) == second
+
+    cm = binary_cost_model()
+    triples, _ = pair(ingest(corpus), SegmentTable.default())
+    rows = (out / "change_records.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert len(rows) == len(triples)
+    for row, t in zip(rows, triples):
+        al = align_triple(t.older, t.newer, t.standard, cm)
+        conv, div = decompose(al, BinaryDistanceTable())
+        assert row == f"{t.location},{t.word},{conv:.6f},{div:.6f},{al.length}"

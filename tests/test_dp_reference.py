@@ -1,0 +1,107 @@
+"""Property tests of the table-driven DPs against their loop references.
+
+Words are drawn over a small alphabet of vowels, schwa, sonorant and
+obstruent consonants, so the vowel-consonant ban and its schwa-sonorant
+exception both occur. Distance tables are drawn with many ties.
+"""
+
+import itertools
+
+from hypothesis import example, given, settings, strategies as st
+from loop_dp import align_pair_loop, align_triple_loop
+
+from dialign.costs import GAP, BinaryDistanceTable, CostModel, binary_cost_model
+from dialign.pairwise import align_pair
+from dialign.phonetics import SegmentTable, tokenize
+from dialign.pmi import PmiTable
+from dialign.triple import TripleColumn, align_triple, decompose
+
+TABLE = SegmentTable.default()
+ALPHABET = ("a", "o", "ə", "n", "r", "t", "s")
+PAIRS = [
+    p
+    for p in itertools.combinations_with_replacement(sorted(ALPHABET + (GAP,)), 2)
+    if p != (GAP, GAP)
+]
+# Sums of these are exact in binary floating point, so equal-cost
+# alignments tie exactly whatever the order of addition.
+DYADIC = st.sampled_from((0.0, 0.25, 0.5, 1.0))
+
+SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+def words(max_len):
+    return st.lists(st.sampled_from(ALPHABET), max_size=max_len).map(
+        lambda chars: tokenize("".join(chars), TABLE) if chars else ()
+    )
+
+
+def pmi_tables(distance):
+    return st.lists(distance, min_size=len(PAIRS), max_size=len(PAIRS)).map(
+        lambda ds: PmiTable(dict(zip(PAIRS, ds)))
+    )
+
+
+def cost_models(*tables):
+    return st.builds(
+        CostModel, st.one_of(st.just(BinaryDistanceTable()), *tables), st.booleans()
+    )
+
+
+# Tables of few distinct distances tie often; arbitrary ones show the
+# float order of the column sums.
+ANY_COSTS = cost_models(pmi_tables(DYADIC), pmi_tables(st.floats(0.0, 1.0)))
+DYADIC_COSTS = cost_models(pmi_tables(DYADIC))
+
+
+def tok(*raws):
+    return tuple(tokenize(raw, TABLE) for raw in raws)
+
+
+# Random words seldom reach a cost tie that only the longer alignment
+# wins, so each such tie gets an example: in 2D one for the insertion and
+# one for the substitution, in 3D one for each move after the first in
+# MOVES. All are under unconstrained unit costs but one.
+UNIT, UNIT_CONSTRAINED = binary_cost_model(False), binary_cost_model(True)
+
+
+@SETTINGS
+@given(words(8), words(8), ANY_COSTS)
+@example(*tok("aaə", "ət"), UNIT)
+@example(*tok("aəa", "ttaa"), UNIT)
+def test_align_pair_matches_loop_reference(a, b, cm):
+    got, want = align_pair(a, b, cm), align_pair_loop(a, b, cm)
+    assert got.total_cost == want.total_cost
+    assert got.length == want.length
+    assert got.columns == want.columns
+
+
+@SETTINGS
+@given(words(5), words(5), words(5), ANY_COSTS)
+@example(*tok("taat", "tta", "ət"), UNIT)
+@example(*tok("əəa", "a", "aə"), UNIT)
+@example(*tok("aat", "aəət", "taə"), UNIT)
+@example(*tok("aaə", "tata", "aaə"), UNIT)
+@example(*tok("ta", "aaəə", "atət"), UNIT_CONSTRAINED)
+@example(*tok("aaə", "aətt", "tata"), UNIT)
+def test_align_triple_matches_loop_reference(x, y, z, cm):
+    got, want = align_triple(x, y, z, cm), align_triple_loop(x, y, z, cm)
+    assert got.total_cost == want.total_cost
+    assert got.length == want.length
+    assert got.columns == want.columns
+
+
+@SETTINGS
+@given(words(5), words(5), words(5), DYADIC_COSTS)
+def test_swapping_older_and_newer_swaps_conv_and_div(x, y, z, cm):
+    al, swapped = align_triple(x, y, z, cm), align_triple(y, x, z, cm)
+    assert swapped.total_cost == al.total_cost
+    assert swapped.length == al.length
+    # Among co-optimal alignments of equal length the traceback prefers
+    # moves in MOVES order, which favours the first string, so the swapped
+    # triple may take another optimum; conv and div swap exactly when it
+    # takes the mirror image.
+    mirror = tuple(TripleColumn(c.y, c.x, c.z, c.cost) for c in swapped.columns)
+    if mirror == al.columns:
+        conv, div = decompose(al, cm.distances)
+        assert decompose(swapped, cm.distances) == (div, conv)
