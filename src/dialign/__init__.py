@@ -2,7 +2,7 @@
 between two time-separated dialect corpora relative to a standard variety."""
 
 from .costs import FORBIDDEN, GAP, BinaryDistanceTable, CostModel, binary_cost_model
-from .pairwise import PairAlignment, align_pair, enumerate_optimal, normalized_distance
+from .pairwise import PairAlignment, align_pair, normalized_distance
 from .phonetics import (
     Segment,
     SegmentClass,
@@ -17,7 +17,6 @@ from .pmi import (
     InductionOptions,
     PmiTable,
     induce_distances,
-    to_cost_model,
 )
 from .triple import (
     ChangeRecord,

@@ -124,10 +124,15 @@ def cmd_align(args) -> int:
     memo = {}  # each distinct (older, newer, standard) is aligned once
     for t in triples:  # already sorted by (location, word)
         key = (t.older.segments, t.newer.segments, t.standard.segments)
-        al = memo.get(key)
-        if al is None:
-            al = memo[key] = align_triple(t.older, t.newer, t.standard, cm)
-        conv, div = decompose(al, dist_table)
+        try:
+            al = memo.get(key)
+            if al is None:
+                al = memo[key] = align_triple(t.older, t.newer, t.standard, cm)
+            conv, div = decompose(al, dist_table)
+        except DialignError as exc:  # a pair missing from a loaded table
+            raise DialignError(
+                f"location {t.location!r}, word {t.word!r}: {exc}"
+            ) from None
         change_records.append(
             ChangeRecord(t.location, t.word, conv, div, al.length)
         )
@@ -195,7 +200,14 @@ def cmd_report(args) -> int:
         geo = analysis.export_geo(records, coords)
         inputs.append(args.coords)
 
+    # Both steps can raise, so they run before any report file is written.
     summaries = analysis.summarize(records, groups)
+    contrasts = [
+        analysis.permutation_contrast(
+            records, groups, measure, n_perm=args.n_perm, seed=args.seed
+        )
+        for measure in ("conv", "div")
+    ]
     lines = ["group\tn_records\tmean_conv\tmean_div\tmean_change"]
     for s in summaries:
         if s.n_records == 0:
@@ -208,10 +220,7 @@ def cmd_report(args) -> int:
     (outdir / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     contrast_lines = ["measure,statistic,p_value,n_permutations,direction"]
-    for measure in ("conv", "div"):
-        result = analysis.permutation_contrast(
-            records, groups, measure, n_perm=args.n_perm, seed=args.seed
-        )
+    for result in contrasts:
         contrast_lines.append(
             f"{result.measure},{result.statistic:.6f},{result.p_value:.6f},"
             f"{result.n_permutations},{result.direction}"
@@ -291,12 +300,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(args) -> None:
-    if getattr(args, "command", None) == "align":
-        if args.mode == "load" and not args.pmi_table:
-            raise ValueError("--mode load requires --pmi-table")
-        if args.mode == "binary" and args.pmi_table:
-            raise ValueError("--pmi-table is only valid with --mode load")
-    if getattr(args, "command", None) == "report" and args.n_perm < 999:
+    if args.command in ("pmi", "align"):  # InductionOptions checks the values
+        InductionOptions(max_iter=args.max_iter, tol=args.tol, smoothing=args.smoothing)
+    if args.command == "align" and (args.mode == "load") != bool(args.pmi_table):
+        raise ValueError("--mode load requires --pmi-table, other modes reject it")
+    if args.command == "report" and args.n_perm < 999:
         raise ValueError("--n-perm must be >= 999")
 
 
@@ -311,10 +319,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG_ERROR
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA_ERROR
-    except DialignError as exc:
+    except (FileNotFoundError, DialignError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA_ERROR
 

@@ -23,10 +23,6 @@ class ZeroLength(DialignError):
     pass
 
 
-class CapExceeded(DialignError):
-    pass
-
-
 class EmptyCorpus(DialignError):
     pass
 

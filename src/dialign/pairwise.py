@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .costs import CostModel
-from .errors import CapExceeded, ZeroLength
+from .errors import ZeroLength
 from .phonetics import Segment, Transcription
 
 
@@ -112,50 +112,3 @@ def normalized_distance(al: PairAlignment) -> float:
     if al.length == 0:
         raise ZeroLength("cannot normalize an empty alignment")
     return al.total_cost / al.length
-
-
-def enumerate_optimal(a, b, cm: CostModel, cap: int = 100_000) -> list[PairAlignment]:
-    """All minimal-cost alignments, by exhaustive enumeration.
-
-    Test oracle for the longest-optimal-alignment rule; exponential, only
-    usable on short strings. Raises CapExceeded if more than `cap` optimal
-    alignments exist.
-    """
-    sa, sb = _segments(a), _segments(b)
-
-    best_cost = math.inf
-    optima: list[tuple[AlignmentColumn, ...]] = []
-
-    def walk(i, j, acc_cost, acc_cols):
-        nonlocal best_cost, optima
-        if acc_cost > best_cost:
-            return
-        if i == len(sa) and j == len(sb):
-            if acc_cost < best_cost:
-                best_cost = acc_cost
-                optima = []
-            if acc_cost == best_cost:
-                optima.append(tuple(acc_cols))
-                if len(optima) > cap:
-                    raise CapExceeded(f"more than {cap} optimal alignments")
-            return
-        if i < len(sa):
-            c = cm.indel(sa[i])
-            acc_cols.append(AlignmentColumn(sa[i], None, "del", c))
-            walk(i + 1, j, acc_cost + c, acc_cols)
-            acc_cols.pop()
-        if j < len(sb):
-            c = cm.indel(sb[j])
-            acc_cols.append(AlignmentColumn(None, sb[j], "ins", c))
-            walk(i, j + 1, acc_cost + c, acc_cols)
-            acc_cols.pop()
-        if i < len(sa) and j < len(sb):
-            c = cm.subst(sa[i], sb[j])
-            if c < math.inf:
-                op = "match" if sa[i].symbol == sb[j].symbol else "sub"
-                acc_cols.append(AlignmentColumn(sa[i], sb[j], op, c))
-                walk(i + 1, j + 1, acc_cost + c, acc_cols)
-                acc_cols.pop()
-
-    walk(0, 0, 0.0, [])
-    return [PairAlignment(cols, best_cost) for cols in optima]

@@ -57,9 +57,9 @@ class Segment:
 
     def __post_init__(self):
         if self.is_schwa and self.klass is not SegmentClass.VOWEL:
-            raise ValueError("schwa segments must be vowels")
+            raise ValueError("schwa flag requires a vowel")
         if self.is_sonorant_consonant and self.klass is not SegmentClass.CONSONANT:
-            raise ValueError("sonorant flag is only valid for consonants")
+            raise ValueError("sonorant flag requires a consonant")
 
     @property
     def symbol(self) -> str:
@@ -78,11 +78,6 @@ class SegmentTable:
     """
 
     def __init__(self, entries: dict[str, tuple[SegmentClass, bool, bool]]):
-        for symbol, (klass, sonorant, schwa) in entries.items():
-            if schwa and klass is not SegmentClass.VOWEL:
-                raise ValueError(f"{symbol!r}: schwa flag requires a vowel")
-            if sonorant and klass is not SegmentClass.CONSONANT:
-                raise ValueError(f"{symbol!r}: sonorant flag requires a consonant")
         self.entries = dict(entries)
 
     @classmethod
@@ -121,12 +116,10 @@ class SegmentTable:
                         raise ParseError(path, lineno, f"unknown flag {flag!r}")
             if symbol in entries:
                 raise ParseError(path, lineno, f"duplicate entry for {symbol!r}")
-            if schwa and klass is not SegmentClass.VOWEL:
-                raise ParseError(path, lineno, f"{symbol!r}: schwa flag requires a vowel")
-            if sonorant and klass is not SegmentClass.CONSONANT:
-                raise ParseError(
-                    path, lineno, f"{symbol!r}: sonorant flag requires a consonant"
-                )
+            try:  # Segment holds the rule that ties the flags to the class
+                Segment(symbol, (), klass, sonorant, schwa)
+            except ValueError as exc:
+                raise ParseError(path, lineno, f"{symbol!r}: {exc}") from None
             entries[symbol] = (klass, sonorant, schwa)
         return cls(entries)
 

@@ -13,26 +13,28 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from pathlib import Path
 
 from .costs import GAP, CostModel
-from .errors import EmptyCorpus, ParseError, read_table
+from .errors import DialignError, EmptyCorpus, ParseError, read_table
 from .pairwise import _segments, align_pair
 from .phonetics import Transcription
 
 log = logging.getLogger(__name__)
 
+MIN_PAIRS = 50  # induction from fewer pairs logs a warning
+
 
 @dataclass(frozen=True)
 class PmiTable:
-    """Symmetric segment-pair distances in [0,1], gap included."""
+    """Symmetric segment-pair distances in [0,1], gap included. A symbol's
+    distance to itself defaults to 0; any other missing pair is an error."""
 
     dist: dict[tuple[str, str], float]
     iterations_run: int = 0
     converged: bool = False
-    _warned: set = field(default_factory=set, repr=False, compare=False)
 
     def __post_init__(self):
         normalized = {
@@ -48,12 +50,10 @@ class PmiTable:
         if a == b and a != GAP:
             return self.dist.get((a, a), 0.0)
         key = (a, b) if a <= b else (b, a)
-        if key not in self.dist:
-            if key not in self._warned:
-                self._warned.add(key)
-                log.warning("pair %s not in PMI table; defaulting to 1.0", key)
-            return 1.0
-        return self.dist[key]
+        try:
+            return self.dist[key]
+        except KeyError:
+            raise DialignError(f"symbol pair {key} is not in the PMI table") from None
 
     def to_tsv(self) -> str:
         lines = [
@@ -84,15 +84,14 @@ class InductionOptions:
     max_iter: int = 50
     tol: float = 1e-6
     smoothing: float = 0.5
-    min_pairs: int = 50  # loud warning below this corpus size
 
-    def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be > 0")
-        if self.smoothing <= 0:
-            raise ValueError("smoothing must be > 0")
+    def __post_init__(self):  # NaN fails each check
+        if not self.max_iter >= 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if not self.tol > 0:
+            raise ValueError(f"tol must be > 0, got {self.tol}")
+        if not 0 < self.smoothing < math.inf:
+            raise ValueError(f"smoothing must be finite and > 0, got {self.smoothing}")
 
 
 class AlignmentCorpus:
@@ -181,12 +180,12 @@ def induce_distances(
     """
     if len(corpus) == 0:
         raise EmptyCorpus("no transcription pairs for PMI induction")
-    if len(corpus) < opts.min_pairs:
+    if len(corpus) < MIN_PAIRS:
         log.warning(
             "PMI induction corpus has only %d pairs (recommended minimum %d); "
             "distances may be unreliable",
             len(corpus),
-            opts.min_pairs,
+            MIN_PAIRS,
         )
 
     # Pairs with equal segments align alike under any one cost model, so
@@ -216,8 +215,9 @@ def induce_distances(
         counts = Counter(pair for al in sig for pair in al)
         dist = distances_from_counts(counts, opts.smoothing)
         if prev_dist is not None:
-            keys = set(dist) | set(prev_dist)
-            delta = max(abs(dist.get(k, 1.0) - prev_dist.get(k, 1.0)) for k in keys)
+            # Every iteration aligns the same pairs, so its table has the
+            # same alphabet and keys.
+            delta = max(abs(dist[k] - prev_dist[k]) for k in dist)
             if delta < opts.tol:
                 converged = True
                 break
@@ -226,9 +226,3 @@ def induce_distances(
         cm = CostModel(PmiTable(dict(dist)), constrained=init.constrained)
 
     return PmiTable(dict(dist), iterations_run=iterations, converged=converged)
-
-
-def to_cost_model(table: PmiTable, constrained: bool = True) -> CostModel:
-    """Cost model over PMI distances; the vowel-consonant ban (with the
-    schwa-sonorant exception) overrides any learned value when active."""
-    return CostModel(table, constrained=constrained)

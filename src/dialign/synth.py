@@ -5,8 +5,8 @@ claims are checked against generated corpora with known injected change
 rates instead. All generators are seeded and reproducible.
 
 Run ``python -m dialign.synth OUTDIR`` to write the bundled benchmark
-corpus (injected convergence 0.020, divergence 0.014) plus its segment
-table, group map, and coordinates files.
+corpus (injected convergence 0.020, divergence 0.014) plus its group
+map and coordinates files.
 """
 
 from __future__ import annotations

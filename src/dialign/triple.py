@@ -72,20 +72,6 @@ class ChangeRecord:
     alignment_length: int
 
 
-def _pair_cost(cm: CostModel, u: Segment | None, v: Segment | None) -> float:
-    if u is None and v is None:
-        return 0.0
-    if u is None:
-        return cm.indel(v)
-    if v is None:
-        return cm.indel(u)
-    return cm.subst(u, v)
-
-
-def column_cost(cm: CostModel, x, y, z) -> float:
-    return _pair_cost(cm, x, y) + _pair_cost(cm, x, z) + _pair_cost(cm, y, z)
-
-
 def _check_roles(x, y, z):
     sources = tuple(
         s.source if isinstance(s, Transcription) else None for s in (x, y, z)
@@ -115,8 +101,9 @@ def align_triple(x, y, z, cm: CostModel) -> TripleAlignment:
     dyz = [[cm.subst(b, c) for c in sz] for b in sy]
 
     def column(dx, dy, dz, i, j, k) -> float:
-        """column_cost of the move (dx, dy, dz) out of lattice point
-        (i, j, k), from the tables and in column_cost's float order."""
+        """Cost of the column the move (dx, dy, dz) adds out of lattice
+        point (i, j, k): the pair sum (p_xy + p_xz) + p_yz, in that float
+        order, with gap-gap pairs 0.0."""
         p_xy = dxy[i][j] if dx and dy else gx[i] if dx else gy[j] if dy else 0.0
         p_xz = dxz[i][k] if dx and dz else gx[i] if dx else gz[k] if dz else 0.0
         p_yz = dyz[j][k] if dy and dz else gy[j] if dy else gz[k] if dz else 0.0
@@ -246,32 +233,3 @@ def double_pairwise_delta(x, y, z, cm: CostModel) -> float:
     return normalized_distance(align_pair(y, z, cm)) - normalized_distance(
         align_pair(x, z, cm)
     )
-
-
-def brute_force_min_cost(x, y, z, cm: CostModel) -> float:
-    """Exhaustive minimum over all three-string alignments (test oracle)."""
-    sx, sy, sz = _segments(x), _segments(y), _segments(z)
-    cache: dict[tuple[int, int, int], float] = {}
-
-    def rec(i, j, k) -> float:
-        if i == len(sx) and j == len(sy) and k == len(sz):
-            return 0.0
-        key = (i, j, k)
-        if key in cache:
-            return cache[key]
-        best = math.inf
-        for dx, dy, dz in MOVES:
-            ni, nj, nk = i + dx, j + dy, k + dz
-            if ni > len(sx) or nj > len(sy) or nk > len(sz):
-                continue
-            c = column_cost(
-                cm,
-                sx[i] if dx else None,
-                sy[j] if dy else None,
-                sz[k] if dz else None,
-            )
-            best = min(best, c + rec(ni, nj, nk))
-        cache[key] = best
-        return best
-
-    return rec(0, 0, 0)

@@ -1,22 +1,38 @@
-"""Loop references for the 2D and 3D alignment DPs.
+"""Test oracles and loop references for the 2D and 3D alignment DPs.
 
-These are the DPs as they were before the per-call distance tables: they
-call CostModel.subst/indel (via column_cost in 3D) for every move of every
-lattice cell. The arithmetic is the same, so the package's align_pair and
-align_triple must return equal results; tests/test_dp_reference.py checks
-that.
+The loop references are the DPs as they were before the per-call
+distance tables: they call CostModel.subst/indel (via column_cost in 3D)
+for every move of every lattice cell. The arithmetic is the same, so the
+package's align_pair and align_triple must return equal results;
+tests/test_dp_reference.py checks that. enumerate_optimal and
+brute_force_min_cost are exhaustive oracles for short strings.
 """
 
 import math
 
+from dialign.costs import CostModel
+from dialign.errors import DialignError
 from dialign.pairwise import AlignmentColumn, PairAlignment, _segments
-from dialign.triple import (
-    MOVES,
-    TripleAlignment,
-    TripleColumn,
-    _check_roles,
-    column_cost,
-)
+from dialign.phonetics import Segment
+from dialign.triple import MOVES, TripleAlignment, TripleColumn, _check_roles
+
+
+class CapExceeded(DialignError):
+    pass
+
+
+def _pair_cost(cm: CostModel, u: Segment | None, v: Segment | None) -> float:
+    if u is None and v is None:
+        return 0.0
+    if u is None:
+        return cm.indel(v)
+    if v is None:
+        return cm.indel(u)
+    return cm.subst(u, v)
+
+
+def column_cost(cm: CostModel, x, y, z) -> float:
+    return _pair_cost(cm, x, y) + _pair_cost(cm, x, z) + _pair_cost(cm, y, z)
 
 
 def align_pair_loop(a, b, cm) -> PairAlignment:
@@ -144,3 +160,79 @@ def align_triple_loop(x, y, z, cm) -> TripleAlignment:
             raise AssertionError("traceback found no consistent predecessor")
     columns.reverse()
     return TripleAlignment(tuple(columns), cost[nx][ny][nz])
+
+
+def enumerate_optimal(a, b, cm: CostModel, cap: int = 100_000) -> list[PairAlignment]:
+    """All minimal-cost alignments, by exhaustive enumeration.
+
+    Test oracle for the longest-optimal-alignment rule; exponential, only
+    usable on short strings. Raises CapExceeded if more than `cap` optimal
+    alignments exist.
+    """
+    sa, sb = _segments(a), _segments(b)
+
+    best_cost = math.inf
+    optima: list[tuple[AlignmentColumn, ...]] = []
+
+    def walk(i, j, acc_cost, acc_cols):
+        nonlocal best_cost, optima
+        if acc_cost > best_cost:
+            return
+        if i == len(sa) and j == len(sb):
+            if acc_cost < best_cost:
+                best_cost = acc_cost
+                optima = []
+            if acc_cost == best_cost:
+                optima.append(tuple(acc_cols))
+                if len(optima) > cap:
+                    raise CapExceeded(f"more than {cap} optimal alignments")
+            return
+        if i < len(sa):
+            c = cm.indel(sa[i])
+            acc_cols.append(AlignmentColumn(sa[i], None, "del", c))
+            walk(i + 1, j, acc_cost + c, acc_cols)
+            acc_cols.pop()
+        if j < len(sb):
+            c = cm.indel(sb[j])
+            acc_cols.append(AlignmentColumn(None, sb[j], "ins", c))
+            walk(i, j + 1, acc_cost + c, acc_cols)
+            acc_cols.pop()
+        if i < len(sa) and j < len(sb):
+            c = cm.subst(sa[i], sb[j])
+            if c < math.inf:
+                op = "match" if sa[i].symbol == sb[j].symbol else "sub"
+                acc_cols.append(AlignmentColumn(sa[i], sb[j], op, c))
+                walk(i + 1, j + 1, acc_cost + c, acc_cols)
+                acc_cols.pop()
+
+    walk(0, 0, 0.0, [])
+    return [PairAlignment(cols, best_cost) for cols in optima]
+
+
+def brute_force_min_cost(x, y, z, cm: CostModel) -> float:
+    """Exhaustive minimum over all three-string alignments (test oracle)."""
+    sx, sy, sz = _segments(x), _segments(y), _segments(z)
+    cache: dict[tuple[int, int, int], float] = {}
+
+    def rec(i, j, k) -> float:
+        if i == len(sx) and j == len(sy) and k == len(sz):
+            return 0.0
+        key = (i, j, k)
+        if key in cache:
+            return cache[key]
+        best = math.inf
+        for dx, dy, dz in MOVES:
+            ni, nj, nk = i + dx, j + dy, k + dz
+            if ni > len(sx) or nj > len(sy) or nk > len(sz):
+                continue
+            c = column_cost(
+                cm,
+                sx[i] if dx else None,
+                sy[j] if dy else None,
+                sz[k] if dz else None,
+            )
+            best = min(best, c + rec(ni, nj, nk))
+        cache[key] = best
+        return best
+
+    return rec(0, 0, 0)

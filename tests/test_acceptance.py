@@ -13,13 +13,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from loop_dp import brute_force_min_cost, enumerate_optimal
 
 from dialign.cli import main
 from dialign.corpus import ingest, pair
-from dialign.costs import binary_cost_model
-from dialign.pairwise import align_pair, enumerate_optimal, normalized_distance
+from dialign.costs import CostModel, binary_cost_model
+from dialign.pairwise import align_pair, normalized_distance
 from dialign.phonetics import SegmentTable
-from dialign.pmi import AlignmentCorpus, induce_distances, to_cost_model
+from dialign.pmi import AlignmentCorpus, induce_distances
 from dialign.synth import (
     make_benchmark_corpus,
     make_mixed_corpus,
@@ -27,7 +28,6 @@ from dialign.synth import (
 )
 from dialign.triple import (
     align_triple,
-    brute_force_min_cost,
     column_direction,
     decompose,
     double_pairwise_delta,
@@ -174,7 +174,7 @@ def test_criterion_06_correlation_with_double_pairwise(tmp_path, table, acceptan
     triples = _mixed_triples(tmp_path, table)
     assert len(triples) >= 200
     pmi = _pooled_pmi(triples)
-    cm = to_cost_model(pmi)
+    cm = CostModel(pmi)
     net, delta = [], []
     for t in triples:
         al = align_triple(t.older, t.newer, t.standard, cm)
@@ -238,7 +238,7 @@ def test_criterion_08_decomposition_bounds(tok, acceptance_report):
         pairs.append((x, z))
         pairs.append((y, z))
     pmi = induce_distances(AlignmentCorpus(pairs), binary_cost_model())
-    cm = to_cost_model(pmi)
+    cm = CostModel(pmi)
 
     violations = 0
     n = 10_000

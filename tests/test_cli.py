@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -6,8 +8,10 @@ from dialign.cli import main
 from dialign.corpus import ingest, pair
 from dialign.costs import BinaryDistanceTable, binary_cost_model
 from dialign.phonetics import SegmentTable
-from dialign.synth import make_benchmark_corpus, make_coords
+from dialign.synth import make_benchmark_corpus, make_coords, make_mixed_corpus
 from dialign.triple import align_triple, decompose
+
+DATA_DIR = Path(__file__).parents[1] / "data" / "synthetic"
 
 HEADER = "location\tword\tsource\ttranscription\tcognate_id\texclusion"
 
@@ -76,18 +80,29 @@ def test_align_missing_file_exit_code(tmp_path):
     assert rc == 1
 
 
-def test_config_errors(tmp_path, corpus_path):
-    rc = main(
-        ["align", "--corpus", str(corpus_path), "--out-dir", str(tmp_path / "o"), "--mode", "load"]
-    )
-    assert rc == 2
-    rc = main(
-        [
-            "align", "--corpus", str(corpus_path), "--out-dir", str(tmp_path / "o"),
-            "--mode", "binary", "--pmi-table", "x.tsv",
-        ]
-    )
-    assert rc == 2
+def test_config_errors(tmp_path, corpus_path, capsys):
+    out = tmp_path / "o"
+    common = ["--corpus", str(corpus_path), "--out-dir", str(out)]
+    cases = [
+        ["align", *common, "--mode", "load"],
+        ["align", *common, "--mode", "binary", "--pmi-table", "x.tsv"],
+        ["align", *common, "--mode", "pmi", "--pmi-table", "x.tsv"],
+    ]
+    for command in ("pmi", "align"):
+        for option, value in [
+            ("--max-iter", "0"),
+            ("--tol", "0"),
+            ("--tol", "-1"),
+            ("--tol", "nan"),
+            ("--smoothing", "0"),
+            ("--smoothing", "nan"),
+            ("--smoothing", "inf"),
+        ]:
+            cases.append([command, *common, option, value])
+    for argv in cases:
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("config error: "), argv
+        assert not out.exists(), argv
 
 
 def test_pmi_subcommand_and_load_mode(tmp_path, corpus_path):
@@ -204,13 +219,15 @@ RECORDS_6 = "location,word,conv,div,alignment_length\n" + "".join(
 )
 
 
-def run_report(tmp_path, records=RECORDS_6, coords=None, encoding="utf-8", n_perm=999):
+def run_report(
+    tmp_path, records=RECORDS_6, coords=None, encoding="utf-8", n_perm=999, groups=GROUPS_6
+):
     rec_path = tmp_path / "change_records.csv"
     rec_path.write_text(records, encoding=encoding)
-    groups = tmp_path / "groups.tsv"
-    groups.write_text(GROUPS_6, encoding="utf-8")
+    groups_path = tmp_path / "groups.tsv"
+    groups_path.write_text(groups, encoding="utf-8")
     argv = [
-        "report", "--records", str(rec_path), "--groups", str(groups),
+        "report", "--records", str(rec_path), "--groups", str(groups_path),
         "--out-dir", str(tmp_path / "rep"), "--n-perm", str(n_perm),
     ]
     if coords is not None:
@@ -250,6 +267,13 @@ def test_report_coords_missing_location(tmp_path, capsys):
     assert run_report(tmp_path, coords=coords) == 1
     assert "no coordinates for location 'loc06'" in capsys.readouterr().err
     assert not (tmp_path / "rep" / "summary.txt").exists()
+
+
+def test_report_degenerate_contrast_writes_no_report_file(tmp_path, capsys):
+    all_fr = "".join(f"loc0{i}\tFR\n" for i in range(1, 7))
+    assert run_report(tmp_path, groups=all_fr) == 1
+    assert "contrast needs locations on both sides" in capsys.readouterr().err
+    assert list((tmp_path / "rep").iterdir()) == []
 
 
 def test_report_rejects_low_n_perm(tmp_path, capsys):
@@ -324,3 +348,92 @@ def test_align_repeated_triples_match_fresh_alignments(tmp_path):
         al = align_triple(t.older, t.newer, t.standard, cm)
         conv, div = decompose(al, BinaryDistanceTable())
         assert row == f"{t.location},{t.word},{conv:.6f},{div:.6f},{al.length}"
+
+
+def test_align_load_names_a_pair_missing_from_the_table(tmp_path, capsys):
+    corpus = worked_example_corpus(tmp_path)
+    table = tmp_path / "pmi.tsv"
+    table.write_text("s\tt\t0.5\n", encoding="utf-8")
+    out = tmp_path / "o"
+    rc = main(
+        [
+            "align", "--corpus", str(corpus), "--out-dir", str(out),
+            "--mode", "load", "--pmi-table", str(table),
+        ]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: location 'kampen', word 'straat': "
+        "symbol pair ('-', 's') is not in the PMI table\n"
+    )
+    assert not (out / "change_records.csv").exists()
+    assert not (out / "alignments.txt").exists()
+
+
+# SHA-256 of every output but run_manifest.json, which holds paths, by run
+# and file name. An intended change to an output updates these.
+GOLDEN_DIGESTS = {
+    "binary/alignments.txt": "27357d7f67886058ac5b404687faba7ad322304063185dee410ac44bed6cd63a",
+    "binary/change_records.csv": "5737b9c75593c4caaf36ccba9d19e166a50b288ad6979db3a50b2b112bec8344",
+    "binary/retention.txt": "15855f6a58e3c50423e9dfec35210e2a2eba3830c6e8f3efce1b755721fe9158",
+    "pmi/alignments.txt": "19d5192d6f3897fbd857d82629815dc1c5c70c807a39daf0d5b9e864a5787fc4",
+    "pmi/change_records.csv": "5cd35ef1534891e0eb169afc8a97049bcaaba1b39001b094873243fc9eb57d58",
+    "pmi/pmi_log.txt": "8abe0c42cefc068e94b78b7f3a87c8e681fa69d6b1f724bc601c452a4ae0d48a",
+    "pmi/pmi_table.tsv": "a84e2484d8deefedf94ec3252a799558fa3bc95f84a8234d7a702793263178b8",
+    "pmi/retention.txt": "15855f6a58e3c50423e9dfec35210e2a2eba3830c6e8f3efce1b755721fe9158",
+    "load/alignments.txt": "19d5192d6f3897fbd857d82629815dc1c5c70c807a39daf0d5b9e864a5787fc4",
+    "load/change_records.csv": "5cd35ef1534891e0eb169afc8a97049bcaaba1b39001b094873243fc9eb57d58",
+    "load/retention.txt": "15855f6a58e3c50423e9dfec35210e2a2eba3830c6e8f3efce1b755721fe9158",
+    "binary-unconstrained/alignments.txt": "27357d7f67886058ac5b404687faba7ad322304063185dee410ac44bed6cd63a",
+    "binary-unconstrained/change_records.csv": "5737b9c75593c4caaf36ccba9d19e166a50b288ad6979db3a50b2b112bec8344",
+    "binary-unconstrained/retention.txt": "15855f6a58e3c50423e9dfec35210e2a2eba3830c6e8f3efce1b755721fe9158",
+    "pmi-unconstrained/alignments.txt": "19d5192d6f3897fbd857d82629815dc1c5c70c807a39daf0d5b9e864a5787fc4",
+    "pmi-unconstrained/change_records.csv": "5cd35ef1534891e0eb169afc8a97049bcaaba1b39001b094873243fc9eb57d58",
+    "pmi-unconstrained/pmi_log.txt": "8abe0c42cefc068e94b78b7f3a87c8e681fa69d6b1f724bc601c452a4ae0d48a",
+    "pmi-unconstrained/pmi_table.tsv": "a84e2484d8deefedf94ec3252a799558fa3bc95f84a8234d7a702793263178b8",
+    "pmi-unconstrained/retention.txt": "15855f6a58e3c50423e9dfec35210e2a2eba3830c6e8f3efce1b755721fe9158",
+    "load-unconstrained/alignments.txt": "19d5192d6f3897fbd857d82629815dc1c5c70c807a39daf0d5b9e864a5787fc4",
+    "load-unconstrained/change_records.csv": "5cd35ef1534891e0eb169afc8a97049bcaaba1b39001b094873243fc9eb57d58",
+    "load-unconstrained/retention.txt": "15855f6a58e3c50423e9dfec35210e2a2eba3830c6e8f3efce1b755721fe9158",
+    "mixed-pmi/alignments.txt": "25dc439240aa1d13e99abf2ff2f9d956d63dba8c6f7da6e3b9ada558f0b10d03",
+    "mixed-pmi/change_records.csv": "1892b238b26c32723d4c1d141d4b3e27686a2ea189fa60cd75be2ab30297480e",
+    "mixed-pmi/pmi_log.txt": "8abe0c42cefc068e94b78b7f3a87c8e681fa69d6b1f724bc601c452a4ae0d48a",
+    "mixed-pmi/pmi_table.tsv": "2b1acd93493814ef253b4bb1de437950ed6ff3873e09d087804f057d85c9cf74",
+    "mixed-pmi/retention.txt": "91d09ee25acdfea677918d46f527c9095e6df0aa7300fc38740ad78b340c0bf2",
+    "report/contrasts.csv": "2c8c2694898d7d1b0ca57b5e2d41d0f91b35434c05ada8f9ad5d35ce1e2312cf",
+    "report/geo.csv": "d68ef55148a6341b72b007c5bb54f07e3c89dfd8d1525b93fade41adf9b039c1",
+    "report/summary.txt": "569dbe7dd2c17092a2d3bb633feef7cd5c8a15605093e4779d2b63f07862a0f4",
+}
+
+
+def test_outputs_match_golden_digests(tmp_path):
+    digests = {}
+
+    def run(name, argv):
+        out = tmp_path / name
+        assert main(argv + ["--out-dir", str(out)]) == 0
+        for path in out.iterdir():
+            if path.name != "run_manifest.json":
+                digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                digests[f"{name}/{path.name}"] = digest
+        return out
+
+    corpus = ["--corpus", str(DATA_DIR / "corpus.tsv")]
+    for flags, suffix in ([], ""), (["--unconstrained"], "-unconstrained"):
+        run("binary" + suffix, ["align", *corpus, "--mode", "binary", *flags])
+        pmi = run("pmi" + suffix, ["align", *corpus, "--mode", "pmi", *flags])
+        table = str(pmi / "pmi_table.tsv")
+        run("load" + suffix, ["align", *corpus, "--mode", "load", "--pmi-table", table, *flags])
+    # Vowels and consonants mix here, so the vowel-consonant ban matters.
+    mixed = tmp_path / "mixed.tsv"
+    mixed.write_text(make_mixed_corpus(), encoding="utf-8")
+    run("mixed-pmi", ["align", "--corpus", str(mixed), "--mode", "pmi"])
+    run(
+        "report",
+        [
+            "report", "--records", str(tmp_path / "pmi" / "change_records.csv"),
+            "--groups", str(DATA_DIR / "groups.tsv"),
+            "--coords", str(DATA_DIR / "coords.tsv"), "--n-perm", "999",
+        ],
+    )
+    assert digests == GOLDEN_DIGESTS

@@ -3,10 +3,11 @@ import math
 import random
 
 import pytest
+from loop_dp import CapExceeded, enumerate_optimal
 
 from dialign.costs import FORBIDDEN, binary_cost_model
-from dialign.errors import CapExceeded, ZeroLength
-from dialign.pairwise import align_pair, enumerate_optimal, normalized_distance
+from dialign.errors import ZeroLength
+from dialign.pairwise import align_pair, normalized_distance
 from dialign.phonetics import SegmentClass
 
 

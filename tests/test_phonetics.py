@@ -143,6 +143,7 @@ def test_table_from_file(tmp_path):
         "a\tX",
         "a",
         "ə\tC\tschwa",  # schwa flag on a consonant
+        "n\tV\tsonorant",  # sonorant flag on a vowel
         "a\tV\tbogus",
     ],
 )

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from dialign.costs import FORBIDDEN, GAP, binary_cost_model
-from dialign.errors import EmptyCorpus, ParseError
+from dialign.costs import FORBIDDEN, GAP, CostModel, binary_cost_model
+from dialign.errors import DialignError, EmptyCorpus, ParseError
 from dialign.pairwise import align_pair
 from dialign.phonetics import make_transcription
 from dialign.pmi import (
@@ -14,7 +14,6 @@ from dialign.pmi import (
     PmiTable,
     distances_from_counts,
     induce_distances,
-    to_cost_model,
 )
 from dialign.synth import make_vowel_shift_pairs
 
@@ -67,7 +66,7 @@ def test_fixed_point_when_converged(table):
     result = induce_distances(corpus, binary_cost_model(), opts)
     assert result.converged
     # re-aligning under the final table reproduces it within tolerance
-    cm = to_cost_model(result)
+    cm = CostModel(result)
     rerun = induce_distances(corpus, cm, InductionOptions(max_iter=1))
     deltas = [
         abs(rerun.dist[k] - result.dist[k]) for k in set(rerun.dist) & set(result.dist)
@@ -146,9 +145,9 @@ def test_gap_distances_learned(table):
     assert result.distance("t", None) < result.distance("p", None)
 
 
-def test_to_cost_model_passthrough_and_policy(table):
+def test_cost_model_over_pmi_table_passthrough_and_policy(table):
     t = PmiTable({("i", "ɪ"): 0.2, ("a", "p"): 0.7, ("a", GAP): 0.5})
-    cm = to_cost_model(t)
+    cm = CostModel(t)
     (i,) = make_transcription("i", table).segments
     (small_i,) = make_transcription("ɪ", table).segments
     (a,) = make_transcription("a", table).segments
@@ -159,11 +158,13 @@ def test_to_cost_model_passthrough_and_policy(table):
     assert cm.indel(a) == 0.5
 
 
-def test_missing_pair_defaults_to_one_with_warning(caplog):
+def test_missing_pair_is_an_error():
     t = PmiTable({("a", "b"): 0.3})
-    with caplog.at_level(logging.WARNING, logger="dialign.pmi"):
-        assert t.distance("a", "z") == 1.0
-    assert any("defaulting" in rec.message for rec in caplog.records)
+    assert t.distance("z", "z") == 0.0  # the diagonal defaults to 0
+    with pytest.raises(DialignError, match=r"\('a', 'z'\) is not in the PMI table"):
+        t.distance("z", "a")
+    with pytest.raises(DialignError, match=rf"\('{GAP}', 'b'\)"):
+        t.distance("b", None)
 
 
 def test_serialization_roundtrip(tmp_path, table):
@@ -193,7 +194,7 @@ def test_induction_respects_constraint(table):
     # vowel-obstruent columns must never occur in induction alignments
     corpus = corpus_from_strings(table, [("pat", "tap"), ("ip", "pi")] * 30)
     result = induce_distances(corpus, binary_cost_model())
-    cm = to_cost_model(result)
+    cm = CostModel(result)
     al = align_pair(
         make_transcription("ip", table).segments,
         make_transcription("pi", table).segments,

@@ -2,16 +2,16 @@ import itertools
 import random
 
 import pytest
+from loop_dp import brute_force_min_cost
 
-from dialign.costs import GAP, BinaryDistanceTable, binary_cost_model
+from dialign.costs import GAP, BinaryDistanceTable, CostModel, binary_cost_model
 from dialign.errors import RoleMismatch
 from dialign.phonetics import Source, make_transcription
-from dialign.pmi import AlignmentCorpus, PmiTable, induce_distances, to_cost_model
+from dialign.pmi import AlignmentCorpus, PmiTable, induce_distances
 from dialign.triple import (
     MOVES,
     TripleColumn,
     align_triple,
-    brute_force_min_cost,
     column_direction,
     decompose,
     double_pairwise_delta,
@@ -155,7 +155,7 @@ def test_decomposition_bounds_and_role_swap(tok):
     rng = random.Random(2024)
     triples = random_triples(tok, rng, 400)
     pmi = make_pmi_from_triples(None, triples)
-    cm = to_cost_model(pmi)
+    cm = CostModel(pmi)
     for x, y, z in triples:
         al = align_triple(x, y, z, cm)
         conv, div = decompose(al, pmi)
@@ -188,7 +188,7 @@ def test_correlation_with_double_pairwise(tok):
     rng = random.Random(99)
     triples = random_triples(tok, rng, 250)
     pmi = make_pmi_from_triples(None, triples)
-    cm = to_cost_model(pmi)
+    cm = CostModel(pmi)
     net, delta = [], []
     for x, y, z in triples:
         al = align_triple(x, y, z, cm)
