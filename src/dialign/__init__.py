@@ -2,7 +2,7 @@
 between two time-separated dialect corpora relative to a standard variety."""
 
 from .costs import FORBIDDEN, GAP, BinaryDistanceTable, CostModel, binary_cost_model
-from .pairwise import PairAlignment, align_pair, normalized_distance
+from .pairwise import PairAlignment, align_pair
 from .phonetics import (
     Segment,
     SegmentClass,
@@ -24,7 +24,6 @@ from .triple import (
     align_triple,
     column_direction,
     decompose,
-    double_pairwise_delta,
 )
 
 __version__ = "0.1.0"

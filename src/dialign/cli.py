@@ -81,13 +81,13 @@ def _induce(args, triples, outdir: Path) -> PmiTable:
     return table
 
 
-def _dump_alignment(t, al, dist_table) -> str:
+def _dump_alignment(t, al, cm) -> str:
     def row(label, cells):
         return label + "\t" + "\t".join(cells)
 
     tags = []
     for col in al.columns:
-        d = column_direction(col, dist_table)
+        d = column_direction(col, cm)
         if col.stable:
             tags.append("stable")
         elif d < 0:
@@ -128,7 +128,7 @@ def cmd_align(args) -> int:
             al = memo.get(key)
             if al is None:
                 al = memo[key] = align_triple(t.older, t.newer, t.standard, cm)
-            conv, div = decompose(al, dist_table)
+            conv, div = decompose(al, cm)
         except DialignError as exc:  # a pair missing from a loaded table
             raise DialignError(
                 f"location {t.location!r}, word {t.word!r}: {exc}"
@@ -136,7 +136,7 @@ def cmd_align(args) -> int:
         change_records.append(
             ChangeRecord(t.location, t.word, conv, div, al.length)
         )
-        dumps.append(_dump_alignment(t, al, dist_table))
+        dumps.append(_dump_alignment(t, al, cm))
 
     lines = ["location,word,conv,div,alignment_length"]
     for r in change_records:

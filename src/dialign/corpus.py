@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import (
-    DialignError,
     DuplicateRecord,
     ParseError,
     UnknownSymbol,
@@ -53,6 +52,8 @@ class CorpusRecord:
     raw: str
     cognate_id: str | None
     exclusion: Exclusion | None
+    path: str  # the corpus file and line the record was read from
+    line: int
 
 
 @dataclass(frozen=True)
@@ -130,7 +131,8 @@ def ingest(path) -> list[CorpusRecord]:
             std_words.add(word)
         records.append(
             CorpusRecord(
-                location, word, source, raw, cognate_id or None, exclusion
+                location, word, source, raw, cognate_id or None, exclusion,
+                str(path), lineno,
             )
         )
     return records
@@ -196,15 +198,17 @@ def pair(
 
 
 def _transcribe(r: CorpusRecord, table: SegmentTable) -> Transcription:
-    """Tokenized transcription of a record; an unknown symbol is an error
-    naming the record."""
+    """Tokenized transcription of a record; an unknown symbol is a
+    ParseError naming the record's file, line, location and word."""
     try:
         return make_transcription(r.raw, table, r.location, r.word, r.source)
     except UnknownSymbol as exc:
-        raise DialignError(
+        raise ParseError(
+            r.path,
+            r.line,
             f"location {r.location!r}, word {r.word!r}, {r.source.value} "
             f"transcription {r.raw!r}: unknown symbol {exc.char!r} "
-            f"at position {exc.position}"
+            f"at position {exc.position}",
         ) from None
 
 

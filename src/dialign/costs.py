@@ -4,29 +4,23 @@ A cost model combines a symmetric distance table over segment symbols
 with the linguistic constraint policy: vowels may not substitute with
 consonants, except that schwa may align with the sonorant consonants.
 Forbidden substitutions get infinite cost, so an indel path always wins.
+The cost model is the only code that prices a pair of segments; the 2D
+and 3D DPs and the change decomposition all read its table.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .phonetics import Segment, SegmentClass
+from .phonetics import GAP, Segment, SegmentClass
 
 FORBIDDEN = math.inf
-
-# Gap sentinel used in distance tables and serialized output.
-GAP = "-"
 
 
 class BinaryDistanceTable:
     """Unit distances: 0 for identical symbols, 1 otherwise (gaps cost 1)."""
 
-    def distance(self, a: str | None, b: str | None) -> float:
-        if a is None and b is None:
-            return 0.0
-        if a is None or b is None:
-            return 1.0
+    def distance(self, a: str, b: str) -> float:
         return 0.0 if a == b else 1.0
 
 
@@ -38,18 +32,48 @@ def substitution_allowed(a: Segment, b: Segment) -> bool:
     return vowel.is_schwa and cons.is_sonorant_consonant
 
 
-@dataclass(frozen=True)
 class CostModel:
-    distances: object  # anything with .distance(symbol_or_None, symbol_or_None)
-    constrained: bool = True
+    """Prices of segment pairs, from a distance table and the constraint policy.
 
-    def subst(self, a: Segment, b: Segment) -> float:
-        if self.constrained and not substitution_allowed(a, b):
-            return FORBIDDEN
-        return self.distances.distance(a.symbol, b.symbol)
+    The model numbers each segment symbol the first time it meets it, with
+    0 for the gap, and prices the new symbol once against the gap, every
+    known symbol and itself: ``cost[u][v]`` is the table's distance,
+    FORBIDDEN for a pair the policy bans when constrained, and 0.0 for gap
+    against gap. A symbol's class must not depend on where it occurs.
+    """
 
-    def indel(self, a: Segment) -> float:
-        return self.distances.distance(a.symbol, None)
+    def __init__(self, distances, constrained: bool = True):
+        self.distances = distances  # anything with .distance(symbol, symbol)
+        self.constrained = constrained
+        self.cost: list[list[float]] = [[0.0]]
+        self._number: dict[str, int] = {}
+        self._known: list[Segment] = []  # _known[u - 1] has number u
+
+    def numbers(self, segments) -> list[int]:
+        """The number of each segment, 0 for a gap (None)."""
+        number = self._number
+        return [
+            0 if s is None else number.get(s.symbol) or self._add(s)
+            for s in segments
+        ]
+
+    def _add(self, seg: Segment) -> int:
+        symbol, distance = seg.symbol, self.distances.distance
+        row = [distance(symbol, GAP)]
+        for other in self._known:
+            if self.constrained and not substitution_allowed(seg, other):
+                row.append(FORBIDDEN)
+            else:
+                row.append(distance(symbol, other.symbol))
+        row.append(distance(symbol, symbol))
+        # The row is complete before anything changes, so a pair missing
+        # from the table leaves the model as it was.
+        for known_row, c in zip(self.cost, row):
+            known_row.append(c)
+        self.cost.append(row)
+        self._known.append(seg)
+        u = self._number[symbol] = len(self._known)
+        return u
 
 
 def binary_cost_model(constrained: bool = True) -> CostModel:

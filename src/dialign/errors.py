@@ -19,10 +19,6 @@ class EmptyInput(DialignError):
     pass
 
 
-class ZeroLength(DialignError):
-    pass
-
-
 class EmptyCorpus(DialignError):
     pass
 

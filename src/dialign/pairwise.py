@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 from .costs import CostModel
-from .errors import ZeroLength
 from .phonetics import Segment, Transcription
 
 
@@ -21,7 +20,6 @@ from .phonetics import Segment, Transcription
 class AlignmentColumn:
     left: Segment | None
     right: Segment | None
-    op: str  # "match" | "sub" | "ins" | "del"
     cost: float
 
 
@@ -44,10 +42,12 @@ def align_pair(a, b, cm: CostModel) -> PairAlignment:
     sa, sb = _segments(a), _segments(b)
     n, m = len(sa), len(sb)
 
-    # Each segment distance is looked up once per call.
-    ga = [cm.indel(s) for s in sa]
-    gb = [cm.indel(s) for s in sb]
-    sub = [[cm.subst(u, v) for v in sb] for u in sa]
+    # Each pair price is read from the cost model once per call.
+    na, nb = cm.numbers(sa), cm.numbers(sb)
+    rows = [cm.cost[u] for u in na]
+    ga = [r[0] for r in rows]
+    gb = [cm.cost[0][v] for v in nb]
+    sub = [[r[v] for v in nb] for r in rows]
 
     # cost[i][j]: minimal cost aligning sa[:i] with sb[:j];
     # alen[i][j]: maximal column count among minimal-cost alignments.
@@ -88,27 +88,19 @@ def align_pair(a, b, cm: CostModel) -> PairAlignment:
         if i > 0:
             c = ga[i - 1]
             if cost[i - 1][j] + c == here_cost and alen[i - 1][j] + 1 == here_len:
-                columns.append(AlignmentColumn(sa[i - 1], None, "del", c))
+                columns.append(AlignmentColumn(sa[i - 1], None, c))
                 i -= 1
                 continue
         if j > 0:
             c = gb[j - 1]
             if cost[i][j - 1] + c == here_cost and alen[i][j - 1] + 1 == here_len:
-                columns.append(AlignmentColumn(None, sb[j - 1], "ins", c))
+                columns.append(AlignmentColumn(None, sb[j - 1], c))
                 j -= 1
                 continue
         c = sub[i - 1][j - 1]
         assert cost[i - 1][j - 1] + c == here_cost
-        op = "match" if sa[i - 1].symbol == sb[j - 1].symbol else "sub"
-        columns.append(AlignmentColumn(sa[i - 1], sb[j - 1], op, c))
+        columns.append(AlignmentColumn(sa[i - 1], sb[j - 1], c))
         i -= 1
         j -= 1
     columns.reverse()
     return PairAlignment(tuple(columns), cost[n][m])
-
-
-def normalized_distance(al: PairAlignment) -> float:
-    """Total cost divided by the alignment length (longest optimal)."""
-    if al.length == 0:
-        raise ZeroLength("cannot normalize an empty alignment")
-    return al.total_cost / al.length

@@ -29,6 +29,10 @@ class Source(Enum):
 SONORANTS = frozenset("mlnrŋjw")
 SCHWA = "ə"
 
+# The gap symbol of distance tables and serialized alignments; no segment
+# may use it.
+GAP = "-"
+
 # Spacing characters that attach to the preceding base symbol. Combining
 # characters (Unicode category Mn) are always treated as modifiers.
 MODIFIER_CHARS = frozenset("ːˑ˞ʰʷʲˠˤⁿˡʼ")
@@ -95,10 +99,13 @@ class SegmentTable:
 
         Flags are comma-separated members of {sonorant, schwa}; the flags
         column may be omitted or "-". Lines starting with '#' are comments.
+        The gap symbol "-" may not be an entry.
         """
         entries = {}
         for lineno, fields in read_table(path, "symbol<TAB>V|C[<TAB>flags]", 2, 3):
             symbol = unicodedata.normalize("NFC", fields[0])
+            if symbol == GAP:
+                raise ParseError(path, lineno, f"{GAP!r} is the gap symbol")
             if fields[1] not in ("V", "C"):
                 raise ParseError(
                     path, lineno, f"class must be V or C, got {fields[1]!r}"

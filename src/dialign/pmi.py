@@ -42,11 +42,7 @@ class PmiTable:
         }
         object.__setattr__(self, "dist", normalized)
 
-    def distance(self, a: str | None, b: str | None) -> float:
-        if a is None and b is None:
-            return 0.0
-        a = GAP if a is None else a
-        b = GAP if b is None else b
+    def distance(self, a: str, b: str) -> float:
         if a == b and a != GAP:
             return self.dist.get((a, a), 0.0)
         key = (a, b) if a <= b else (b, a)

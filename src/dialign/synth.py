@@ -128,20 +128,6 @@ def make_mixed_corpus(
     return _corpus_tsv(rows)
 
 
-def make_vowel_shift_pairs(seed: int = 3, n_frequent: int = 200, n_rare: int = 5):
-    """Pair corpus where [i]~[ɪ] co-occurs n_frequent/n_rare times more
-    often than [i]~[u]; raw string pairs for PMI sanity checks."""
-    rng = random.Random(seed)
-    pairs = []
-    for _ in range(n_frequent):
-        frame = "".join(rng.choice("ptksmn") for _ in range(2))
-        pairs.append((frame[0] + "i" + frame[1], frame[0] + "ɪ" + frame[1]))
-    for _ in range(n_rare):
-        frame = "".join(rng.choice("ptksmn") for _ in range(2))
-        pairs.append((frame[0] + "i" + frame[1], frame[0] + "u" + frame[1]))
-    return pairs
-
-
 def make_group_map(n_locations: int = 24) -> str:
     """Group map splitting locations across the four dialect groups."""
     groups = ["FR"] * 7 + ["DU-FR"] * 3 + ["GR"] * 5 + ["LS"] * (n_locations - 15)

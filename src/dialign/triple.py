@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .costs import CostModel
 from .errors import RoleMismatch
-from .pairwise import _segments, align_pair, normalized_distance
+from .pairwise import _segments
 from .phonetics import Segment, Source, Transcription
 
 # Moves as (dx, dy, dz) in frozen traceback preference order: single-string
@@ -37,10 +37,6 @@ class TripleColumn:
     y: Segment | None
     z: Segment | None
     cost: float
-
-    @property
-    def presence(self) -> tuple[bool, bool, bool]:
-        return (self.x is not None, self.y is not None, self.z is not None)
 
     @property
     def stable(self) -> bool:
@@ -92,30 +88,26 @@ def align_triple(x, y, z, cm: CostModel) -> TripleAlignment:
     sx, sy, sz = _segments(x), _segments(y), _segments(z)
     nx, ny, nz = len(sx), len(sy), len(sz)
 
-    # Each segment distance is looked up once per call.
-    gx = [cm.indel(s) for s in sx]
-    gy = [cm.indel(s) for s in sy]
-    gz = [cm.indel(s) for s in sz]
-    dxy = [[cm.subst(a, b) for b in sy] for a in sx]
-    dxz = [[cm.subst(a, c) for c in sz] for a in sx]
-    dyz = [[cm.subst(b, c) for c in sz] for b in sy]
+    # Each pair price is read from the cost model once per call.
+    C = cm.cost
+    ux, uy, uz = cm.numbers(sx), cm.numbers(sy), cm.numbers(sz)
 
-    def column(dx, dy, dz, i, j, k) -> float:
-        """Cost of the column the move (dx, dy, dz) adds out of lattice
-        point (i, j, k): the pair sum (p_xy + p_xz) + p_yz, in that float
-        order, with gap-gap pairs 0.0."""
-        p_xy = dxy[i][j] if dx and dy else gx[i] if dx else gy[j] if dy else 0.0
-        p_xz = dxz[i][k] if dx and dz else gx[i] if dx else gz[k] if dz else 0.0
-        p_yz = dyz[j][k] if dy and dz else gy[j] if dy else gz[k] if dz else 0.0
-        return (p_xy + p_xz) + p_yz
+    def column(u, v, w) -> float:
+        """Cost of a column of segment numbers u, v, w (0 for a gap): the
+        pair sum (p_xy + p_xz) + p_yz, in that float order."""
+        return (C[u][v] + C[u][w]) + C[v][w]
 
-    # Column costs of the moves that advance one or two strings.
-    c_x = [column(1, 0, 0, i, 0, 0) for i in range(nx)]
-    c_y = [column(0, 1, 0, 0, j, 0) for j in range(ny)]
-    c_z = [column(0, 0, 1, 0, 0, k) for k in range(nz)]
-    c_xy = [[column(1, 1, 0, i, j, 0) for j in range(ny)] for i in range(nx)]
-    c_xz = [[column(1, 0, 1, i, 0, k) for k in range(nz)] for i in range(nx)]
-    c_yz = [[column(0, 1, 1, 0, j, k) for k in range(nz)] for j in range(ny)]
+    # Column costs of the moves that advance one or two strings, and the
+    # pair prices of the move that advances all three.
+    c_x = [column(u, 0, 0) for u in ux]
+    c_y = [column(0, v, 0) for v in uy]
+    c_z = [column(0, 0, w) for w in uz]
+    c_xy = [[column(u, v, 0) for v in uy] for u in ux]
+    c_xz = [[column(u, 0, w) for w in uz] for u in ux]
+    c_yz = [[column(0, v, w) for w in uz] for v in uy]
+    dxy = [[C[u][v] for v in uy] for u in ux]
+    dxz = [[C[u][w] for w in uz] for u in ux]
+    dyz = [[C[v][w] for w in uz] for v in uy]
 
     inf = math.inf
     cost = [[[inf] * (nz + 1) for _ in range(ny + 1)] for _ in range(nx + 1)]
@@ -182,7 +174,7 @@ def align_triple(x, y, z, cm: CostModel) -> TripleAlignment:
             pi, pj, pk = i - dx, j - dy, k - dz
             if pi < 0 or pj < 0 or pk < 0:
                 continue
-            c = column(dx, dy, dz, pi, pj, pk)
+            c = column(ux[pi] if dx else 0, uy[pj] if dy else 0, uz[pk] if dz else 0)
             if cost[pi][pj][pk] + c == here_cost and alen[pi][pj][pk] + 1 == here_len:
                 columns.append(
                     TripleColumn(
@@ -200,15 +192,14 @@ def align_triple(x, y, z, cm: CostModel) -> TripleAlignment:
     return TripleAlignment(tuple(columns), cost[nx][ny][nz])
 
 
-def column_direction(col: TripleColumn, dist_table) -> float:
-    """distance(newer, standard) - distance(older, standard) for one column."""
-    x = col.x.symbol if col.x is not None else None
-    y = col.y.symbol if col.y is not None else None
-    z = col.z.symbol if col.z is not None else None
-    return dist_table.distance(y, z) - dist_table.distance(x, z)
+def column_direction(col: TripleColumn, cm: CostModel) -> float:
+    """price(newer, standard) - price(older, standard) for one column. No
+    optimal alignment holds a FORBIDDEN pair: all-indel paths cost less."""
+    x, y, z = cm.numbers((col.x, col.y, col.z))
+    return cm.cost[y][z] - cm.cost[x][z]
 
 
-def decompose(al: TripleAlignment, dist_table) -> tuple[float, float]:
+def decompose(al: TripleAlignment, cm: CostModel) -> tuple[float, float]:
     """Convergence and divergence proportions of a triple alignment.
 
     Convergent column magnitudes and divergent column magnitudes are
@@ -219,17 +210,9 @@ def decompose(al: TripleAlignment, dist_table) -> tuple[float, float]:
         return 0.0, 0.0
     conv = div = 0.0
     for col in al.columns:
-        d = column_direction(col, dist_table)
+        d = column_direction(col, cm)
         if d < 0:
             conv -= d
         else:
             div += d
     return conv / al.length, div / al.length
-
-
-def double_pairwise_delta(x, y, z, cm: CostModel) -> float:
-    """Validation statistic: normalized 2D distance of (newer, standard)
-    minus that of (older, standard)."""
-    return normalized_distance(align_pair(y, z, cm)) - normalized_distance(
-        align_pair(x, z, cm)
-    )

@@ -1,18 +1,22 @@
-"""Test oracles and loop references for the 2D and 3D alignment DPs.
+"""Test oracles, loop references and test-only statistics for the 2D and
+3D alignment DPs.
 
 The loop references are the DPs as they were before the per-call
-distance tables: they call CostModel.subst/indel (via column_cost in 3D)
-for every move of every lattice cell. The arithmetic is the same, so the
+distance tables: they price every move of every lattice cell with
+_pair_cost (via column_cost in 3D). _pair_cost prices a pair itself, from
+substitution_allowed and the cost model's distance table, and never reads
+the cost model's own price table. The arithmetic is the same, so the
 package's align_pair and align_triple must return equal results;
 tests/test_dp_reference.py checks that. enumerate_optimal and
 brute_force_min_cost are exhaustive oracles for short strings.
 """
 
 import math
+import random
 
-from dialign.costs import CostModel
+from dialign.costs import FORBIDDEN, GAP, CostModel, substitution_allowed
 from dialign.errors import DialignError
-from dialign.pairwise import AlignmentColumn, PairAlignment, _segments
+from dialign.pairwise import AlignmentColumn, PairAlignment, _segments, align_pair
 from dialign.phonetics import Segment
 from dialign.triple import MOVES, TripleAlignment, TripleColumn, _check_roles
 
@@ -21,14 +25,21 @@ class CapExceeded(DialignError):
     pass
 
 
+class ZeroLength(DialignError):
+    pass
+
+
 def _pair_cost(cm: CostModel, u: Segment | None, v: Segment | None) -> float:
+    table = cm.distances
     if u is None and v is None:
         return 0.0
     if u is None:
-        return cm.indel(v)
+        return table.distance(v.symbol, GAP)
     if v is None:
-        return cm.indel(u)
-    return cm.subst(u, v)
+        return table.distance(u.symbol, GAP)
+    if cm.constrained and not substitution_allowed(u, v):
+        return FORBIDDEN
+    return table.distance(u.symbol, v.symbol)
 
 
 def column_cost(cm: CostModel, x, y, z) -> float:
@@ -46,23 +57,23 @@ def align_pair_loop(a, b, cm) -> PairAlignment:
     alen = [[0] * (m + 1) for _ in range(n + 1)]
     cost[0][0] = 0.0
     for i in range(1, n + 1):
-        cost[i][0] = cost[i - 1][0] + cm.indel(sa[i - 1])
+        cost[i][0] = cost[i - 1][0] + _pair_cost(cm, sa[i - 1], None)
         alen[i][0] = i
     for j in range(1, m + 1):
-        cost[0][j] = cost[0][j - 1] + cm.indel(sb[j - 1])
+        cost[0][j] = cost[0][j - 1] + _pair_cost(cm, None, sb[j - 1])
         alen[0][j] = j
     for i in range(1, n + 1):
         ca = cost[i - 1]
         cb = cost[i]
         for j in range(1, m + 1):
-            best = ca[j] + cm.indel(sa[i - 1])
+            best = ca[j] + _pair_cost(cm, sa[i - 1], None)
             blen = alen[i - 1][j] + 1
-            c = cb[j - 1] + cm.indel(sb[j - 1])
+            c = cb[j - 1] + _pair_cost(cm, None, sb[j - 1])
             if c < best:
                 best, blen = c, alen[i][j - 1] + 1
             elif c == best:
                 blen = max(blen, alen[i][j - 1] + 1)
-            c = ca[j - 1] + cm.subst(sa[i - 1], sb[j - 1])
+            c = ca[j - 1] + _pair_cost(cm, sa[i - 1], sb[j - 1])
             if c < best:
                 best, blen = c, alen[i - 1][j - 1] + 1
             elif c == best:
@@ -76,21 +87,20 @@ def align_pair_loop(a, b, cm) -> PairAlignment:
     while i > 0 or j > 0:
         here_cost, here_len = cost[i][j], alen[i][j]
         if i > 0:
-            c = cm.indel(sa[i - 1])
+            c = _pair_cost(cm, sa[i - 1], None)
             if cost[i - 1][j] + c == here_cost and alen[i - 1][j] + 1 == here_len:
-                columns.append(AlignmentColumn(sa[i - 1], None, "del", c))
+                columns.append(AlignmentColumn(sa[i - 1], None, c))
                 i -= 1
                 continue
         if j > 0:
-            c = cm.indel(sb[j - 1])
+            c = _pair_cost(cm, None, sb[j - 1])
             if cost[i][j - 1] + c == here_cost and alen[i][j - 1] + 1 == here_len:
-                columns.append(AlignmentColumn(None, sb[j - 1], "ins", c))
+                columns.append(AlignmentColumn(None, sb[j - 1], c))
                 j -= 1
                 continue
-        c = cm.subst(sa[i - 1], sb[j - 1])
+        c = _pair_cost(cm, sa[i - 1], sb[j - 1])
         assert cost[i - 1][j - 1] + c == here_cost
-        op = "match" if sa[i - 1].symbol == sb[j - 1].symbol else "sub"
-        columns.append(AlignmentColumn(sa[i - 1], sb[j - 1], op, c))
+        columns.append(AlignmentColumn(sa[i - 1], sb[j - 1], c))
         i -= 1
         j -= 1
     columns.reverse()
@@ -188,20 +198,19 @@ def enumerate_optimal(a, b, cm: CostModel, cap: int = 100_000) -> list[PairAlign
                     raise CapExceeded(f"more than {cap} optimal alignments")
             return
         if i < len(sa):
-            c = cm.indel(sa[i])
-            acc_cols.append(AlignmentColumn(sa[i], None, "del", c))
+            c = _pair_cost(cm, sa[i], None)
+            acc_cols.append(AlignmentColumn(sa[i], None, c))
             walk(i + 1, j, acc_cost + c, acc_cols)
             acc_cols.pop()
         if j < len(sb):
-            c = cm.indel(sb[j])
-            acc_cols.append(AlignmentColumn(None, sb[j], "ins", c))
+            c = _pair_cost(cm, None, sb[j])
+            acc_cols.append(AlignmentColumn(None, sb[j], c))
             walk(i, j + 1, acc_cost + c, acc_cols)
             acc_cols.pop()
         if i < len(sa) and j < len(sb):
-            c = cm.subst(sa[i], sb[j])
+            c = _pair_cost(cm, sa[i], sb[j])
             if c < math.inf:
-                op = "match" if sa[i].symbol == sb[j].symbol else "sub"
-                acc_cols.append(AlignmentColumn(sa[i], sb[j], op, c))
+                acc_cols.append(AlignmentColumn(sa[i], sb[j], c))
                 walk(i + 1, j + 1, acc_cost + c, acc_cols)
                 acc_cols.pop()
 
@@ -236,3 +245,32 @@ def brute_force_min_cost(x, y, z, cm: CostModel) -> float:
         return best
 
     return rec(0, 0, 0)
+
+
+def normalized_distance(al: PairAlignment) -> float:
+    """Total cost divided by the alignment length (longest optimal)."""
+    if al.length == 0:
+        raise ZeroLength("cannot normalize an empty alignment")
+    return al.total_cost / al.length
+
+
+def double_pairwise_delta(x, y, z, cm: CostModel) -> float:
+    """Validation statistic: normalized 2D distance of (newer, standard)
+    minus that of (older, standard)."""
+    return normalized_distance(align_pair(y, z, cm)) - normalized_distance(
+        align_pair(x, z, cm)
+    )
+
+
+def make_vowel_shift_pairs(seed: int = 3, n_frequent: int = 200, n_rare: int = 5):
+    """Pair corpus where [i]~[ɪ] co-occurs n_frequent/n_rare times more
+    often than [i]~[u]; raw string pairs for PMI sanity checks."""
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(n_frequent):
+        frame = "".join(rng.choice("ptksmn") for _ in range(2))
+        pairs.append((frame[0] + "i" + frame[1], frame[0] + "ɪ" + frame[1]))
+    for _ in range(n_rare):
+        frame = "".join(rng.choice("ptksmn") for _ in range(2))
+        pairs.append((frame[0] + "i" + frame[1], frame[0] + "u" + frame[1]))
+    return pairs

@@ -13,25 +13,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from loop_dp import brute_force_min_cost, enumerate_optimal
+from loop_dp import (
+    brute_force_min_cost,
+    double_pairwise_delta,
+    enumerate_optimal,
+    make_vowel_shift_pairs,
+    normalized_distance,
+)
 
 from dialign.cli import main
 from dialign.corpus import ingest, pair
 from dialign.costs import CostModel, binary_cost_model
-from dialign.pairwise import align_pair, normalized_distance
+from dialign.pairwise import align_pair
 from dialign.phonetics import SegmentTable
 from dialign.pmi import AlignmentCorpus, induce_distances
-from dialign.synth import (
-    make_benchmark_corpus,
-    make_mixed_corpus,
-    make_vowel_shift_pairs,
-)
-from dialign.triple import (
-    align_triple,
-    column_direction,
-    decompose,
-    double_pairwise_delta,
-)
+from dialign.synth import make_benchmark_corpus, make_mixed_corpus
+from dialign.triple import align_triple, column_direction, decompose
 from dialign.analysis import permutation_contrast
 from dialign.corpus import GroupMap
 from dialign.triple import ChangeRecord
@@ -104,8 +101,8 @@ def test_criterion_03_triple_worked_example(tok, acceptance_report):
         ("d", "t", "t"),
         ("ə", None, None),
     ]
-    directions = [column_direction(c, cm.distances) for c in al.columns]
-    conv, div = decompose(al, cm.distances)
+    directions = [column_direction(c, cm) for c in al.columns]
+    conv, div = decompose(al, cm)
     ok = (
         layout == expected_layout
         and directions == [0, 0, 0, 0, 1, -1, -1]
@@ -178,7 +175,7 @@ def test_criterion_06_correlation_with_double_pairwise(tmp_path, table, acceptan
     net, delta = [], []
     for t in triples:
         al = align_triple(t.older, t.newer, t.standard, cm)
-        conv, div = decompose(al, pmi)
+        conv, div = decompose(al, cm)
         net.append(div - conv)
         delta.append(double_pairwise_delta(t.older, t.newer, t.standard, cm))
     r = np.corrcoef(net, delta)[0, 1]
@@ -243,8 +240,8 @@ def test_criterion_08_decomposition_bounds(tok, acceptance_report):
     violations = 0
     n = 10_000
     for x, y, z in _random_triples(tok, rng, n):
-        conv, div = decompose(align_triple(x, y, z, cm), pmi)
-        sconv, sdiv = decompose(align_triple(y, x, z, cm), pmi)
+        conv, div = decompose(align_triple(x, y, z, cm), cm)
+        sconv, sdiv = decompose(align_triple(y, x, z, cm), cm)
         if not (
             conv >= 0
             and div >= 0

@@ -6,7 +6,7 @@ import pytest
 
 from dialign.cli import main
 from dialign.corpus import ingest, pair
-from dialign.costs import BinaryDistanceTable, binary_cost_model
+from dialign.costs import binary_cost_model
 from dialign.phonetics import SegmentTable
 from dialign.synth import make_benchmark_corpus, make_coords, make_mixed_corpus
 from dialign.triple import align_triple, decompose
@@ -311,8 +311,8 @@ def test_align_unknown_symbol_names_the_record(tmp_path, capsys):
     )
     assert rc == 1
     assert capsys.readouterr().err == (
-        "error: location 'kampen', word 'straat', newer transcription 'strɔət': "
-        "unknown symbol 'ɔ' at position 3\n"
+        f"error: {corpus}: line 3: location 'kampen', word 'straat', "
+        "newer transcription 'strɔət': unknown symbol 'ɔ' at position 3\n"
     )
 
 
@@ -346,7 +346,7 @@ def test_align_repeated_triples_match_fresh_alignments(tmp_path):
     assert len(rows) == len(triples)
     for row, t in zip(rows, triples):
         al = align_triple(t.older, t.newer, t.standard, cm)
-        conv, div = decompose(al, BinaryDistanceTable())
+        conv, div = decompose(al, cm)
         assert row == f"{t.location},{t.word},{conv:.6f},{div:.6f},{al.length}"
 
 

@@ -1,4 +1,5 @@
-"""Property tests of the table-driven DPs against their loop references.
+"""Property tests of the table-driven DPs against their loop references
+and oracles.
 
 Words are drawn over a small alphabet of vowels, schwa, sonorant and
 obstruent consonants, so the vowel-consonant ban and its schwa-sonorant
@@ -8,7 +9,13 @@ exception both occur. Distance tables are drawn with many ties.
 import itertools
 
 from hypothesis import example, given, settings, strategies as st
-from loop_dp import align_pair_loop, align_triple_loop
+from loop_dp import (
+    _pair_cost,
+    align_pair_loop,
+    align_triple_loop,
+    column_cost,
+    enumerate_optimal,
+)
 
 from dialign.costs import GAP, BinaryDistanceTable, CostModel, binary_cost_model
 from dialign.pairwise import align_pair
@@ -103,5 +110,31 @@ def test_swapping_older_and_newer_swaps_conv_and_div(x, y, z, cm):
     # takes the mirror image.
     mirror = tuple(TripleColumn(c.y, c.x, c.z, c.cost) for c in swapped.columns)
     if mirror == al.columns:
-        conv, div = decompose(al, cm.distances)
-        assert decompose(swapped, cm.distances) == (div, conv)
+        conv, div = decompose(al, cm)
+        assert decompose(swapped, cm) == (div, conv)
+
+
+# Under dyadic tables every sum is exact, so the properties below hold
+# with ==, and the column prices come from loop_dp, not from the cost
+# model's table.
+@SETTINGS
+@given(words(5), words(5), DYADIC_COSTS)
+@example(*tok("aaə", "ət"), UNIT)
+@example(*tok("aəa", "ttaa"), UNIT)
+def test_align_pair_is_a_longest_optimum_of_its_column_costs(a, b, cm):
+    al = align_pair(a, b, cm)
+    assert al.total_cost == sum(c.cost for c in al.columns)
+    for c in al.columns:
+        assert c.cost == _pair_cost(cm, c.left, c.right)
+    optima = enumerate_optimal(a, b, cm)
+    assert al.total_cost == min(o.total_cost for o in optima)
+    assert al.length == max(o.length for o in optima)
+
+
+@SETTINGS
+@given(words(5), words(5), words(5), DYADIC_COSTS)
+def test_align_triple_total_is_the_sum_of_its_column_costs(x, y, z, cm):
+    al = align_triple(x, y, z, cm)
+    assert al.total_cost == sum(c.cost for c in al.columns)
+    for c in al.columns:
+        assert c.cost == column_cost(cm, c.x, c.y, c.z)

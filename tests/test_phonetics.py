@@ -145,6 +145,7 @@ def test_table_from_file(tmp_path):
         "ə\tC\tschwa",  # schwa flag on a consonant
         "n\tV\tsonorant",  # sonorant flag on a vowel
         "a\tV\tbogus",
+        "-\tC",  # the gap symbol
     ],
 )
 def test_table_file_errors(tmp_path, line):

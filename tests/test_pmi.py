@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from loop_dp import make_vowel_shift_pairs
 
 from dialign.costs import FORBIDDEN, GAP, CostModel, binary_cost_model
 from dialign.errors import DialignError, EmptyCorpus, ParseError
@@ -15,7 +16,6 @@ from dialign.pmi import (
     distances_from_counts,
     induce_distances,
 )
-from dialign.synth import make_vowel_shift_pairs
 
 
 def corpus_from_strings(table, string_pairs):
@@ -142,20 +142,34 @@ def test_gap_distances_learned(table):
     # never-deleted segment's gap distance
     corpus = corpus_from_strings(table, [("pat", "pa"), ("sit", "si")] * 30)
     result = induce_distances(corpus, binary_cost_model())
-    assert result.distance("t", None) < result.distance("p", None)
+    assert result.distance("t", GAP) < result.distance("p", GAP)
 
 
 def test_cost_model_over_pmi_table_passthrough_and_policy(table):
-    t = PmiTable({("i", "ɪ"): 0.2, ("a", "p"): 0.7, ("a", GAP): 0.5})
+    # The model prices a new symbol against the gap and every symbol it
+    # already knows, so the table holds each pair the policy allows.
+    t = PmiTable(
+        {
+            ("i", "ɪ"): 0.2,
+            ("a", "p"): 0.7,
+            ("a", GAP): 0.5,
+            (GAP, "p"): 0.6,
+            (GAP, "i"): 0.6,
+            (GAP, "ɪ"): 0.6,
+            ("a", "i"): 0.9,
+            ("a", "ɪ"): 0.9,
+        }
+    )
     cm = CostModel(t)
     (i,) = make_transcription("i", table).segments
     (small_i,) = make_transcription("ɪ", table).segments
     (a,) = make_transcription("a", table).segments
     (p,) = make_transcription("p", table).segments
-    assert cm.subst(i, small_i) == 0.2
+    ui, usmall_i, ua, up = cm.numbers((i, small_i, a, p))
+    assert cm.cost[ui][usmall_i] == 0.2
     # constraint overrides the learned vowel-obstruent value
-    assert cm.subst(a, p) == FORBIDDEN
-    assert cm.indel(a) == 0.5
+    assert cm.cost[ua][up] == FORBIDDEN
+    assert cm.cost[ua][0] == 0.5
 
 
 def test_missing_pair_is_an_error():
@@ -164,7 +178,7 @@ def test_missing_pair_is_an_error():
     with pytest.raises(DialignError, match=r"\('a', 'z'\) is not in the PMI table"):
         t.distance("z", "a")
     with pytest.raises(DialignError, match=rf"\('{GAP}', 'b'\)"):
-        t.distance("b", None)
+        t.distance("b", GAP)
 
 
 def test_serialization_roundtrip(tmp_path, table):

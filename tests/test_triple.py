@@ -2,9 +2,9 @@ import itertools
 import random
 
 import pytest
-from loop_dp import brute_force_min_cost
+from loop_dp import brute_force_min_cost, double_pairwise_delta
 
-from dialign.costs import GAP, BinaryDistanceTable, CostModel, binary_cost_model
+from dialign.costs import GAP, CostModel, binary_cost_model
 from dialign.errors import RoleMismatch
 from dialign.phonetics import Source, make_transcription
 from dialign.pmi import AlignmentCorpus, PmiTable, induce_distances
@@ -14,10 +14,7 @@ from dialign.triple import (
     align_triple,
     column_direction,
     decompose,
-    double_pairwise_delta,
 )
-
-BINARY = BinaryDistanceTable()
 
 
 def test_worked_example_reproduces_reference_layout(tok):
@@ -40,9 +37,9 @@ def test_worked_example_reproduces_reference_layout(tok):
         ("d", "t", "t"),
         ("ə", None, None),
     ]
-    directions = [column_direction(c, BINARY) for c in al.columns]
+    directions = [column_direction(c, cm) for c in al.columns]
     assert directions == [0, 0, 0, 0, 1, -1, -1]
-    conv, div = decompose(al, BINARY)
+    conv, div = decompose(al, cm)
     assert conv == pytest.approx(2 / 7)
     assert div == pytest.approx(1 / 7)
 
@@ -53,7 +50,7 @@ def test_identity_triple(tok):
     assert al.total_cost == 0
     assert al.length == 5
     assert all(c.stable for c in al.columns)
-    assert decompose(al, BINARY) == (0.0, 0.0)
+    assert decompose(al, cm) == (0.0, 0.0)
 
 
 def test_seven_presence_patterns_only(tok):
@@ -67,8 +64,9 @@ def test_seven_presence_patterns_only(tok):
         ]
         al = align_triple(*(tok(s) for s in strs), cm)
         for col in al.columns:
-            assert col.presence != (False, False, False)
-            seen.add(col.presence)
+            presence = (col.x is not None, col.y is not None, col.z is not None)
+            assert presence != (False, False, False)
+            seen.add(presence)
     assert seen <= {tuple(bool(d) for d in m) for m in MOVES}
 
 
@@ -109,7 +107,7 @@ def test_column_direction_binary(tok, x, y, z, expected):
         tok(z)[0] if z else None,
         0.0,
     )
-    assert column_direction(col, BINARY) == expected
+    assert column_direction(col, binary_cost_model()) == expected
 
 
 def test_decompose_single_column_weighted(tok):
@@ -119,7 +117,7 @@ def test_decompose_single_column_weighted(tok):
     from dialign.triple import TripleAlignment
 
     al = TripleAlignment((col,), 0.0)
-    conv, div = decompose(al, dist)
+    conv, div = decompose(al, CostModel(dist, constrained=False))
     assert conv == pytest.approx(0.4)
     assert div == 0.0
 
@@ -158,11 +156,11 @@ def test_decomposition_bounds_and_role_swap(tok):
     cm = CostModel(pmi)
     for x, y, z in triples:
         al = align_triple(x, y, z, cm)
-        conv, div = decompose(al, pmi)
+        conv, div = decompose(al, cm)
         assert conv >= 0 and div >= 0
         assert conv + div <= 1 + 1e-9
         swapped = align_triple(y, x, z, cm)
-        sconv, sdiv = decompose(swapped, pmi)
+        sconv, sdiv = decompose(swapped, cm)
         assert sconv == pytest.approx(div, abs=1e-9)
         assert sdiv == pytest.approx(conv, abs=1e-9)
 
@@ -177,7 +175,7 @@ def test_double_pairwise_delta_sign_matches_3d(tok):
     x, y, z = tok("strodə"), tok("strɔət"), tok("strat")
     delta = double_pairwise_delta(x, y, z, cm)
     al = align_triple(x, y, z, cm)
-    conv, div = decompose(al, BINARY)
+    conv, div = decompose(al, cm)
     assert delta != 0
     assert (delta > 0) == (div - conv > 0)
 
@@ -192,7 +190,7 @@ def test_correlation_with_double_pairwise(tok):
     net, delta = [], []
     for x, y, z in triples:
         al = align_triple(x, y, z, cm)
-        conv, div = decompose(al, pmi)
+        conv, div = decompose(al, cm)
         net.append(div - conv)
         delta.append(double_pairwise_delta(x, y, z, cm))
     r = np.corrcoef(net, delta)[0, 1]
