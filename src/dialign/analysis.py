@@ -22,7 +22,6 @@ class GroupSummary:
     mean_conv: float | None
     mean_div: float | None
     n_records: int
-    locations: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -51,15 +50,12 @@ def summarize(
             for r in records
             if group == "ALL" or groups.group(r.location) == group
         ]
-        locations = tuple(sorted({r.location for r in members}))
         if members:
             mean_conv = sum(r.conv for r in members) / len(members)
             mean_div = sum(r.div for r in members) / len(members)
         else:
             mean_conv = mean_div = None
-        summaries.append(
-            GroupSummary(group, mean_conv, mean_div, len(members), locations)
-        )
+        summaries.append(GroupSummary(group, mean_conv, mean_div, len(members)))
     return summaries
 
 

@@ -123,7 +123,7 @@ def cmd_align(args) -> int:
     dumps = []
     memo = {}  # each distinct (older, newer, standard) is aligned once
     for t in triples:  # already sorted by (location, word)
-        key = (t.older.segments, t.newer.segments, t.standard.segments)
+        key = (t.older.symbols, t.newer.symbols, t.standard.symbols)
         try:
             al = memo.get(key)
             if al is None:
@@ -283,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cost model: unit costs, corpus-induced PMI costs, or a saved table",
     )
     p_align.add_argument("--pmi-table", default=None, help="table for --mode load")
-    p_align.add_argument("--seed", type=int, default=0)
     p_align.set_defaults(func=cmd_align)
 
     p_report = sub.add_parser(

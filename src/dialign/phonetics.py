@@ -1,8 +1,8 @@
 """Phonetic segment model and IPA tokenization.
 
-A segment is one phonetic token: a base IPA symbol plus any length marks
-or diacritics attached to it. Segment identity for cost lookups is the
-full base+modifier string, so [oː] and [o] are distinct symbols.
+A segment is one phonetic token: a base IPA character plus any length
+marks or diacritics attached to it. Its symbol, the full base+modifier
+string, is its identity, so [oː] and [o] are distinct segments.
 """
 
 from __future__ import annotations
@@ -53,8 +53,7 @@ def _is_modifier(ch: str) -> bool:
 
 @dataclass(frozen=True)
 class Segment:
-    base: str
-    modifiers: tuple[str, ...]
+    symbol: str
     klass: SegmentClass
     is_sonorant_consonant: bool
     is_schwa: bool
@@ -64,11 +63,6 @@ class Segment:
             raise ValueError("schwa flag requires a vowel")
         if self.is_sonorant_consonant and self.klass is not SegmentClass.CONSONANT:
             raise ValueError("sonorant flag requires a consonant")
-
-    @property
-    def symbol(self) -> str:
-        """Full identity string used for cost-table lookups."""
-        return self.base + "".join(self.modifiers)
 
     def __str__(self) -> str:
         return self.symbol
@@ -83,6 +77,7 @@ class SegmentTable:
 
     def __init__(self, entries: dict[str, tuple[SegmentClass, bool, bool]]):
         self.entries = dict(entries)
+        self._segments: dict[str, Segment] = {}
 
     @classmethod
     def default(cls) -> "SegmentTable":
@@ -99,13 +94,17 @@ class SegmentTable:
 
         Flags are comma-separated members of {sonorant, schwa}; the flags
         column may be omitted or "-". Lines starting with '#' are comments.
-        The gap symbol "-" may not be an entry.
+        A symbol is one base character followed only by modifiers, the
+        only form tokenize can match; the gap symbol "-" may not be an entry.
         """
         entries = {}
         for lineno, fields in read_table(path, "symbol<TAB>V|C[<TAB>flags]", 2, 3):
             symbol = unicodedata.normalize("NFC", fields[0])
             if symbol == GAP:
                 raise ParseError(path, lineno, f"{GAP!r} is the gap symbol")
+            if _is_modifier(symbol[0]) or not all(map(_is_modifier, symbol[1:])):
+                reason = f"{symbol!r} is not one base character plus modifiers"
+                raise ParseError(path, lineno, reason)
             if fields[1] not in ("V", "C"):
                 raise ParseError(
                     path, lineno, f"class must be V or C, got {fields[1]!r}"
@@ -124,7 +123,7 @@ class SegmentTable:
             if symbol in entries:
                 raise ParseError(path, lineno, f"duplicate entry for {symbol!r}")
             try:  # Segment holds the rule that ties the flags to the class
-                Segment(symbol, (), klass, sonorant, schwa)
+                Segment(symbol, klass, sonorant, schwa)
             except ValueError as exc:
                 raise ParseError(path, lineno, f"{symbol!r}: {exc}") from None
             entries[symbol] = (klass, sonorant, schwa)
@@ -139,9 +138,12 @@ class SegmentTable:
             return self.entries[base]
         raise UnknownSymbol(0, symbol)
 
-    def segment(self, base: str, modifiers: tuple[str, ...] = ()) -> Segment:
-        klass, sonorant, schwa = self.classify(base + "".join(modifiers))
-        return Segment(base, modifiers, klass, sonorant, schwa)
+    def segment(self, symbol: str) -> Segment:
+        """The table's one Segment for a symbol, classified on first use."""
+        seg = self._segments.get(symbol)
+        if seg is None:
+            seg = self._segments[symbol] = Segment(symbol, *self.classify(symbol))
+        return seg
 
 
 @dataclass(frozen=True)
@@ -184,8 +186,7 @@ def tokenize(raw: str, table: SegmentTable) -> tuple[Segment, ...]:
         j = i + 1
         while j < len(raw) and _is_modifier(raw[j]):
             j += 1
-        modifiers = tuple(raw[i + 1 : j])
-        segments.append(table.segment(ch, modifiers))
+        segments.append(table.segment(raw[i:j]))
         i = j
     return tuple(segments)
 

@@ -4,8 +4,8 @@ Same-word transcription pairs are aligned under the current cost model;
 aligned symbol co-occurrences (with the gap as a first-class symbol) are
 counted, smoothed, and turned into pointwise mutual information. PMI is
 negated and min-max rescaled into [0,1], the diagonal is floored at 0,
-and the procedure repeats until the table or the alignments stop
-changing. Frequently co-occurring sounds thus get costs close to 0.
+and the procedure repeats until the table stops changing (no entry moves
+by tol or more). Frequently co-occurring sounds thus get costs close to 0.
 """
 
 from __future__ import annotations
@@ -153,19 +153,6 @@ def distances_from_counts(
     return dist
 
 
-def _alignment_signature(alignments):
-    return tuple(
-        tuple(
-            (
-                col.left.symbol if col.left is not None else GAP,
-                col.right.symbol if col.right is not None else GAP,
-            )
-            for col in al.columns
-        )
-        for al in alignments
-    )
-
-
 def induce_distances(
     corpus: AlignmentCorpus, init: CostModel, opts: InductionOptions = InductionOptions()
 ) -> PmiTable:
@@ -184,18 +171,19 @@ def induce_distances(
             MIN_PAIRS,
         )
 
-    # Pairs with equal segments align alike under any one cost model, so
+    # Pairs with equal symbols align alike under any one cost model, so
     # each iteration aligns only the first of them; first[i] is the index
-    # of the first pair equal to pair i. Keys are hashed once per run.
+    # of the first pair equal to pair i.
     seen: dict = {}
     first = [
-        seen.setdefault((_segments(a), _segments(b)), i)
-        for i, (a, b) in enumerate(corpus.pairs)
+        seen.setdefault(
+            tuple(tuple(s.symbol for s in _segments(x)) for x in pair), i
+        )
+        for i, pair in enumerate(corpus.pairs)
     ]
 
     cm = init
     prev_dist = None
-    prev_sig = None
     dist = {}
     converged = False
     iterations = 0
@@ -204,21 +192,23 @@ def induce_distances(
         for i, (a, b) in enumerate(corpus.pairs):
             j = first[i]
             alignments.append(align_pair(a, b, cm) if j == i else alignments[j])
-        sig = _alignment_signature(alignments)
-        if sig == prev_sig:
-            converged = True
-            break
-        counts = Counter(pair for al in sig for pair in al)
+        counts = Counter(
+            (
+                GAP if col.left is None else col.left.symbol,
+                GAP if col.right is None else col.right.symbol,
+            )
+            for al in alignments
+            for col in al.columns
+        )
         dist = distances_from_counts(counts, opts.smoothing)
         if prev_dist is not None:
             # Every iteration aligns the same pairs, so its table has the
-            # same alphabet and keys.
+            # same alphabet and keys; unchanged alignments give delta 0.
             delta = max(abs(dist[k] - prev_dist[k]) for k in dist)
             if delta < opts.tol:
                 converged = True
                 break
         prev_dist = dist
-        prev_sig = sig
         cm = CostModel(PmiTable(dict(dist)), constrained=init.constrained)
 
     return PmiTable(dict(dist), iterations_run=iterations, converged=converged)

@@ -267,7 +267,7 @@ def _run_pipeline(tmp_path, tag):
         encoding="utf-8",
     )
     out = tmp_path / f"align_{tag}"
-    assert main(["align", "--corpus", str(corpus), "--out-dir", str(out), "--mode", "pmi", "--seed", "3"]) == 0
+    assert main(["align", "--corpus", str(corpus), "--out-dir", str(out), "--mode", "pmi"]) == 0
     rep = tmp_path / f"report_{tag}"
     assert main(
         [

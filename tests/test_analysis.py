@@ -58,7 +58,6 @@ def test_summarize_single_record():
     summaries = {s.group: s for s in summarize([ChangeRecord("x", "w", 0.1, 0.2, 5)], groups)}
     assert summaries["LS"].mean_conv == 0.1
     assert summaries["LS"].mean_div == 0.2
-    assert summaries["LS"].locations == ("x",)
 
 
 def test_summarize_order_invariant():

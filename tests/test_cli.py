@@ -144,7 +144,7 @@ def test_full_pipeline_determinism(tmp_path, corpus_path):
     for run in ("run1", "run2"):
         out = tmp_path / run
         rc = main(
-            ["align", "--corpus", str(corpus_path), "--out-dir", str(out), "--mode", "pmi", "--seed", "7"]
+            ["align", "--corpus", str(corpus_path), "--out-dir", str(out), "--mode", "pmi"]
         )
         assert rc == 0
         rep = tmp_path / (run + "_rep")

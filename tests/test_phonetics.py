@@ -5,6 +5,7 @@ import pytest
 
 from dialign.errors import EmptyInput, ParseError, UnknownSymbol
 from dialign.phonetics import (
+    MODIFIER_CHARS,
     Segment,
     SegmentClass,
     SegmentTable,
@@ -19,8 +20,7 @@ def symbols(segments):
 def test_tokenize_with_length_mark(table):
     segs = tokenize("stroːdə", table)
     assert symbols(segs) == ["s", "t", "r", "oː", "d", "ə"]
-    assert segs[3].base == "o"
-    assert segs[3].modifiers == ("ː",)
+    assert segs[3] == Segment("oː", SegmentClass.VOWEL, False, False)
     assert segs[5].is_schwa
 
 
@@ -72,18 +72,34 @@ def test_tokenize_composed_char_not_in_table_fails(table):
 
 
 def test_roundtrip_random_strings(table):
+    # Table symbols followed by modifiers: the spacing ones and some
+    # combining marks (tilde, ring below, syllabic, diaeresis, no audible
+    # release). The tokens join back to the NFC input, and each is the
+    # table's one Segment for its symbol. NFC can compose a base and a mark
+    # into a character the table lacks (a + tilde = ã); only that may fail.
     rng = random.Random(42)
     bases = list(table.entries)
-    for _ in range(200):
-        raw = unicodedata.normalize(
-            "NFC",
-            "".join(
-                rng.choice(bases) + (rng.choice(["", "ː", "ʰ"]))
-                for _ in range(rng.randint(1, 8))
-            ),
+    marks = ["\u0303", "\u0325", "\u0329", "\u0308", "\u031a"]
+    assert all(unicodedata.category(ch) == "Mn" for ch in marks)
+    modifiers = sorted(MODIFIER_CHARS) + marks
+    composed = 0
+    for _ in range(500):
+        written = "".join(
+            rng.choice(bases)
+            + "".join(rng.choice(modifiers) for _ in range(rng.randint(0, 3)))
+            for _ in range(rng.randint(1, 8))
         )
-        segs = tokenize(raw, table)
+        raw = unicodedata.normalize("NFC", written)
+        try:
+            segs = tokenize(raw, table)
+        except UnknownSymbol as exc:
+            assert exc.char == raw[exc.position]
+            assert exc.char not in table.entries and exc.char not in written
+            composed += 1
+            continue
         assert "".join(s.symbol for s in segs) == raw
+        assert all(s is table.segment(s.symbol) for s in segs)
+    assert composed < 250  # most strings round-trip
 
 
 @pytest.mark.parametrize(
@@ -115,9 +131,9 @@ def test_exactly_seven_sonorants(table):
 
 def test_segment_invariants():
     with pytest.raises(ValueError):
-        Segment("ə", (), SegmentClass.CONSONANT, False, True)
+        Segment("ə", SegmentClass.CONSONANT, False, True)
     with pytest.raises(ValueError):
-        Segment("n", (), SegmentClass.VOWEL, True, False)
+        Segment("n", SegmentClass.VOWEL, True, False)
 
 
 def test_table_from_file(tmp_path):
@@ -146,6 +162,8 @@ def test_table_from_file(tmp_path):
         "n\tV\tsonorant",  # sonorant flag on a vowel
         "a\tV\tbogus",
         "-\tC",  # the gap symbol
+        "ts\tC",  # two base characters: tokenize never matches it
+        "ː\tV",  # a modifier with no base character
     ],
 )
 def test_table_file_errors(tmp_path, line):
