@@ -59,38 +59,30 @@ def summarize(
     return summaries
 
 
-def _location_means(records: list[ChangeRecord], measure: str) -> dict[str, float]:
-    sums: dict[str, list[float]] = {}
-    for r in sorted(records, key=lambda r: (r.location, r.word)):
-        value = r.conv if measure == "conv" else r.div
-        sums.setdefault(r.location, []).append(value)
-    return {loc: float(np.mean(vals)) for loc, vals in sums.items()}
-
-
 def permutation_contrast(
     records: list[ChangeRecord],
     groups: GroupMap,
-    measure: str,
     n_perm: int = 9999,
     seed: int = 0,
-) -> ContrastResult:
-    """Two-sided location-permutation test of the LS vs non-LS contrast.
+) -> tuple[ContrastResult, ContrastResult]:
+    """Two-sided location-permutation tests of the LS vs non-LS contrast,
+    for conv and for div, on one stream of permutations.
 
     The statistic is the difference between the mean of per-location
-    means in the LS group and in the combined other groups. The p-value
-    uses the add-one correction.
+    means in the LS group and in the combined other groups. Both
+    measures are scored on every permutation; the p-values use the
+    add-one correction.
     """
-    if measure not in ("conv", "div"):
-        raise ValueError(f"measure must be 'conv' or 'div', got {measure!r}")
     if n_perm < 999:
         raise ValueError("n_perm must be >= 999")
     for r in records:
         if r.location not in groups.assignments:
             raise UnmappedLocation(f"location {r.location!r} has no group")
 
-    loc_means = _location_means(records, measure)
-    locations = sorted(loc_means)
-    values = np.array([loc_means[loc] for loc in locations])
+    by_loc: dict[str, list[ChangeRecord]] = {}
+    for r in sorted(records, key=lambda r: (r.location, r.word)):
+        by_loc.setdefault(r.location, []).append(r)
+    locations = sorted(by_loc)
     is_ls = np.array([groups.is_ls(loc) for loc in locations])
     n_ls = int(is_ls.sum())
     if n_ls == 0 or n_ls == len(locations):
@@ -98,17 +90,28 @@ def permutation_contrast(
             f"contrast needs locations on both sides (LS={n_ls} of {len(locations)})"
         )
 
-    observed = float(values[is_ls].mean() - values[~is_ls].mean())
+    rows = [by_loc[loc] for loc in locations]
+    conv = np.array([float(np.mean([r.conv for r in rs])) for rs in rows])
+    div = np.array([float(np.mean([r.div for r in rs])) for rs in rows])
+    obs_conv = float(conv[is_ls].mean() - conv[~is_ls].mean())
+    obs_div = float(div[is_ls].mean() - div[~is_ls].mean())
     rng = np.random.default_rng(seed)
-    hits = 0
+    hits_conv = hits_div = 0
     for _ in range(n_perm):
         perm = rng.permutation(is_ls)
-        stat = values[perm].mean() - values[~perm].mean()
-        if abs(stat) >= abs(observed):
-            hits += 1
-    p_value = (hits + 1) / (n_perm + 1)
-    direction = f"{measure}_{'higher' if observed > 0 else 'lower'}_in_ls"
-    return ContrastResult(measure, observed, p_value, n_perm, direction)
+        rest = ~perm
+        if abs(conv[perm].mean() - conv[rest].mean()) >= abs(obs_conv):
+            hits_conv += 1
+        if abs(div[perm].mean() - div[rest].mean()) >= abs(obs_div):
+            hits_div += 1
+
+    def result(measure, observed, hits):
+        direction = f"{measure}_{'higher' if observed > 0 else 'lower'}_in_ls"
+        return ContrastResult(
+            measure, observed, (hits + 1) / (n_perm + 1), n_perm, direction
+        )
+
+    return result("conv", obs_conv, hits_conv), result("div", obs_div, hits_div)
 
 
 def export_geo(

@@ -67,9 +67,7 @@ def _induce(args, triples, outdir: Path) -> PmiTable:
     for t in triples:
         pairs.append((t.older, t.standard))
         pairs.append((t.newer, t.standard))
-    opts = InductionOptions(
-        max_iter=args.max_iter, tol=args.tol, smoothing=args.smoothing
-    )
+    opts = InductionOptions(max_iter=args.max_iter, smoothing=args.smoothing)
     init = binary_cost_model(constrained=not args.unconstrained)
     table = pmi_mod.induce_distances(AlignmentCorpus(pairs), init, opts)
     table.write(outdir / "pmi_table.tsv")
@@ -202,12 +200,9 @@ def cmd_report(args) -> int:
 
     # Both steps can raise, so they run before any report file is written.
     summaries = analysis.summarize(records, groups)
-    contrasts = [
-        analysis.permutation_contrast(
-            records, groups, measure, n_perm=args.n_perm, seed=args.seed
-        )
-        for measure in ("conv", "div")
-    ]
+    contrasts = analysis.permutation_contrast(
+        records, groups, n_perm=args.n_perm, seed=args.seed
+    )
     lines = ["group\tn_records\tmean_conv\tmean_div\tmean_change"]
     for s in summaries:
         if s.n_records == 0:
@@ -263,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_pmi_opts(p):
         p.add_argument("--max-iter", type=int, default=50)
-        p.add_argument("--tol", type=float, default=1e-6)
         p.add_argument("--smoothing", type=float, default=0.5)
 
     p_pmi = sub.add_parser("pmi", help="induce a PMI distance table from a corpus")
@@ -300,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _validate(args) -> None:
     if args.command in ("pmi", "align"):  # InductionOptions checks the values
-        InductionOptions(max_iter=args.max_iter, tol=args.tol, smoothing=args.smoothing)
+        InductionOptions(max_iter=args.max_iter, smoothing=args.smoothing)
     if args.command == "align" and (args.mode == "load") != bool(args.pmi_table):
         raise ValueError("--mode load requires --pmi-table, other modes reject it")
     if args.command == "report" and args.n_perm < 999:

@@ -85,7 +85,7 @@ def ingest(path) -> list[CorpusRecord]:
         )
 
     records = []
-    seen: set[tuple[str, str, Source]] = set()
+    seen: set[tuple[str, str, str]] = set()
     std_words: set[str] = set()
     for lineno, line in enumerate(lines[1:], 2):
         if not line.strip():
@@ -119,9 +119,9 @@ def ingest(path) -> list[CorpusRecord]:
                     "empty transcription requires the 'missing' exclusion tag",
                 )
             raw = ""
-        key = (location, word, source)
+        key = (location, word, source_tok)  # str keys: enum hashing is slow
         if key in seen:
-            raise DuplicateRecord(f"duplicate record for {key}")
+            raise DuplicateRecord(f"duplicate record for {(location, word, source)}")
         seen.add(key)
         if source is Source.STANDARD:
             if word in std_words:
@@ -150,18 +150,16 @@ def pair(
     standard = {
         r.word: r for r in records if r.source is Source.STANDARD and r.raw
     }
-    cells: dict[tuple[str, str], dict[Source, CorpusRecord]] = {}
+    cells: dict[tuple[str, str], list[CorpusRecord | None]] = {}  # [older, newer]
     for r in records:
-        if r.source is Source.STANDARD:
-            continue
-        cells.setdefault((r.location, r.word), {})[r.source] = r
+        if r.source is not Source.STANDARD:
+            cell = cells.setdefault((r.location, r.word), [None, None])
+            cell[1 if r.source is Source.NEWER else 0] = r
 
     triples = []
     excluded = []
     for (location, word) in sorted(cells):
-        cell = cells[(location, word)]
-        older = cell.get(Source.OLDER)
-        newer = cell.get(Source.NEWER)
+        older, newer = cells[(location, word)]
         std = standard.get(word)
 
         reasons = set()

@@ -4,8 +4,9 @@ Same-word transcription pairs are aligned under the current cost model;
 aligned symbol co-occurrences (with the gap as a first-class symbol) are
 counted, smoothed, and turned into pointwise mutual information. PMI is
 negated and min-max rescaled into [0,1], the diagonal is floored at 0,
-and the procedure repeats until the table stops changing (no entry moves
-by tol or more). Frequently co-occurring sounds thus get costs close to 0.
+and the procedure repeats until the table stops changing: an iteration
+whose alignments are unchanged gives a bit-identical table. Frequently
+co-occurring sounds thus get costs close to 0.
 """
 
 from __future__ import annotations
@@ -78,14 +79,11 @@ class PmiTable:
 @dataclass(frozen=True)
 class InductionOptions:
     max_iter: int = 50
-    tol: float = 1e-6
     smoothing: float = 0.5
 
     def __post_init__(self):  # NaN fails each check
         if not self.max_iter >= 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be > 0, got {self.tol}")
         if not 0 < self.smoothing < math.inf:
             raise ValueError(f"smoothing must be finite and > 0, got {self.smoothing}")
 
@@ -201,13 +199,9 @@ def induce_distances(
             for col in al.columns
         )
         dist = distances_from_counts(counts, opts.smoothing)
-        if prev_dist is not None:
-            # Every iteration aligns the same pairs, so its table has the
-            # same alphabet and keys; unchanged alignments give delta 0.
-            delta = max(abs(dist[k] - prev_dist[k]) for k in dist)
-            if delta < opts.tol:
-                converged = True
-                break
+        if dist == prev_dist:  # unchanged alignments give the same table
+            converged = True
+            break
         prev_dist = dist
         cm = CostModel(PmiTable(dict(dist)), constrained=init.constrained)
 

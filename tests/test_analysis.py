@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dialign.analysis import (
+    ContrastResult,
     export_geo,
     permutation_contrast,
     summarize,
@@ -74,11 +75,49 @@ def test_summarize_unmapped_location():
         summarize([ChangeRecord("nowhere", "w", 0.0, 0.0, 1)], GroupMap({}))
 
 
+def permutation_contrast_loop(records, groups, measure, n_perm, seed):
+    """Reference: one measure's test on its own permutation stream, as
+    the contrast was computed before both measures shared one stream."""
+    sums = {}
+    for r in sorted(records, key=lambda r: (r.location, r.word)):
+        sums.setdefault(r.location, []).append(r.conv if measure == "conv" else r.div)
+    loc_means = {loc: float(np.mean(vals)) for loc, vals in sums.items()}
+    locations = sorted(loc_means)
+    values = np.array([loc_means[loc] for loc in locations])
+    is_ls = np.array([groups.is_ls(loc) for loc in locations])
+    observed = float(values[is_ls].mean() - values[~is_ls].mean())
+    rng = np.random.default_rng(seed)
+    hits = 0
+    for _ in range(n_perm):
+        perm = rng.permutation(is_ls)
+        stat = values[perm].mean() - values[~perm].mean()
+        if abs(stat) >= abs(observed):
+            hits += 1
+    p_value = (hits + 1) / (n_perm + 1)
+    direction = f"{measure}_{'higher' if observed > 0 else 'lower'}_in_ls"
+    return ContrastResult(measure, observed, p_value, n_perm, direction)
+
+
+@pytest.mark.parametrize("n_perm", [999, 1001])
+def test_one_stream_matches_per_measure_streams(n_perm):
+    groups = make_groups(7, 9)
+    for seed in range(10):
+        records = make_records(groups, random.Random(seed), conv_shift_ls=0.002)
+        results = permutation_contrast(records, groups, n_perm=n_perm, seed=seed)
+        for measure, got in zip(("conv", "div"), results):
+            want = permutation_contrast_loop(records, groups, measure, n_perm, seed)
+            assert got.measure == want.measure
+            assert got.statistic == want.statistic
+            assert got.p_value == want.p_value
+            assert got.direction == want.direction
+            assert got.n_permutations == n_perm
+
+
 def test_contrast_deterministic_and_identity_statistic():
     groups = make_groups()
     records = make_records(groups, random.Random(5), conv_shift_ls=0.01)
-    r1 = permutation_contrast(records, groups, "conv", n_perm=999, seed=42)
-    r2 = permutation_contrast(records, groups, "conv", n_perm=999, seed=42)
+    r1, _ = permutation_contrast(records, groups, n_perm=999, seed=42)
+    r2, _ = permutation_contrast(records, groups, n_perm=999, seed=42)
     assert r1 == r2
     # observed statistic equals the group mean difference of location means
     by_loc = {}
@@ -95,7 +134,7 @@ def test_contrast_detects_injected_shift():
     hits = 0
     for seed in range(10):
         records = make_records(groups, random.Random(seed), conv_shift_ls=0.01)
-        result = permutation_contrast(records, groups, "conv", n_perm=999, seed=seed)
+        result, _ = permutation_contrast(records, groups, n_perm=999, seed=seed)
         hits += result.p_value < 0.05
     assert hits >= 8  # power check: shift found in the clear majority of runs
 
@@ -104,14 +143,14 @@ def test_contrast_degenerate():
     groups = GroupMap({"a": "LS", "b": "LS"})
     records = [ChangeRecord("a", "w", 0.1, 0.1, 5), ChangeRecord("b", "w", 0.1, 0.1, 5)]
     with pytest.raises(DegenerateContrast):
-        permutation_contrast(records, groups, "conv", n_perm=999, seed=0)
+        permutation_contrast(records, groups, n_perm=999, seed=0)
 
 
 def test_contrast_rejects_low_n_perm():
     groups = make_groups(2, 2)
     records = make_records(groups, random.Random(0))
     with pytest.raises(ValueError):
-        permutation_contrast(records, groups, "conv", n_perm=10, seed=0)
+        permutation_contrast(records, groups, n_perm=10, seed=0)
 
 
 def test_export_geo():
