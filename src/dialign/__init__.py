@@ -8,16 +8,9 @@ from .phonetics import (
     SegmentClass,
     SegmentTable,
     Source,
-    Transcription,
-    make_transcription,
     tokenize,
 )
-from .pmi import (
-    AlignmentCorpus,
-    InductionOptions,
-    PmiTable,
-    induce_distances,
-)
+from .pmi import InductionOptions, PmiTable, induce_distances
 from .triple import (
     ChangeRecord,
     TripleAlignment,

@@ -33,22 +33,32 @@ class ContrastResult:
     direction: str  # e.g. "conv_higher_in_ls"
 
 
-def summarize(
+def by_location(
     records: list[ChangeRecord], groups: GroupMap
-) -> list[GroupSummary]:
-    """One summary per dialect group, plus an overall summary ("ALL")."""
-    for r in records:
+) -> dict[str, list[ChangeRecord]]:
+    """The records grouped by location, in (location, word) order; a
+    location missing from the group map is an error. Every reduction
+    runs in this order, so results do not depend on the input order."""
+    by_loc: dict[str, list[ChangeRecord]] = {}
+    for r in sorted(records, key=lambda r: (r.location, r.word)):
         if r.location not in groups.assignments:
             raise UnmappedLocation(f"location {r.location!r} has no group")
-    # fixed reduction order makes results independent of input order
-    records = sorted(records, key=lambda r: (r.location, r.word))
+        by_loc.setdefault(r.location, []).append(r)
+    return by_loc
 
+
+def summarize(
+    by_loc: dict[str, list[ChangeRecord]], groups: GroupMap
+) -> list[GroupSummary]:
+    """One summary per dialect group, plus an overall summary ("ALL"), of
+    records grouped by by_location."""
     summaries = []
     for group in GROUPS + ("ALL",):
         members = [
             r
-            for r in records
-            if group == "ALL" or groups.group(r.location) == group
+            for loc, rs in by_loc.items()
+            if group == "ALL" or groups.group(loc) == group
+            for r in rs
         ]
         if members:
             mean_conv = sum(r.conv for r in members) / len(members)
@@ -60,13 +70,14 @@ def summarize(
 
 
 def permutation_contrast(
-    records: list[ChangeRecord],
+    by_loc: dict[str, list[ChangeRecord]],
     groups: GroupMap,
     n_perm: int = 9999,
     seed: int = 0,
 ) -> tuple[ContrastResult, ContrastResult]:
     """Two-sided location-permutation tests of the LS vs non-LS contrast,
-    for conv and for div, on one stream of permutations.
+    for conv and for div, on one stream of permutations, of records
+    grouped by by_location.
 
     The statistic is the difference between the mean of per-location
     means in the LS group and in the combined other groups. Both
@@ -75,14 +86,7 @@ def permutation_contrast(
     """
     if n_perm < 999:
         raise ValueError("n_perm must be >= 999")
-    for r in records:
-        if r.location not in groups.assignments:
-            raise UnmappedLocation(f"location {r.location!r} has no group")
-
-    by_loc: dict[str, list[ChangeRecord]] = {}
-    for r in sorted(records, key=lambda r: (r.location, r.word)):
-        by_loc.setdefault(r.location, []).append(r)
-    locations = sorted(by_loc)
+    locations = list(by_loc)
     is_ls = np.array([groups.is_ls(loc) for loc in locations])
     n_ls = int(is_ls.sum())
     if n_ls == 0 or n_ls == len(locations):
@@ -90,7 +94,7 @@ def permutation_contrast(
             f"contrast needs locations on both sides (LS={n_ls} of {len(locations)})"
         )
 
-    rows = [by_loc[loc] for loc in locations]
+    rows = list(by_loc.values())
     conv = np.array([float(np.mean([r.conv for r in rs])) for rs in rows])
     div = np.array([float(np.mean([r.div for r in rs])) for rs in rows])
     obs_conv = float(conv[is_ls].mean() - conv[~is_ls].mean())
@@ -115,18 +119,15 @@ def permutation_contrast(
 
 
 def export_geo(
-    records: list[ChangeRecord], coords: dict[str, tuple[float, float]]
+    by_loc: dict[str, list[ChangeRecord]], coords: dict[str, tuple[float, float]]
 ) -> str:
-    """CSV of per-location mean convergence/divergence for external plotting."""
-    by_loc: dict[str, list[ChangeRecord]] = {}
-    for r in records:
-        by_loc.setdefault(r.location, []).append(r)
+    """CSV of per-location mean convergence/divergence for external
+    plotting, of records grouped by by_location."""
     lines = ["location,lon,lat,mean_conv,mean_div"]
-    for loc in sorted(by_loc):
+    for loc, rs in by_loc.items():
         if loc not in coords:
             raise MissingCoordinates(f"no coordinates for location {loc!r}")
         lon, lat = coords[loc]
-        rs = by_loc[loc]
         mean_conv = sum(r.conv for r in rs) / len(rs)
         mean_div = sum(r.div for r in rs) / len(rs)
         lines.append(f"{loc},{lon:.6f},{lat:.6f},{mean_conv:.6f},{mean_div:.6f}")

@@ -18,7 +18,7 @@ from . import analysis, pmi as pmi_mod
 from .corpus import GroupMap, ingest, pair, retention_report
 from .costs import BinaryDistanceTable, CostModel, binary_cost_model
 from .errors import DialignError, EmptyCorpus, ParseError, read_lines, read_table
-from .pmi import AlignmentCorpus, InductionOptions, PmiTable
+from .pmi import InductionOptions, PmiTable
 from .phonetics import SegmentTable
 from .triple import ChangeRecord, align_triple, column_direction, decompose
 
@@ -69,7 +69,7 @@ def _induce(args, triples, outdir: Path) -> PmiTable:
         pairs.append((t.newer, t.standard))
     opts = InductionOptions(max_iter=args.max_iter, smoothing=args.smoothing)
     init = binary_cost_model(constrained=not args.unconstrained)
-    table = pmi_mod.induce_distances(AlignmentCorpus(pairs), init, opts)
+    table = pmi_mod.induce_distances(pairs, init, opts)
     table.write(outdir / "pmi_table.tsv")
     (outdir / "pmi_log.txt").write_text(
         f"iterations_run\t{table.iterations_run}\n"
@@ -121,7 +121,9 @@ def cmd_align(args) -> int:
     dumps = []
     memo = {}  # each distinct (older, newer, standard) is aligned once
     for t in triples:  # already sorted by (location, word)
-        key = (t.older.symbols, t.newer.symbols, t.standard.symbols)
+        key = tuple(
+            tuple(s.symbol for s in x) for x in (t.older, t.newer, t.standard)
+        )
         try:
             al = memo.get(key)
             if al is None:
@@ -162,10 +164,13 @@ def cmd_pmi(args) -> int:
 
 
 def _read_change_records(path) -> list[ChangeRecord]:
+    """The records of a change-record CSV; a repeated (location, word) is
+    a ParseError naming both lines."""
     lines = read_lines(path)
     if not lines or lines[0] != "location,word,conv,div,alignment_length":
         raise ParseError(path, 1, "not a change-record CSV")
     records = []
+    first_line: dict[tuple[str, str], int] = {}
     for lineno, line in enumerate(lines[1:], 2):
         if not line.strip():
             continue
@@ -176,6 +181,14 @@ def _read_change_records(path) -> list[ChangeRecord]:
             conv, div, length = float(fields[2]), float(fields[3]), int(fields[4])
         except ValueError as exc:
             raise ParseError(path, lineno, str(exc)) from None
+        first = first_line.setdefault((fields[0], fields[1]), lineno)
+        if first != lineno:
+            raise ParseError(
+                path,
+                lineno,
+                f"duplicate record for location {fields[0]!r}, word "
+                f"{fields[1]!r} (first at line {first})",
+            )
         records.append(ChangeRecord(fields[0], fields[1], conv, div, length))
     return records
 
@@ -185,6 +198,7 @@ def cmd_report(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     records = _read_change_records(args.records)
     groups = GroupMap.from_file(args.groups)
+    by_loc = analysis.by_location(records, groups)
     inputs = [args.records, args.groups]
     geo = None
     if args.coords:  # a bad coords file fails before the permutation test
@@ -195,13 +209,13 @@ def cmd_report(args) -> int:
                 coords[location] = (float(lon), float(lat))
             except ValueError as exc:
                 raise ParseError(args.coords, lineno, str(exc)) from None
-        geo = analysis.export_geo(records, coords)
+        geo = analysis.export_geo(by_loc, coords)
         inputs.append(args.coords)
 
     # Both steps can raise, so they run before any report file is written.
-    summaries = analysis.summarize(records, groups)
+    summaries = analysis.summarize(by_loc, groups)
     contrasts = analysis.permutation_contrast(
-        records, groups, n_perm=args.n_perm, seed=args.seed
+        by_loc, groups, n_perm=args.n_perm, seed=args.seed
     )
     lines = ["group\tn_records\tmean_conv\tmean_div\tmean_change"]
     for s in summaries:

@@ -18,7 +18,10 @@ from .errors import (
     read_lines,
     read_table,
 )
-from .phonetics import SegmentTable, Source, Transcription, make_transcription
+from .phonetics import Segment, SegmentTable, Source
+
+# perfbench/tracer.py wraps the tokenizer under this module-level name.
+from .phonetics import tokenize as make_transcription
 
 
 class Exclusion(Enum):
@@ -58,11 +61,14 @@ class CorpusRecord:
 
 @dataclass(frozen=True)
 class PairedTriple:
+    """A (location, word) cell's transcriptions as segment tuples, in the
+    role order older, newer, standard that align_triple takes."""
+
     location: str
     word: str
-    older: Transcription
-    newer: Transcription
-    standard: Transcription
+    older: tuple[Segment, ...]
+    newer: tuple[Segment, ...]
+    standard: tuple[Segment, ...]
 
 
 @dataclass(frozen=True)
@@ -195,11 +201,11 @@ def pair(
     return triples, excluded
 
 
-def _transcribe(r: CorpusRecord, table: SegmentTable) -> Transcription:
-    """Tokenized transcription of a record; an unknown symbol is a
+def _transcribe(r: CorpusRecord, table: SegmentTable) -> tuple[Segment, ...]:
+    """The segments of a record's transcription; an unknown symbol is a
     ParseError naming the record's file, line, location and word."""
     try:
-        return make_transcription(r.raw, table, r.location, r.word, r.source)
+        return make_transcription(r.raw, table)
     except UnknownSymbol as exc:
         raise ParseError(
             r.path,

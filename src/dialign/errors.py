@@ -23,10 +23,6 @@ class EmptyCorpus(DialignError):
     pass
 
 
-class RoleMismatch(DialignError):
-    pass
-
-
 class ParseError(DialignError):
     def __init__(self, path, line, reason):
         self.path = path

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .costs import CostModel
-from .phonetics import Segment, Transcription
+from .phonetics import Segment
 
 
 @dataclass(frozen=True)
@@ -33,13 +33,9 @@ class PairAlignment:
         return len(self.columns)
 
 
-def _segments(x) -> tuple[Segment, ...]:
-    return x.segments if isinstance(x, Transcription) else tuple(x)
-
-
-def align_pair(a, b, cm: CostModel) -> PairAlignment:
-    """Minimal-cost alignment of maximal length among the optima."""
-    sa, sb = _segments(a), _segments(b)
+def align_pair(sa, sb, cm: CostModel) -> PairAlignment:
+    """Minimal-cost alignment of maximal length among the optima of two
+    segment sequences."""
     n, m = len(sa), len(sb)
 
     # Each pair price is read from the cost model once per call.

@@ -77,7 +77,7 @@ class SegmentTable:
 
     def __init__(self, entries: dict[str, tuple[SegmentClass, bool, bool]]):
         self.entries = dict(entries)
-        self._segments: dict[str, Segment] = {}
+        self._by_symbol: dict[str, Segment] = {}
 
     @classmethod
     def default(cls) -> "SegmentTable":
@@ -140,28 +140,10 @@ class SegmentTable:
 
     def segment(self, symbol: str) -> Segment:
         """The table's one Segment for a symbol, classified on first use."""
-        seg = self._segments.get(symbol)
+        seg = self._by_symbol.get(symbol)
         if seg is None:
-            seg = self._segments[symbol] = Segment(symbol, *self.classify(symbol))
+            seg = self._by_symbol[symbol] = Segment(symbol, *self.classify(symbol))
         return seg
-
-
-@dataclass(frozen=True)
-class Transcription:
-    segments: tuple[Segment, ...]
-    location: str = ""
-    word: str = ""
-    source: Source | None = None
-
-    def __len__(self) -> int:
-        return len(self.segments)
-
-    @property
-    def symbols(self) -> tuple[str, ...]:
-        return tuple(seg.symbol for seg in self.segments)
-
-    def __str__(self) -> str:
-        return "".join(self.symbols)
 
 
 def tokenize(raw: str, table: SegmentTable) -> tuple[Segment, ...]:
@@ -190,12 +172,3 @@ def tokenize(raw: str, table: SegmentTable) -> tuple[Segment, ...]:
         i = j
     return tuple(segments)
 
-
-def make_transcription(
-    raw: str,
-    table: SegmentTable,
-    location: str = "",
-    word: str = "",
-    source: Source | None = None,
-) -> Transcription:
-    return Transcription(tokenize(raw, table), location, word, source)

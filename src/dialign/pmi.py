@@ -20,8 +20,7 @@ from pathlib import Path
 
 from .costs import GAP, CostModel
 from .errors import DialignError, EmptyCorpus, ParseError, read_table
-from .pairwise import _segments, align_pair
-from .phonetics import Transcription
+from .pairwise import align_pair
 
 log = logging.getLogger(__name__)
 
@@ -88,23 +87,6 @@ class InductionOptions:
             raise ValueError(f"smoothing must be finite and > 0, got {self.smoothing}")
 
 
-class AlignmentCorpus:
-    """Same-word transcription pairs feeding PMI induction."""
-
-    def __init__(self, pairs):
-        self.pairs = list(pairs)
-        for a, b in self.pairs:
-            if (
-                isinstance(a, Transcription)
-                and isinstance(b, Transcription)
-                and a.word != b.word
-            ):
-                raise ValueError(f"pair words differ: {a.word!r} vs {b.word!r}")
-
-    def __len__(self):
-        return len(self.pairs)
-
-
 def distances_from_counts(
     counts: dict[tuple[str, str], float], smoothing: float
 ) -> dict[tuple[str, str], float]:
@@ -152,20 +134,21 @@ def distances_from_counts(
 
 
 def induce_distances(
-    corpus: AlignmentCorpus, init: CostModel, opts: InductionOptions = InductionOptions()
+    pairs: list, init: CostModel, opts: InductionOptions = InductionOptions()
 ) -> PmiTable:
-    """Iterative PMI induction of segment distances from a pair corpus.
+    """Iterative PMI induction of segment distances from same-word pairs
+    of segment tuples.
 
     Non-convergence within max_iter is not an error; the returned table
     records converged=False.
     """
-    if len(corpus) == 0:
+    if not pairs:
         raise EmptyCorpus("no transcription pairs for PMI induction")
-    if len(corpus) < MIN_PAIRS:
+    if len(pairs) < MIN_PAIRS:
         log.warning(
             "PMI induction corpus has only %d pairs (recommended minimum %d); "
             "distances may be unreliable",
-            len(corpus),
+            len(pairs),
             MIN_PAIRS,
         )
 
@@ -174,10 +157,8 @@ def induce_distances(
     # of the first pair equal to pair i.
     seen: dict = {}
     first = [
-        seen.setdefault(
-            tuple(tuple(s.symbol for s in _segments(x)) for x in pair), i
-        )
-        for i, pair in enumerate(corpus.pairs)
+        seen.setdefault((tuple(s.symbol for s in a), tuple(s.symbol for s in b)), i)
+        for i, (a, b) in enumerate(pairs)
     ]
 
     cm = init
@@ -187,7 +168,7 @@ def induce_distances(
     iterations = 0
     for iterations in range(1, opts.max_iter + 1):
         alignments = []
-        for i, (a, b) in enumerate(corpus.pairs):
+        for i, (a, b) in enumerate(pairs):
             j = first[i]
             alignments.append(align_pair(a, b, cm) if j == i else alignments[j])
         counts = Counter(

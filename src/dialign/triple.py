@@ -14,9 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .costs import CostModel
-from .errors import RoleMismatch
-from .pairwise import _segments
-from .phonetics import Segment, Source, Transcription
+from .phonetics import Segment
 
 # Moves as (dx, dy, dz) in frozen traceback preference order: single-string
 # advances first (x, then y, then z), then pairs, then all three.
@@ -68,24 +66,12 @@ class ChangeRecord:
     alignment_length: int
 
 
-def _check_roles(x, y, z):
-    sources = tuple(
-        s.source if isinstance(s, Transcription) else None for s in (x, y, z)
-    )
-    expected = (Source.OLDER, Source.NEWER, Source.STANDARD)
-    for got, want in zip(sources, expected):
-        if got is not None and got is not want:
-            raise RoleMismatch(f"expected sources {expected}, got {sources}")
-
-
-def align_triple(x, y, z, cm: CostModel) -> TripleAlignment:
+def align_triple(sx, sy, sz, cm: CostModel) -> TripleAlignment:
     """Minimal-cost three-string alignment, longest among the optima.
 
-    x must be the older variant, y the newer, z the standard; transcription
-    sources are checked when present.
+    The segment sequences are the older, newer and standard
+    transcriptions, in that order.
     """
-    _check_roles(x, y, z)
-    sx, sy, sz = _segments(x), _segments(y), _segments(z)
     nx, ny, nz = len(sx), len(sy), len(sz)
 
     # Each pair price is read from the cost model once per call.

@@ -16,9 +16,9 @@ import random
 
 from dialign.costs import FORBIDDEN, GAP, CostModel, substitution_allowed
 from dialign.errors import DialignError
-from dialign.pairwise import AlignmentColumn, PairAlignment, _segments, align_pair
+from dialign.pairwise import AlignmentColumn, PairAlignment, align_pair
 from dialign.phonetics import Segment
-from dialign.triple import MOVES, TripleAlignment, TripleColumn, _check_roles
+from dialign.triple import MOVES, TripleAlignment, TripleColumn
 
 
 class CapExceeded(DialignError):
@@ -46,9 +46,8 @@ def column_cost(cm: CostModel, x, y, z) -> float:
     return _pair_cost(cm, x, y) + _pair_cost(cm, x, z) + _pair_cost(cm, y, z)
 
 
-def align_pair_loop(a, b, cm) -> PairAlignment:
+def align_pair_loop(sa, sb, cm) -> PairAlignment:
     """Minimal-cost alignment of maximal length among the optima."""
-    sa, sb = _segments(a), _segments(b)
     n, m = len(sa), len(sb)
 
     # cost[i][j]: minimal cost aligning sa[:i] with sb[:j];
@@ -107,14 +106,12 @@ def align_pair_loop(a, b, cm) -> PairAlignment:
     return PairAlignment(tuple(columns), cost[n][m])
 
 
-def align_triple_loop(x, y, z, cm) -> TripleAlignment:
+def align_triple_loop(sx, sy, sz, cm) -> TripleAlignment:
     """Minimal-cost three-string alignment, longest among the optima.
 
-    x must be the older variant, y the newer, z the standard; transcription
-    sources are checked when present.
+    The segment sequences are the older, newer and standard
+    transcriptions, in that order.
     """
-    _check_roles(x, y, z)
-    sx, sy, sz = _segments(x), _segments(y), _segments(z)
     nx, ny, nz = len(sx), len(sy), len(sz)
 
     inf = math.inf
@@ -172,15 +169,13 @@ def align_triple_loop(x, y, z, cm) -> TripleAlignment:
     return TripleAlignment(tuple(columns), cost[nx][ny][nz])
 
 
-def enumerate_optimal(a, b, cm: CostModel, cap: int = 100_000) -> list[PairAlignment]:
+def enumerate_optimal(sa, sb, cm: CostModel, cap: int = 100_000) -> list[PairAlignment]:
     """All minimal-cost alignments, by exhaustive enumeration.
 
     Test oracle for the longest-optimal-alignment rule; exponential, only
     usable on short strings. Raises CapExceeded if more than `cap` optimal
     alignments exist.
     """
-    sa, sb = _segments(a), _segments(b)
-
     best_cost = math.inf
     optima: list[tuple[AlignmentColumn, ...]] = []
 
@@ -218,9 +213,8 @@ def enumerate_optimal(a, b, cm: CostModel, cap: int = 100_000) -> list[PairAlign
     return [PairAlignment(cols, best_cost) for cols in optima]
 
 
-def brute_force_min_cost(x, y, z, cm: CostModel) -> float:
+def brute_force_min_cost(sx, sy, sz, cm: CostModel) -> float:
     """Exhaustive minimum over all three-string alignments (test oracle)."""
-    sx, sy, sz = _segments(x), _segments(y), _segments(z)
     cache: dict[tuple[int, int, int], float] = {}
 
     def rec(i, j, k) -> float:

@@ -26,10 +26,10 @@ from dialign.corpus import ingest, pair
 from dialign.costs import CostModel, binary_cost_model
 from dialign.pairwise import align_pair
 from dialign.phonetics import SegmentTable
-from dialign.pmi import AlignmentCorpus, induce_distances
+from dialign.pmi import induce_distances
 from dialign.synth import make_benchmark_corpus, make_mixed_corpus
 from dialign.triple import align_triple, column_direction, decompose
-from dialign.analysis import permutation_contrast
+from dialign.analysis import by_location, permutation_contrast
 from dialign.corpus import GroupMap
 from dialign.triple import ChangeRecord
 
@@ -164,7 +164,7 @@ def _pooled_pmi(triples):
     for t in triples:
         pairs.append((t.older, t.standard))
         pairs.append((t.newer, t.standard))
-    return induce_distances(AlignmentCorpus(pairs), binary_cost_model())
+    return induce_distances(pairs, binary_cost_model())
 
 
 def test_criterion_06_correlation_with_double_pairwise(tmp_path, table, acceptance_report):
@@ -187,7 +187,7 @@ def test_criterion_07_pmi_sanity(table, tok, acceptance_report):
     pairs = [
         (tok(a), tok(b)) for a, b in make_vowel_shift_pairs(n_frequent=200, n_rare=5)
     ]
-    result = induce_distances(AlignmentCorpus(pairs), binary_cost_model())
+    result = induce_distances(pairs, binary_cost_model())
     d_close = result.distance("i", "ɪ")
     d_far = result.distance("i", "u")
     values = list(result.dist.values())
@@ -234,7 +234,7 @@ def test_criterion_08_decomposition_bounds(tok, acceptance_report):
     for x, y, z in training:
         pairs.append((x, z))
         pairs.append((y, z))
-    pmi = induce_distances(AlignmentCorpus(pairs), binary_cost_model())
+    pmi = induce_distances(pairs, binary_cost_model())
     cm = CostModel(pmi)
 
     violations = 0
@@ -306,7 +306,8 @@ def test_criterion_10_permutation_calibration(acceptance_report):
             for loc in groups.assignments
             for w in range(30)
         ]
-        for result in permutation_contrast(records, groups, n_perm=999, seed=seed):
+        by_loc = by_location(records, groups)
+        for result in permutation_contrast(by_loc, groups, n_perm=999, seed=seed):
             hits[result.measure] += result.p_value < 0.05
     rates = {m: h / n_runs for m, h in hits.items()}
     ok = all(0.01 <= rate <= 0.10 for rate in rates.values())

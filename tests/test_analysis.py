@@ -5,6 +5,7 @@ import pytest
 
 from dialign.analysis import (
     ContrastResult,
+    by_location,
     export_geo,
     permutation_contrast,
     summarize,
@@ -45,7 +46,7 @@ def test_summarize_headline_numbers():
         for loc in groups.assignments
         for i in range(5)
     ]
-    summaries = {s.group: s for s in summarize(records, groups)}
+    summaries = {s.group: s for s in summarize(by_location(records, groups), groups)}
     overall = summaries["ALL"]
     assert overall.mean_conv == pytest.approx(0.02)
     assert overall.mean_div == pytest.approx(0.014)
@@ -56,23 +57,28 @@ def test_summarize_headline_numbers():
 
 def test_summarize_single_record():
     groups = GroupMap({"x": "LS"})
-    summaries = {s.group: s for s in summarize([ChangeRecord("x", "w", 0.1, 0.2, 5)], groups)}
+    by_loc = by_location([ChangeRecord("x", "w", 0.1, 0.2, 5)], groups)
+    summaries = {s.group: s for s in summarize(by_loc, groups)}
     assert summaries["LS"].mean_conv == 0.1
     assert summaries["LS"].mean_div == 0.2
 
 
-def test_summarize_order_invariant():
+def test_by_location_order_invariant():
     groups = make_groups(3, 3)
     rng = random.Random(1)
     records = make_records(groups, rng)
     shuffled = records[:]
     random.Random(2).shuffle(shuffled)
-    assert summarize(records, groups) == summarize(shuffled, groups)
+    by_loc = by_location(shuffled, groups)
+    assert list(by_loc.items()) == list(by_location(records, groups).items())
+    assert list(by_loc) == sorted(groups.assignments)
+    for rs in by_loc.values():
+        assert [r.word for r in rs] == sorted(r.word for r in rs)
 
 
-def test_summarize_unmapped_location():
+def test_by_location_unmapped_location():
     with pytest.raises(UnmappedLocation):
-        summarize([ChangeRecord("nowhere", "w", 0.0, 0.0, 1)], GroupMap({}))
+        by_location([ChangeRecord("nowhere", "w", 0.0, 0.0, 1)], GroupMap({}))
 
 
 def permutation_contrast_loop(records, groups, measure, n_perm, seed):
@@ -103,7 +109,8 @@ def test_one_stream_matches_per_measure_streams(n_perm):
     groups = make_groups(7, 9)
     for seed in range(10):
         records = make_records(groups, random.Random(seed), conv_shift_ls=0.002)
-        results = permutation_contrast(records, groups, n_perm=n_perm, seed=seed)
+        by_loc = by_location(records, groups)
+        results = permutation_contrast(by_loc, groups, n_perm=n_perm, seed=seed)
         for measure, got in zip(("conv", "div"), results):
             want = permutation_contrast_loop(records, groups, measure, n_perm, seed)
             assert got.measure == want.measure
@@ -116,8 +123,9 @@ def test_one_stream_matches_per_measure_streams(n_perm):
 def test_contrast_deterministic_and_identity_statistic():
     groups = make_groups()
     records = make_records(groups, random.Random(5), conv_shift_ls=0.01)
-    r1, _ = permutation_contrast(records, groups, n_perm=999, seed=42)
-    r2, _ = permutation_contrast(records, groups, n_perm=999, seed=42)
+    grouped = by_location(records, groups)
+    r1, _ = permutation_contrast(grouped, groups, n_perm=999, seed=42)
+    r2, _ = permutation_contrast(grouped, groups, n_perm=999, seed=42)
     assert r1 == r2
     # observed statistic equals the group mean difference of location means
     by_loc = {}
@@ -134,7 +142,8 @@ def test_contrast_detects_injected_shift():
     hits = 0
     for seed in range(10):
         records = make_records(groups, random.Random(seed), conv_shift_ls=0.01)
-        result, _ = permutation_contrast(records, groups, n_perm=999, seed=seed)
+        by_loc = by_location(records, groups)
+        result, _ = permutation_contrast(by_loc, groups, n_perm=999, seed=seed)
         hits += result.p_value < 0.05
     assert hits >= 8  # power check: shift found in the clear majority of runs
 
@@ -143,32 +152,32 @@ def test_contrast_degenerate():
     groups = GroupMap({"a": "LS", "b": "LS"})
     records = [ChangeRecord("a", "w", 0.1, 0.1, 5), ChangeRecord("b", "w", 0.1, 0.1, 5)]
     with pytest.raises(DegenerateContrast):
-        permutation_contrast(records, groups, n_perm=999, seed=0)
+        permutation_contrast(by_location(records, groups), groups, n_perm=999, seed=0)
 
 
 def test_contrast_rejects_low_n_perm():
     groups = make_groups(2, 2)
     records = make_records(groups, random.Random(0))
     with pytest.raises(ValueError):
-        permutation_contrast(records, groups, n_perm=10, seed=0)
+        permutation_contrast(by_location(records, groups), groups, n_perm=10, seed=0)
 
 
 def test_export_geo():
     groups = make_groups(2, 2)
     records = make_records(groups, random.Random(0), n_words=3)
     coords = {loc: (5.0 + i, 52.0 + i) for i, loc in enumerate(sorted(groups.assignments))}
-    csv_text = export_geo(records, coords)
+    csv_text = export_geo(by_location(records, groups), coords)
     lines = csv_text.strip().splitlines()
     assert lines[0] == "location,lon,lat,mean_conv,mean_div"
     assert len(lines) == 5
 
 
 def test_export_geo_empty_records():
-    assert export_geo([], {}) == "location,lon,lat,mean_conv,mean_div\n"
+    assert export_geo({}, {}) == "location,lon,lat,mean_conv,mean_div\n"
 
 
 def test_export_geo_missing_coordinates():
     records = [ChangeRecord("x", "w", 0.1, 0.1, 5)]
     with pytest.raises(MissingCoordinates) as exc:
-        export_geo(records, {})
+        export_geo(by_location(records, GroupMap({"x": "LS"})), {})
     assert "x" in str(exc.value)

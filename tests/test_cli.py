@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -264,6 +265,36 @@ def test_report_coords_missing_location(tmp_path, capsys):
     assert run_report(tmp_path, coords=coords) == 1
     assert "no coordinates for location 'loc06'" in capsys.readouterr().err
     assert not (tmp_path / "rep" / "summary.txt").exists()
+
+
+def test_report_rejects_duplicate_record(tmp_path, capsys):
+    lines = RECORDS_6.splitlines()
+    records = "\n".join(lines + [lines[2].replace(",0.1,7", ",0.9,7")]) + "\n"
+    assert run_report(tmp_path, records=records) == 1
+    path = tmp_path / "change_records.csv"
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: line {len(lines) + 1}: ")
+    assert "'loc02', word 'w' (first at line 3)" in err
+    assert list((tmp_path / "rep").iterdir()) == []
+
+
+def test_report_ignores_record_order(tmp_path):
+    rng = random.Random(4)
+    rows = [
+        f"loc0{i},w{w},{rng.random():.6f},{rng.random():.6f},{rng.randint(3, 9)}"
+        for i in range(1, 7)
+        for w in range(5)
+    ]
+    outputs = []
+    for name, order in (("sorted", rows), ("shuffled", rng.sample(rows, len(rows)))):
+        records = "location,word,conv,div,alignment_length\n" + "\n".join(order) + "\n"
+        (tmp_path / name).mkdir()
+        assert run_report(tmp_path / name, records=records, coords=make_coords(6)) == 0
+        rep = tmp_path / name / "rep"
+        outputs.append(
+            [(rep / f).read_bytes() for f in ("summary.txt", "contrasts.csv", "geo.csv")]
+        )
+    assert outputs[0] == outputs[1]
 
 
 def test_report_degenerate_contrast_writes_no_report_file(tmp_path, capsys):

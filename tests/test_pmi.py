@@ -8,9 +8,8 @@ from loop_dp import make_vowel_shift_pairs
 from dialign.costs import FORBIDDEN, GAP, CostModel, binary_cost_model
 from dialign.errors import DialignError, EmptyCorpus, ParseError
 from dialign.pairwise import align_pair
-from dialign.phonetics import make_transcription
+from dialign.phonetics import tokenize
 from dialign.pmi import (
-    AlignmentCorpus,
     InductionOptions,
     PmiTable,
     distances_from_counts,
@@ -19,26 +18,12 @@ from dialign.pmi import (
 
 
 def corpus_from_strings(table, string_pairs):
-    pairs = [
-        (
-            make_transcription(a, table, word="w"),
-            make_transcription(b, table, word="w"),
-        )
-        for a, b in string_pairs
-    ]
-    return AlignmentCorpus(pairs)
+    return [(tokenize(a, table), tokenize(b, table)) for a, b in string_pairs]
 
 
 def test_empty_corpus_raises():
     with pytest.raises(EmptyCorpus):
-        induce_distances(AlignmentCorpus([]), binary_cost_model())
-
-
-def test_mismatched_word_pairs_rejected(table):
-    a = make_transcription("pat", table, word="a")
-    b = make_transcription("pat", table, word="b")
-    with pytest.raises(ValueError):
-        AlignmentCorpus([(a, b)])
+        induce_distances([], binary_cost_model())
 
 
 def test_identity_corpus(table):
@@ -161,10 +146,10 @@ def test_cost_model_over_pmi_table_passthrough_and_policy(table):
         }
     )
     cm = CostModel(t)
-    (i,) = make_transcription("i", table).segments
-    (small_i,) = make_transcription("ɪ", table).segments
-    (a,) = make_transcription("a", table).segments
-    (p,) = make_transcription("p", table).segments
+    (i,) = tokenize("i", table)
+    (small_i,) = tokenize("ɪ", table)
+    (a,) = tokenize("a", table)
+    (p,) = tokenize("p", table)
     ui, usmall_i, ua, up = cm.numbers((i, small_i, a, p))
     assert cm.cost[ui][usmall_i] == 0.2
     # constraint overrides the learned vowel-obstruent value
@@ -210,8 +195,8 @@ def test_induction_respects_constraint(table):
     result = induce_distances(corpus, binary_cost_model())
     cm = CostModel(result)
     al = align_pair(
-        make_transcription("ip", table).segments,
-        make_transcription("pi", table).segments,
+        tokenize("ip", table),
+        tokenize("pi", table),
         cm,
     )
     for col in al.columns:

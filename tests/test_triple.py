@@ -5,9 +5,7 @@ import pytest
 from loop_dp import brute_force_min_cost, double_pairwise_delta
 
 from dialign.costs import GAP, CostModel, binary_cost_model
-from dialign.errors import RoleMismatch
-from dialign.phonetics import Source, make_transcription
-from dialign.pmi import AlignmentCorpus, PmiTable, induce_distances
+from dialign.pmi import PmiTable, induce_distances
 from dialign.triple import (
     MOVES,
     TripleColumn,
@@ -82,16 +80,6 @@ def test_matches_brute_force_on_random_triples(tok):
         assert align_triple(x, y, z, cm).total_cost == brute_force_min_cost(x, y, z, cm)
 
 
-def test_role_check(table):
-    x = make_transcription("pat", table, source=Source.OLDER)
-    y = make_transcription("pat", table, source=Source.NEWER)
-    z = make_transcription("pat", table, source=Source.STANDARD)
-    cm = binary_cost_model()
-    align_triple(x, y, z, cm)  # correct roles pass
-    with pytest.raises(RoleMismatch):
-        align_triple(y, x, z, cm)
-
-
 @pytest.mark.parametrize(
     "x,y,z,expected",
     [
@@ -127,7 +115,7 @@ def make_pmi_from_triples(table, triples):
     for x, y, z in triples:
         pairs.append((x, z))
         pairs.append((y, z))
-    return induce_distances(AlignmentCorpus(pairs), binary_cost_model())
+    return induce_distances(pairs, binary_cost_model())
 
 
 def random_triples(tok, rng, n, alphabet="patisəmnk", max_len=6):
