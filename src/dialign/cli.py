@@ -11,16 +11,17 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
 from . import analysis, pmi as pmi_mod
 from .corpus import GroupMap, ingest, pair, retention_report
-from .costs import BinaryDistanceTable, CostModel, binary_cost_model
+from .costs import GAP, BinaryDistanceTable, CostModel, binary_cost_model
 from .errors import DialignError, EmptyCorpus, ParseError, read_lines, read_table
 from .pmi import InductionOptions, PmiTable
 from .phonetics import SegmentTable
-from .triple import ChangeRecord, align_triple, column_direction, decompose
+from .triple import ChangeRecord, align_triple, decompose, directions
 
 log = logging.getLogger(__name__)
 
@@ -84,9 +85,8 @@ def _dump_alignment(t, al, cm) -> str:
         return label + "\t" + "\t".join(cells)
 
     tags = []
-    for col in al.columns:
-        d = column_direction(col, cm)
-        if col.stable:
+    for (x, y, z), d in zip(al.columns, directions(al, cm)):
+        if x == y == z != GAP:
             tags.append("stable")
         elif d < 0:
             tags.append("conv.")
@@ -96,10 +96,10 @@ def _dump_alignment(t, al, cm) -> str:
             tags.append("neutr.")
     lines = [
         f"# {t.location} / {t.word} (cost {al.total_cost:.6f}, length {al.length})",
-        row("older", [str(c.x) if c.x else "-" for c in al.columns]),
-        row("newer", [str(c.y) if c.y else "-" for c in al.columns]),
-        row("standard", [str(c.z) if c.z else "-" for c in al.columns]),
-        row("cost", [f"{c.cost:.4g}" for c in al.columns]),
+        row("older", [x for x, _, _ in al.columns]),
+        row("newer", [y for _, y, _ in al.columns]),
+        row("standard", [z for _, _, z in al.columns]),
+        row("cost", [f"{c:.4g}" for c in al.costs]),
         row("direction", tags),
     ]
     return "\n".join(lines) + "\n"
@@ -165,7 +165,8 @@ def cmd_pmi(args) -> int:
 
 def _read_change_records(path) -> list[ChangeRecord]:
     """The records of a change-record CSV; a repeated (location, word) is
-    a ParseError naming both lines."""
+    a ParseError naming both lines, and so is a conv or div outside [0, 1]
+    or an alignment_length below 1 naming its line."""
     lines = read_lines(path)
     if not lines or lines[0] != "location,word,conv,div,alignment_length":
         raise ParseError(path, 1, "not a change-record CSV")
@@ -181,6 +182,11 @@ def _read_change_records(path) -> list[ChangeRecord]:
             conv, div, length = float(fields[2]), float(fields[3]), int(fields[4])
         except ValueError as exc:
             raise ParseError(path, lineno, str(exc)) from None
+        for name, value in (("conv", conv), ("div", div)):
+            if not 0.0 <= value <= 1.0:  # also false for NaN
+                raise ParseError(path, lineno, f"{name} {value} outside [0, 1]")
+        if length < 1:
+            raise ParseError(path, lineno, f"alignment_length {length} below 1")
         first = first_line.setdefault((fields[0], fields[1]), lineno)
         if first != lineno:
             raise ParseError(
@@ -209,6 +215,10 @@ def cmd_report(args) -> int:
                 coords[location] = (float(lon), float(lat))
             except ValueError as exc:
                 raise ParseError(args.coords, lineno, str(exc)) from None
+            if not all(map(math.isfinite, coords[location])):
+                raise ParseError(
+                    args.coords, lineno, f"coordinates {lon}, {lat} not finite"
+                )
         geo = analysis.export_geo(by_loc, coords)
         inputs.append(args.coords)
 

@@ -5,16 +5,32 @@ with the linguistic constraint policy: vowels may not substitute with
 consonants, except that schwa may align with the sonorant consonants.
 Forbidden substitutions get infinite cost, so an indel path always wins.
 The cost model is the only code that prices a pair of segments; the 2D
-and 3D DPs and the change decomposition all read its table.
+and 3D DPs and the change decomposition all read its table, and both DPs
+return an Alignment.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 from .phonetics import GAP, Segment, SegmentClass
 
 FORBIDDEN = math.inf
+
+
+@dataclass(frozen=True)
+class Alignment:
+    """Columns of the aligned strings' symbols, GAP for a gap, with
+    costs[i] the price of column i and total_cost the DP's optimum."""
+
+    columns: tuple[tuple[str, ...], ...]
+    costs: tuple[float, ...]
+    total_cost: float
+
+    @property
+    def length(self) -> int:
+        return len(self.columns)
 
 
 class BinaryDistanceTable:
@@ -46,16 +62,13 @@ class CostModel:
         self.distances = distances  # anything with .distance(symbol, symbol)
         self.constrained = constrained
         self.cost: list[list[float]] = [[0.0]]
-        self._number: dict[str, int] = {}
+        self.number: dict[str, int] = {GAP: 0}  # symbol -> its row of cost
         self._known: list[Segment] = []  # _known[u - 1] has number u
 
     def numbers(self, segments) -> list[int]:
-        """The number of each segment, 0 for a gap (None)."""
-        number = self._number
-        return [
-            0 if s is None else number.get(s.symbol) or self._add(s)
-            for s in segments
-        ]
+        """The number of each segment."""
+        number = self.number
+        return [number.get(s.symbol) or self._add(s) for s in segments]
 
     def _add(self, seg: Segment) -> int:
         symbol, distance = seg.symbol, self.distances.distance
@@ -72,7 +85,7 @@ class CostModel:
             known_row.append(c)
         self.cost.append(row)
         self._known.append(seg)
-        u = self._number[symbol] = len(self._known)
+        u = self.number[symbol] = len(self._known)
         return u
 
 

@@ -10,30 +10,11 @@ right-to-left.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .costs import CostModel
-from .phonetics import Segment
+from .costs import GAP, Alignment, CostModel
 
 
-@dataclass(frozen=True)
-class AlignmentColumn:
-    left: Segment | None
-    right: Segment | None
-    cost: float
-
-
-@dataclass(frozen=True)
-class PairAlignment:
-    columns: tuple[AlignmentColumn, ...]
-    total_cost: float
-
-    @property
-    def length(self) -> int:
-        return len(self.columns)
-
-
-def align_pair(sa, sb, cm: CostModel) -> PairAlignment:
+def align_pair(sa, sb, cm: CostModel) -> Alignment:
     """Minimal-cost alignment of maximal length among the optima of two
     segment sequences."""
     n, m = len(sa), len(sb)
@@ -77,26 +58,28 @@ def align_pair(sa, sb, cm: CostModel) -> PairAlignment:
             lb[j] = blen
 
     # Traceback, right-to-left; tie preference: del > ins > sub.
-    columns = []
+    columns, costs = [], []
     i, j = n, m
     while i > 0 or j > 0:
         here_cost, here_len = cost[i][j], alen[i][j]
         if i > 0:
             c = ga[i - 1]
             if cost[i - 1][j] + c == here_cost and alen[i - 1][j] + 1 == here_len:
-                columns.append(AlignmentColumn(sa[i - 1], None, c))
+                columns.append((sa[i - 1].symbol, GAP))
+                costs.append(c)
                 i -= 1
                 continue
         if j > 0:
             c = gb[j - 1]
             if cost[i][j - 1] + c == here_cost and alen[i][j - 1] + 1 == here_len:
-                columns.append(AlignmentColumn(None, sb[j - 1], c))
+                columns.append((GAP, sb[j - 1].symbol))
+                costs.append(c)
                 j -= 1
                 continue
         c = sub[i - 1][j - 1]
         assert cost[i - 1][j - 1] + c == here_cost
-        columns.append(AlignmentColumn(sa[i - 1], sb[j - 1], c))
+        columns.append((sa[i - 1].symbol, sb[j - 1].symbol))
+        costs.append(c)
         i -= 1
         j -= 1
-    columns.reverse()
-    return PairAlignment(tuple(columns), cost[n][m])
+    return Alignment(tuple(columns[::-1]), tuple(costs[::-1]), cost[n][m])

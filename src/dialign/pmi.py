@@ -30,7 +30,8 @@ MIN_PAIRS = 50  # induction from fewer pairs logs a warning
 @dataclass(frozen=True)
 class PmiTable:
     """Symmetric segment-pair distances in [0,1], gap included. A symbol's
-    distance to itself defaults to 0; any other missing pair is an error."""
+    distance to itself defaults to 0; any other missing pair is an error,
+    and a table file may give each unordered pair once."""
 
     dist: dict[tuple[str, str], float]
     iterations_run: int = 0
@@ -63,6 +64,7 @@ class PmiTable:
     @classmethod
     def read(cls, path) -> "PmiTable":
         dist = {}
+        first_line: dict[tuple[str, str], int] = {}
         usage = "symbol_a<TAB>symbol_b<TAB>distance"
         for lineno, (a, b, value) in read_table(path, usage, 3):
             try:
@@ -71,7 +73,13 @@ class PmiTable:
                 raise ParseError(path, lineno, f"bad distance {value!r}")
             if not 0.0 <= d <= 1.0:  # also false for NaN
                 raise ParseError(path, lineno, f"distance {value!r} outside [0, 1]")
-            dist[(a, b)] = d
+            key = (a, b) if a <= b else (b, a)
+            first = first_line.setdefault(key, lineno)
+            if first != lineno:
+                raise ParseError(
+                    path, lineno, f"repeated pair {key} (first at line {first})"
+                )
+            dist[key] = d
         return cls(dist, iterations_run=0, converged=True)
 
 
@@ -171,14 +179,7 @@ def induce_distances(
         for i, (a, b) in enumerate(pairs):
             j = first[i]
             alignments.append(align_pair(a, b, cm) if j == i else alignments[j])
-        counts = Counter(
-            (
-                GAP if col.left is None else col.left.symbol,
-                GAP if col.right is None else col.right.symbol,
-            )
-            for al in alignments
-            for col in al.columns
-        )
+        counts = Counter(col for al in alignments for col in al.columns)
         dist = distances_from_counts(counts, opts.smoothing)
         if dist == prev_dist:  # unchanged alignments give the same table
             converged = True

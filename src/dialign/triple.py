@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .costs import CostModel
-from .phonetics import Segment
+from .costs import GAP, Alignment, CostModel
 
 # Moves as (dx, dy, dz) in frozen traceback preference order: single-string
 # advances first (x, then y, then z), then pairs, then all three.
@@ -30,34 +29,6 @@ MOVES = (
 
 
 @dataclass(frozen=True)
-class TripleColumn:
-    x: Segment | None
-    y: Segment | None
-    z: Segment | None
-    cost: float
-
-    @property
-    def stable(self) -> bool:
-        """All three segments present and identical."""
-        return (
-            self.x is not None
-            and self.y is not None
-            and self.z is not None
-            and self.x.symbol == self.y.symbol == self.z.symbol
-        )
-
-
-@dataclass(frozen=True)
-class TripleAlignment:
-    columns: tuple[TripleColumn, ...]
-    total_cost: float
-
-    @property
-    def length(self) -> int:
-        return len(self.columns)
-
-
-@dataclass(frozen=True)
 class ChangeRecord:
     location: str
     word: str
@@ -66,7 +37,7 @@ class ChangeRecord:
     alignment_length: int
 
 
-def align_triple(sx, sy, sz, cm: CostModel) -> TripleAlignment:
+def align_triple(sx, sy, sz, cm: CostModel) -> Alignment:
     """Minimal-cost three-string alignment, longest among the optima.
 
     The segment sequences are the older, newer and standard
@@ -152,7 +123,7 @@ def align_triple(sx, sy, sz, cm: CostModel) -> TripleAlignment:
                 r_z[k] = best
                 l_z[k] = blen
 
-    columns = []
+    columns, costs = [], []
     i, j, k = nx, ny, nz
     while i > 0 or j > 0 or k > 0:
         here_cost, here_len = cost[i][j][k], alen[i][j][k]
@@ -163,29 +134,30 @@ def align_triple(sx, sy, sz, cm: CostModel) -> TripleAlignment:
             c = column(ux[pi] if dx else 0, uy[pj] if dy else 0, uz[pk] if dz else 0)
             if cost[pi][pj][pk] + c == here_cost and alen[pi][pj][pk] + 1 == here_len:
                 columns.append(
-                    TripleColumn(
-                        sx[pi] if dx else None,
-                        sy[pj] if dy else None,
-                        sz[pk] if dz else None,
-                        c,
+                    (
+                        sx[pi].symbol if dx else GAP,
+                        sy[pj].symbol if dy else GAP,
+                        sz[pk].symbol if dz else GAP,
                     )
                 )
+                costs.append(c)
                 i, j, k = pi, pj, pk
                 break
         else:  # pragma: no cover - DP guarantees a predecessor
             raise AssertionError("traceback found no consistent predecessor")
-    columns.reverse()
-    return TripleAlignment(tuple(columns), cost[nx][ny][nz])
+    return Alignment(tuple(columns[::-1]), tuple(costs[::-1]), cost[nx][ny][nz])
 
 
-def column_direction(col: TripleColumn, cm: CostModel) -> float:
-    """price(newer, standard) - price(older, standard) for one column. No
-    optimal alignment holds a FORBIDDEN pair: all-indel paths cost less."""
-    x, y, z = cm.numbers((col.x, col.y, col.z))
-    return cm.cost[y][z] - cm.cost[x][z]
+def directions(al: Alignment, cm: CostModel) -> list[float]:
+    """price(newer, standard) - price(older, standard) for each column of a
+    triple alignment. cm must have numbered the alignment's symbols, as the
+    model that aligned it has. No optimal alignment holds a FORBIDDEN
+    pair: all-indel paths cost less."""
+    n, C = cm.number, cm.cost
+    return [C[n[y]][n[z]] - C[n[x]][n[z]] for x, y, z in al.columns]
 
 
-def decompose(al: TripleAlignment, cm: CostModel) -> tuple[float, float]:
+def decompose(al: Alignment, cm: CostModel) -> tuple[float, float]:
     """Convergence and divergence proportions of a triple alignment.
 
     Convergent column magnitudes and divergent column magnitudes are
@@ -195,8 +167,7 @@ def decompose(al: TripleAlignment, cm: CostModel) -> tuple[float, float]:
     if al.length == 0:
         return 0.0, 0.0
     conv = div = 0.0
-    for col in al.columns:
-        d = column_direction(col, cm)
+    for d in directions(al, cm):
         if d < 0:
             conv -= d
         else:

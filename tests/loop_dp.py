@@ -14,11 +14,11 @@ brute_force_min_cost are exhaustive oracles for short strings.
 import math
 import random
 
-from dialign.costs import FORBIDDEN, GAP, CostModel, substitution_allowed
+from dialign.costs import FORBIDDEN, GAP, Alignment, CostModel, substitution_allowed
 from dialign.errors import DialignError
-from dialign.pairwise import AlignmentColumn, PairAlignment, align_pair
+from dialign.pairwise import align_pair
 from dialign.phonetics import Segment
-from dialign.triple import MOVES, TripleAlignment, TripleColumn
+from dialign.triple import MOVES
 
 
 class CapExceeded(DialignError):
@@ -46,7 +46,19 @@ def column_cost(cm: CostModel, x, y, z) -> float:
     return _pair_cost(cm, x, y) + _pair_cost(cm, x, z) + _pair_cost(cm, y, z)
 
 
-def align_pair_loop(sa, sb, cm) -> PairAlignment:
+def _symbols(*segments) -> tuple[str, ...]:
+    """An alignment column of segments, None for a gap, as symbols."""
+    return tuple(GAP if s is None else s.symbol for s in segments)
+
+
+def _alignment(pairs, total_cost: float) -> Alignment:
+    """The Alignment of (column, cost) pairs."""
+    return Alignment(
+        tuple(col for col, _ in pairs), tuple(c for _, c in pairs), total_cost
+    )
+
+
+def align_pair_loop(sa, sb, cm) -> Alignment:
     """Minimal-cost alignment of maximal length among the optima."""
     n, m = len(sa), len(sb)
 
@@ -88,25 +100,25 @@ def align_pair_loop(sa, sb, cm) -> PairAlignment:
         if i > 0:
             c = _pair_cost(cm, sa[i - 1], None)
             if cost[i - 1][j] + c == here_cost and alen[i - 1][j] + 1 == here_len:
-                columns.append(AlignmentColumn(sa[i - 1], None, c))
+                columns.append((_symbols(sa[i - 1], None), c))
                 i -= 1
                 continue
         if j > 0:
             c = _pair_cost(cm, None, sb[j - 1])
             if cost[i][j - 1] + c == here_cost and alen[i][j - 1] + 1 == here_len:
-                columns.append(AlignmentColumn(None, sb[j - 1], c))
+                columns.append((_symbols(None, sb[j - 1]), c))
                 j -= 1
                 continue
         c = _pair_cost(cm, sa[i - 1], sb[j - 1])
         assert cost[i - 1][j - 1] + c == here_cost
-        columns.append(AlignmentColumn(sa[i - 1], sb[j - 1], c))
+        columns.append((_symbols(sa[i - 1], sb[j - 1]), c))
         i -= 1
         j -= 1
     columns.reverse()
-    return PairAlignment(tuple(columns), cost[n][m])
+    return _alignment(columns, cost[n][m])
 
 
-def align_triple_loop(sx, sy, sz, cm) -> TripleAlignment:
+def align_triple_loop(sx, sy, sz, cm) -> Alignment:
     """Minimal-cost three-string alignment, longest among the optima.
 
     The segment sequences are the older, newer and standard
@@ -160,16 +172,16 @@ def align_triple_loop(sx, sy, sz, cm) -> TripleAlignment:
             cz = sz[pk] if dz else None
             c = column_cost(cm, cx, cy, cz)
             if cost[pi][pj][pk] + c == here_cost and alen[pi][pj][pk] + 1 == here_len:
-                columns.append(TripleColumn(cx, cy, cz, c))
+                columns.append((_symbols(cx, cy, cz), c))
                 i, j, k = pi, pj, pk
                 break
         else:  # pragma: no cover - DP guarantees a predecessor
             raise AssertionError("traceback found no consistent predecessor")
     columns.reverse()
-    return TripleAlignment(tuple(columns), cost[nx][ny][nz])
+    return _alignment(columns, cost[nx][ny][nz])
 
 
-def enumerate_optimal(sa, sb, cm: CostModel, cap: int = 100_000) -> list[PairAlignment]:
+def enumerate_optimal(sa, sb, cm: CostModel, cap: int = 100_000) -> list[Alignment]:
     """All minimal-cost alignments, by exhaustive enumeration.
 
     Test oracle for the longest-optimal-alignment rule; exponential, only
@@ -177,7 +189,7 @@ def enumerate_optimal(sa, sb, cm: CostModel, cap: int = 100_000) -> list[PairAli
     alignments exist.
     """
     best_cost = math.inf
-    optima: list[tuple[AlignmentColumn, ...]] = []
+    optima: list[tuple] = []  # (column, cost) pairs of each optimum
 
     def walk(i, j, acc_cost, acc_cols):
         nonlocal best_cost, optima
@@ -194,23 +206,23 @@ def enumerate_optimal(sa, sb, cm: CostModel, cap: int = 100_000) -> list[PairAli
             return
         if i < len(sa):
             c = _pair_cost(cm, sa[i], None)
-            acc_cols.append(AlignmentColumn(sa[i], None, c))
+            acc_cols.append((_symbols(sa[i], None), c))
             walk(i + 1, j, acc_cost + c, acc_cols)
             acc_cols.pop()
         if j < len(sb):
             c = _pair_cost(cm, None, sb[j])
-            acc_cols.append(AlignmentColumn(None, sb[j], c))
+            acc_cols.append((_symbols(None, sb[j]), c))
             walk(i, j + 1, acc_cost + c, acc_cols)
             acc_cols.pop()
         if i < len(sa) and j < len(sb):
             c = _pair_cost(cm, sa[i], sb[j])
             if c < math.inf:
-                acc_cols.append(AlignmentColumn(sa[i], sb[j], c))
+                acc_cols.append((_symbols(sa[i], sb[j]), c))
                 walk(i + 1, j + 1, acc_cost + c, acc_cols)
                 acc_cols.pop()
 
     walk(0, 0, 0.0, [])
-    return [PairAlignment(cols, best_cost) for cols in optima]
+    return [_alignment(cols, best_cost) for cols in optima]
 
 
 def brute_force_min_cost(sx, sy, sz, cm: CostModel) -> float:
@@ -241,7 +253,7 @@ def brute_force_min_cost(sx, sy, sz, cm: CostModel) -> float:
     return rec(0, 0, 0)
 
 
-def normalized_distance(al: PairAlignment) -> float:
+def normalized_distance(al: Alignment) -> float:
     """Total cost divided by the alignment length (longest optimal)."""
     if al.length == 0:
         raise ZeroLength("cannot normalize an empty alignment")

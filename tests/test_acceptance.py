@@ -23,12 +23,12 @@ from loop_dp import (
 
 from dialign.cli import main
 from dialign.corpus import ingest, pair
-from dialign.costs import CostModel, binary_cost_model
+from dialign.costs import GAP, CostModel, binary_cost_model
 from dialign.pairwise import align_pair
 from dialign.phonetics import SegmentTable
 from dialign.pmi import induce_distances
 from dialign.synth import make_benchmark_corpus, make_mixed_corpus
-from dialign.triple import align_triple, column_direction, decompose
+from dialign.triple import align_triple, decompose, directions
 from dialign.analysis import by_location, permutation_contrast
 from dialign.corpus import GroupMap
 from dialign.triple import ChangeRecord
@@ -88,24 +88,19 @@ def test_criterion_02_constrained_worked_example(tok, acceptance_report):
 def test_criterion_03_triple_worked_example(tok, acceptance_report):
     cm = binary_cost_model(constrained=True)
     al = align_triple(tok("strodə"), tok("strɔət"), tok("strat"), cm)
-    layout = [
-        (c.x and c.x.symbol, c.y and c.y.symbol, c.z and c.z.symbol)
-        for c in al.columns
-    ]
-    expected_layout = [
+    expected_layout = (
         ("s", "s", "s"),
         ("t", "t", "t"),
         ("r", "r", "r"),
         ("o", "ɔ", "a"),
-        (None, "ə", None),
+        (GAP, "ə", GAP),
         ("d", "t", "t"),
-        ("ə", None, None),
-    ]
-    directions = [column_direction(c, cm) for c in al.columns]
+        ("ə", GAP, GAP),
+    )
     conv, div = decompose(al, cm)
     ok = (
-        layout == expected_layout
-        and directions == [0, 0, 0, 0, 1, -1, -1]
+        al.columns == expected_layout
+        and directions(al, cm) == [0, 0, 0, 0, 1, -1, -1]
         and conv == pytest.approx(2 / 7)
         and div == pytest.approx(1 / 7)
     )

@@ -235,19 +235,33 @@ def run_report(
     return main(argv)
 
 
-@pytest.mark.parametrize("field", [2, 3, 4])
-def test_report_non_numeric_change_record(tmp_path, capsys, field):
+@pytest.mark.parametrize(
+    "field,value",
+    [pytest.param(field, "x", id=str(field)) for field in (2, 3, 4)]
+    + [(2, "nan"), (3, "inf"), (2, "-0.1"), (3, "1.5"), (4, "0"), (4, "-3")],
+)
+def test_report_non_numeric_change_record(tmp_path, capsys, field, value):
     lines = RECORDS_6.splitlines()
     fields = lines[2].split(",")
-    fields[field] = "x"
+    fields[field] = value
     lines[2] = ",".join(fields)
-    assert run_report(tmp_path, records="\n".join(lines) + "\n") == 1
+    records = "\n".join(lines) + "\n"
+    assert run_report(tmp_path, records=records, coords=make_coords(6)) == 1
     path = tmp_path / "change_records.csv"
     assert capsys.readouterr().err.startswith(f"error: {path}: line 3: ")
+    assert list((tmp_path / "rep").iterdir()) == []
 
 
 @pytest.mark.parametrize(
-    "line", ["loc02\tx\t53.0", "loc02\t5.0\tnorth", "loc01\tx\t1"]
+    "line",
+    [
+        "loc02\tx\t53.0",
+        "loc02\t5.0\tnorth",
+        "loc01\tx\t1",
+        "loc02\tnan\t53.0",
+        "loc02\t5.0\tinf",
+        "loc01\t-inf\t1",
+    ],
 )
 def test_report_non_numeric_coords(tmp_path, capsys, line):
     coords = make_coords(6).splitlines()
@@ -258,6 +272,7 @@ def test_report_non_numeric_coords(tmp_path, capsys, line):
     # the coords are read before the permutation test writes anything
     assert not (tmp_path / "rep" / "summary.txt").exists()
     assert not (tmp_path / "rep" / "contrasts.csv").exists()
+    assert not (tmp_path / "rep" / "geo.csv").exists()
 
 
 def test_report_coords_missing_location(tmp_path, capsys):

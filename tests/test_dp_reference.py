@@ -21,7 +21,7 @@ from dialign.costs import GAP, BinaryDistanceTable, CostModel, binary_cost_model
 from dialign.pairwise import align_pair
 from dialign.phonetics import SegmentTable, tokenize
 from dialign.pmi import PmiTable
-from dialign.triple import TripleColumn, align_triple, decompose
+from dialign.triple import align_triple, decompose, directions
 
 TABLE = SegmentTable.default()
 ALPHABET = ("a", "o", "ə", "n", "r", "t", "s")
@@ -63,6 +63,11 @@ DYADIC_COSTS = cost_models(pmi_tables(DYADIC))
 
 def tok(*raws):
     return tuple(tokenize(raw, TABLE) for raw in raws)
+
+
+def segment_of(*words) -> dict:
+    """Each segment of the words by its symbol; .get gives None for GAP."""
+    return {s.symbol: s for w in words for s in w}
 
 
 # Random words seldom reach a cost tie that only the longer alignment
@@ -108,7 +113,7 @@ def test_swapping_older_and_newer_swaps_conv_and_div(x, y, z, cm):
     # moves in MOVES order, which favours the first string, so the swapped
     # triple may take another optimum; conv and div swap exactly when it
     # takes the mirror image.
-    mirror = tuple(TripleColumn(c.y, c.x, c.z, c.cost) for c in swapped.columns)
+    mirror = tuple((y, x, z) for x, y, z in swapped.columns)
     if mirror == al.columns:
         conv, div = decompose(al, cm)
         assert decompose(swapped, cm) == (div, conv)
@@ -123,9 +128,10 @@ def test_swapping_older_and_newer_swaps_conv_and_div(x, y, z, cm):
 @example(*tok("aəa", "ttaa"), UNIT)
 def test_align_pair_is_a_longest_optimum_of_its_column_costs(a, b, cm):
     al = align_pair(a, b, cm)
-    assert al.total_cost == sum(c.cost for c in al.columns)
-    for c in al.columns:
-        assert c.cost == _pair_cost(cm, c.left, c.right)
+    assert al.total_cost == sum(al.costs)
+    seg = segment_of(a, b)
+    for (left, right), c in zip(al.columns, al.costs):
+        assert c == _pair_cost(cm, seg.get(left), seg.get(right))
     optima = enumerate_optimal(a, b, cm)
     assert al.total_cost == min(o.total_cost for o in optima)
     assert al.length == max(o.length for o in optima)
@@ -135,6 +141,17 @@ def test_align_pair_is_a_longest_optimum_of_its_column_costs(a, b, cm):
 @given(words(5), words(5), words(5), DYADIC_COSTS)
 def test_align_triple_total_is_the_sum_of_its_column_costs(x, y, z, cm):
     al = align_triple(x, y, z, cm)
-    assert al.total_cost == sum(c.cost for c in al.columns)
-    for c in al.columns:
-        assert c.cost == column_cost(cm, c.x, c.y, c.z)
+    assert al.total_cost == sum(al.costs)
+    seg = segment_of(x, y, z)
+    for col, c in zip(al.columns, al.costs):
+        assert c == column_cost(cm, *(seg.get(s) for s in col))
+
+
+@SETTINGS
+@given(words(5), words(5), words(5), ANY_COSTS)
+def test_decomposition_bounds_under_any_table(x, y, z, cm):
+    al = align_triple(x, y, z, cm)
+    assert all(-1.0 <= d <= 1.0 for d in directions(al, cm))
+    conv, div = decompose(al, cm)
+    assert conv >= 0 and div >= 0
+    assert conv + div <= 1 + 1e-12

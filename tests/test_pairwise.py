@@ -5,18 +5,19 @@ import random
 import pytest
 from loop_dp import CapExceeded, ZeroLength, enumerate_optimal, normalized_distance
 
-from dialign.costs import FORBIDDEN, binary_cost_model
+from dialign.costs import FORBIDDEN, GAP, binary_cost_model
 from dialign.pairwise import align_pair
 from dialign.phonetics import SegmentClass
 
 
 def op(col) -> str:
     """The edit a 2D column makes: match, sub, ins or del."""
-    if col.left is None:
+    left, right = col
+    if left == GAP:
         return "ins"
-    if col.right is None:
+    if right == GAP:
         return "del"
-    return "match" if col.left.symbol == col.right.symbol else "sub"
+    return "match" if left == right else "sub"
 
 
 # The classic "straat" pair. The illustrative alignments in the source
@@ -59,12 +60,14 @@ def test_constraint_never_pairs_vowel_with_obstruent(tok):
         a = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 6)))
         b = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 6)))
         al = align_pair(tok(a), tok(b), cm)
+        seg = {s.symbol: s for s in tok(a) + tok(b)}
         for col in al.columns:
-            if col.left is None or col.right is None:
+            if GAP in col:
                 continue
-            if col.left.klass is not col.right.klass:
+            left, right = (seg[s] for s in col)
+            if left.klass is not right.klass:
                 vowel, cons = sorted(
-                    (col.left, col.right), key=lambda s: s.klass.value, reverse=True
+                    (left, right), key=lambda s: s.klass.value, reverse=True
                 )
                 assert vowel.is_schwa and cons.is_sonorant_consonant
 
@@ -98,7 +101,7 @@ def test_both_empty_normalize_raises():
 def test_total_cost_is_column_sum(tok):
     cm = binary_cost_model()
     al = align_pair(tok(OLDER), tok(NEWER), cm)
-    assert al.total_cost == sum(c.cost for c in al.columns)
+    assert al.total_cost == sum(al.costs)
 
 
 def test_symmetry(tok):

@@ -189,16 +189,24 @@ def test_read_rejects_distance_outside_unit_interval(tmp_path, value):
     assert str(exc.value).startswith(f"{path}: line 2: ")
 
 
+@pytest.mark.parametrize("repeat", ["b\ta\t0.9", "a\tb\t0.2"])
+def test_read_rejects_repeated_pair(tmp_path, repeat):
+    path = tmp_path / "pmi.tsv"
+    path.write_text(f"a\tb\t0.2\nd\t{GAP}\t0.5\n{repeat}\n", encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        PmiTable.read(path)
+    assert str(exc.value) == (
+        f"{path}: line 3: repeated pair ('a', 'b') (first at line 1)"
+    )
+
+
 def test_induction_respects_constraint(table):
     # vowel-obstruent columns must never occur in induction alignments
     corpus = corpus_from_strings(table, [("pat", "tap"), ("ip", "pi")] * 30)
     result = induce_distances(corpus, binary_cost_model())
-    cm = CostModel(result)
-    al = align_pair(
-        tokenize("ip", table),
-        tokenize("pi", table),
-        cm,
-    )
-    for col in al.columns:
-        if col.left is not None and col.right is not None:
-            assert col.left.klass is col.right.klass
+    a, b = tokenize("ip", table), tokenize("pi", table)
+    al = align_pair(a, b, CostModel(result))
+    klass = {s.symbol: s.klass for s in a + b}
+    for left, right in al.columns:
+        if GAP not in (left, right):
+            assert klass[left] is klass[right]

@@ -4,15 +4,9 @@ import random
 import pytest
 from loop_dp import brute_force_min_cost, double_pairwise_delta
 
-from dialign.costs import GAP, CostModel, binary_cost_model
+from dialign.costs import GAP, Alignment, CostModel, binary_cost_model
 from dialign.pmi import PmiTable, induce_distances
-from dialign.triple import (
-    MOVES,
-    TripleColumn,
-    align_triple,
-    column_direction,
-    decompose,
-)
+from dialign.triple import MOVES, align_triple, decompose, directions
 
 
 def test_worked_example_reproduces_reference_layout(tok):
@@ -22,21 +16,16 @@ def test_worked_example_reproduces_reference_layout(tok):
     cm = binary_cost_model(constrained=True)
     al = align_triple(tok("strodə"), tok("strɔət"), tok("strat"), cm)
     assert al.length == 7
-    layout = [
-        (c.x and c.x.symbol, c.y and c.y.symbol, c.z and c.z.symbol)
-        for c in al.columns
-    ]
-    assert layout == [
+    assert al.columns == (
         ("s", "s", "s"),
         ("t", "t", "t"),
         ("r", "r", "r"),
         ("o", "ɔ", "a"),
-        (None, "ə", None),
+        (GAP, "ə", GAP),
         ("d", "t", "t"),
-        ("ə", None, None),
-    ]
-    directions = [column_direction(c, cm) for c in al.columns]
-    assert directions == [0, 0, 0, 0, 1, -1, -1]
+        ("ə", GAP, GAP),
+    )
+    assert directions(al, cm) == [0, 0, 0, 0, 1, -1, -1]
     conv, div = decompose(al, cm)
     assert conv == pytest.approx(2 / 7)
     assert div == pytest.approx(1 / 7)
@@ -47,7 +36,7 @@ def test_identity_triple(tok):
     al = align_triple(tok("strat"), tok("strat"), tok("strat"), cm)
     assert al.total_cost == 0
     assert al.length == 5
-    assert all(c.stable for c in al.columns)
+    assert all(x == y == z != GAP for x, y, z in al.columns)
     assert decompose(al, cm) == (0.0, 0.0)
 
 
@@ -62,7 +51,7 @@ def test_seven_presence_patterns_only(tok):
         ]
         al = align_triple(*(tok(s) for s in strs), cm)
         for col in al.columns:
-            presence = (col.x is not None, col.y is not None, col.z is not None)
+            presence = tuple(s != GAP for s in col)
             assert presence != (False, False, False)
             seen.add(presence)
     assert seen <= {tuple(bool(d) for d in m) for m in MOVES}
@@ -84,28 +73,25 @@ def test_matches_brute_force_on_random_triples(tok):
     "x,y,z,expected",
     [
         ("d", "t", "t", -1.0),  # change toward the standard
-        (None, "ə", None, 1.0),  # newer-only material: away from standard
+        (GAP, "ə", GAP, 1.0),  # newer-only material: away from standard
         ("o", "ɔ", "a", 0.0),  # equally distant: neutral
     ],
+    ids=["conv", "div", "neutral"],
 )
-def test_column_direction_binary(tok, x, y, z, expected):
-    col = TripleColumn(
-        tok(x)[0] if x else None,
-        tok(y)[0] if y else None,
-        tok(z)[0] if z else None,
-        0.0,
-    )
-    assert column_direction(col, binary_cost_model()) == expected
+def test_directions_binary(tok, x, y, z, expected):
+    cm = binary_cost_model()
+    cm.numbers(tok("".join(s for s in (x, y, z) if s != GAP)))
+    al = Alignment(((x, y, z),), (0.0,), 0.0)
+    assert directions(al, cm) == [expected]
 
 
 def test_decompose_single_column_weighted(tok):
     dist = PmiTable({("a", "b"): 0.4, ("a", GAP): 0.8, ("b", GAP): 0.9})
-    col = TripleColumn(tok("a")[0], tok("b")[0], tok("b")[0], 0.0)
+    cm = CostModel(dist, constrained=False)
+    cm.numbers(tok("ab"))
     # direction = dist(b,b) - dist(a,b) = -0.4 -> convergence magnitude 0.4
-    from dialign.triple import TripleAlignment
-
-    al = TripleAlignment((col,), 0.0)
-    conv, div = decompose(al, CostModel(dist, constrained=False))
+    al = Alignment((("a", "b", "b"),), (0.0,), 0.0)
+    conv, div = decompose(al, cm)
     assert conv == pytest.approx(0.4)
     assert div == 0.0
 
