@@ -69,6 +69,20 @@ def summarize(
     return summaries
 
 
+PERM_CELLS = 2**15  # permutations are drawn in blocks of about this many cells
+
+
+def _hits(values, perm, rest, observed) -> int:
+    """How many rows of the permutation mask perm (rest = ~perm) give a
+    statistic at least as extreme as observed. The mask gather keeps each
+    row's values in location order, so each row mean is bit-identical to
+    the 1-D mean of that one permutation."""
+    b = len(perm)
+    v = np.broadcast_to(values, perm.shape)
+    diff = v[perm].reshape(b, -1).mean(axis=1) - v[rest].reshape(b, -1).mean(axis=1)
+    return int(np.count_nonzero(np.abs(diff) >= abs(observed)))
+
+
 def permutation_contrast(
     by_loc: dict[str, list[ChangeRecord]],
     groups: GroupMap,
@@ -82,16 +96,18 @@ def permutation_contrast(
     The statistic is the difference between the mean of per-location
     means in the LS group and in the combined other groups. Both
     measures are scored on every permutation; the p-values use the
-    add-one correction.
+    add-one correction. The permutations are drawn PERM_CELLS // n at a
+    time, one per row of a block, on the stream of repeated
+    rng.permutation calls, so the block size changes no result.
     """
     if n_perm < 999:
         raise ValueError("n_perm must be >= 999")
-    locations = list(by_loc)
-    is_ls = np.array([groups.is_ls(loc) for loc in locations])
+    is_ls = np.array([groups.is_ls(loc) for loc in by_loc])
+    n = len(is_ls)
     n_ls = int(is_ls.sum())
-    if n_ls == 0 or n_ls == len(locations):
+    if n_ls == 0 or n_ls == n:
         raise DegenerateContrast(
-            f"contrast needs locations on both sides (LS={n_ls} of {len(locations)})"
+            f"contrast needs locations on both sides (LS={n_ls} of {n})"
         )
 
     rows = list(by_loc.values())
@@ -99,15 +115,16 @@ def permutation_contrast(
     div = np.array([float(np.mean([r.div for r in rs])) for rs in rows])
     obs_conv = float(conv[is_ls].mean() - conv[~is_ls].mean())
     obs_div = float(div[is_ls].mean() - div[~is_ls].mean())
+    block = max(1, PERM_CELLS // n)
     rng = np.random.default_rng(seed)
     hits_conv = hits_div = 0
-    for _ in range(n_perm):
-        perm = rng.permutation(is_ls)
+    for start in range(0, n_perm, block):
+        b = min(block, n_perm - start)
+        # Row i is the draw of the i-th rng.permutation(is_ls) call.
+        perm = rng.permuted(np.broadcast_to(is_ls, (b, n)).copy(), axis=1)
         rest = ~perm
-        if abs(conv[perm].mean() - conv[rest].mean()) >= abs(obs_conv):
-            hits_conv += 1
-        if abs(div[perm].mean() - div[rest].mean()) >= abs(obs_div):
-            hits_div += 1
+        hits_conv += _hits(conv, perm, rest, obs_conv)
+        hits_div += _hits(div, perm, rest, obs_div)
 
     def result(measure, observed, hits):
         direction = f"{measure}_{'higher' if observed > 0 else 'lower'}_in_ls"

@@ -15,7 +15,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import analysis, pmi as pmi_mod
+from . import pmi as pmi_mod
 from .corpus import GroupMap, ingest, pair, retention_report
 from .costs import GAP, BinaryDistanceTable, CostModel, binary_cost_model
 from .errors import DialignError, EmptyCorpus, ParseError, read_lines, read_table
@@ -165,8 +165,8 @@ def cmd_pmi(args) -> int:
 
 def _read_change_records(path) -> list[ChangeRecord]:
     """The records of a change-record CSV; a repeated (location, word) is
-    a ParseError naming both lines, and so is a conv or div outside [0, 1]
-    or an alignment_length below 1 naming its line."""
+    a ParseError naming both lines, and so is a conv or div outside [0, 1],
+    a conv + div above 1 or an alignment_length below 1 naming its line."""
     lines = read_lines(path)
     if not lines or lines[0] != "location,word,conv,div,alignment_length":
         raise ParseError(path, 1, "not a change-record CSV")
@@ -185,6 +185,8 @@ def _read_change_records(path) -> list[ChangeRecord]:
         for name, value in (("conv", conv), ("div", div)):
             if not 0.0 <= value <= 1.0:  # also false for NaN
                 raise ParseError(path, lineno, f"{name} {value} outside [0, 1]")
+        if conv + div > 1.0 + 2e-6:  # the slack covers align's 6-decimal rounding
+            raise ParseError(path, lineno, f"conv + div {conv + div} above 1")
         if length < 1:
             raise ParseError(path, lineno, f"alignment_length {length} below 1")
         first = first_line.setdefault((fields[0], fields[1]), lineno)
@@ -200,6 +202,8 @@ def _read_change_records(path) -> list[ChangeRecord]:
 
 
 def cmd_report(args) -> int:
+    from . import analysis  # numpy is imported by report alone
+
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     records = _read_change_records(args.records)

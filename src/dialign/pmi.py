@@ -38,9 +38,12 @@ class PmiTable:
     converged: bool = False
 
     def __post_init__(self):
-        normalized = {
-            (a, b) if a <= b else (b, a): v for (a, b), v in self.dist.items()
-        }
+        normalized = {}
+        for (a, b), v in self.dist.items():
+            key = (a, b) if a <= b else (b, a)
+            if key in normalized:
+                raise ValueError(f"pair {key} given in both orders")
+            normalized[key] = v
         object.__setattr__(self, "dist", normalized)
 
     def distance(self, a: str, b: str) -> float:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dialign.analysis import (
+    PERM_CELLS,
     ContrastResult,
     by_location,
     export_geo,
@@ -104,9 +105,16 @@ def permutation_contrast_loop(records, groups, measure, n_perm, seed):
     return ContrastResult(measure, observed, p_value, n_perm, direction)
 
 
-@pytest.mark.parametrize("n_perm", [999, 1001])
-def test_one_stream_matches_per_measure_streams(n_perm):
-    groups = make_groups(7, 9)
+# 16 locations give blocks of 2048 permutations and 40 give blocks of
+# 819, so 5003 spans three and seven blocks, the last one short.
+@pytest.mark.parametrize(
+    "n_perm,n_ls,n_other",
+    [pytest.param(n, 7, 9, id=str(n)) for n in (999, 1001, 5003)]
+    + [pytest.param(n, 15, 25, id=f"{n}-40loc") for n in (999, 1001, 5003)],
+)
+def test_one_stream_matches_per_measure_streams(n_perm, n_ls, n_other):
+    assert PERM_CELLS // (n_ls + n_other) in (2048, 819)
+    groups = make_groups(n_ls, n_other)
     for seed in range(10):
         records = make_records(groups, random.Random(seed), conv_shift_ls=0.002)
         by_loc = by_location(records, groups)

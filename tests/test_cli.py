@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import dialign
 from dialign.cli import main
 from dialign.corpus import ingest, pair
 from dialign.costs import binary_cost_model
@@ -198,6 +202,13 @@ def test_report_missing_group_map(tmp_path, corpus_path):
     assert rc == 1
 
 
+def test_cli_import_does_not_load_numpy():
+    # Only report needs numpy; pmi and align should not pay for importing it.
+    env = dict(os.environ, PYTHONPATH=str(Path(dialign.__file__).parents[1]))
+    code = "import dialign.cli, sys; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
 def test_pmi_and_align_induce_identically(tmp_path, corpus_path):
     opts = ["--max-iter", "3", "--smoothing", "0.3"]
     out_pmi, out_align = tmp_path / "pmi", tmp_path / "align"
@@ -238,7 +249,8 @@ def run_report(
 @pytest.mark.parametrize(
     "field,value",
     [pytest.param(field, "x", id=str(field)) for field in (2, 3, 4)]
-    + [(2, "nan"), (3, "inf"), (2, "-0.1"), (3, "1.5"), (4, "0"), (4, "-3")],
+    + [(2, "nan"), (3, "inf"), (2, "-0.1"), (3, "1.5"), (4, "0"), (4, "-3")]
+    + [(2, "0.900003")],  # conv + div above 1 by more than the rounding slack
 )
 def test_report_non_numeric_change_record(tmp_path, capsys, field, value):
     lines = RECORDS_6.splitlines()
@@ -284,7 +296,7 @@ def test_report_coords_missing_location(tmp_path, capsys):
 
 def test_report_rejects_duplicate_record(tmp_path, capsys):
     lines = RECORDS_6.splitlines()
-    records = "\n".join(lines + [lines[2].replace(",0.1,7", ",0.9,7")]) + "\n"
+    records = "\n".join(lines + [lines[2].replace(",0.1,7", ",0.5,7")]) + "\n"
     assert run_report(tmp_path, records=records) == 1
     path = tmp_path / "change_records.csv"
     err = capsys.readouterr().err
@@ -296,7 +308,8 @@ def test_report_rejects_duplicate_record(tmp_path, capsys):
 def test_report_ignores_record_order(tmp_path):
     rng = random.Random(4)
     rows = [
-        f"loc0{i},w{w},{rng.random():.6f},{rng.random():.6f},{rng.randint(3, 9)}"
+        f"loc0{i},w{w},{rng.random() / 2:.6f},{rng.random() / 2:.6f},"
+        f"{rng.randint(3, 9)}"
         for i in range(1, 7)
         for w in range(5)
     ]

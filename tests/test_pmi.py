@@ -166,6 +166,11 @@ def test_missing_pair_is_an_error():
         t.distance("b", GAP)
 
 
+def test_pair_in_both_orders_is_an_error():
+    with pytest.raises(ValueError, match=r"pair \('a', 'b'\) given in both orders"):
+        PmiTable({("a", "b"): 0.2, ("b", "a"): 0.9})
+
+
 def test_serialization_roundtrip(tmp_path, table):
     corpus = corpus_from_strings(table, make_vowel_shift_pairs())
     result = induce_distances(corpus, binary_cost_model())
