@@ -212,9 +212,16 @@ def cmd_report(args) -> int:
     inputs = [args.records, args.groups]
     geo = None
     if args.coords:  # a bad coords file fails before the permutation test
-        coords = {}
+        coords, first_line = {}, {}
         usage = "location<TAB>lon<TAB>lat"
         for lineno, (location, lon, lat) in read_table(args.coords, usage, 3):
+            first = first_line.setdefault(location, lineno)
+            if first != lineno:
+                raise ParseError(
+                    args.coords,
+                    lineno,
+                    f"duplicate location {location!r} (first at line {first})",
+                )
             try:
                 coords[location] = (float(lon), float(lat))
             except ValueError as exc:

@@ -91,8 +91,8 @@ def ingest(path) -> list[CorpusRecord]:
         )
 
     records = []
-    seen: set[tuple[str, str, str]] = set()
-    std_words: set[str] = set()
+    first_line: dict[tuple[str, str, str], int] = {}
+    std_line: dict[str, int] = {}  # word -> line of its standard row
     for lineno, line in enumerate(lines[1:], 2):
         if not line.strip():
             continue
@@ -126,15 +126,23 @@ def ingest(path) -> list[CorpusRecord]:
                 )
             raw = ""
         key = (location, word, source_tok)  # str keys: enum hashing is slow
-        if key in seen:
-            raise DuplicateRecord(f"duplicate record for {(location, word, source)}")
-        seen.add(key)
+        first = first_line.setdefault(key, lineno)
+        if first != lineno:
+            raise DuplicateRecord(
+                path,
+                lineno,
+                f"duplicate record for location {location!r}, word {word!r}, "
+                f"source {source_tok} (first at line {first})",
+            )
         if source is Source.STANDARD:
-            if word in std_words:
+            first = std_line.setdefault(word, lineno)
+            if first != lineno:
                 raise DuplicateRecord(
-                    f"multiple standard transcriptions for word {word!r}"
+                    path,
+                    lineno,
+                    f"second standard transcription for word {word!r} "
+                    f"(first at line {first})",
                 )
-            std_words.add(word)
         records.append(
             CorpusRecord(
                 location, word, source, raw, cognate_id or None, exclusion,

@@ -59,7 +59,7 @@ def read_table(path, usage: str, n_fields: int, max_fields: int | None = None):
         yield lineno, fields
 
 
-class DuplicateRecord(DialignError):
+class DuplicateRecord(ParseError):
     pass
 
 

@@ -14,19 +14,12 @@ import math
 from .costs import GAP, Alignment, CostModel
 
 
-def align_pair(sa, sb, cm: CostModel) -> Alignment:
-    """Minimal-cost alignment of maximal length among the optima of two
-    segment sequences."""
-    n, m = len(sa), len(sb)
+def fill(ga, gb, sub):
+    """The cost and length tables of the 2D lattice of strings a and b, from
+    their segments' gap prices ga, gb and substitution prices sub[i][j]."""
+    n, m = len(ga), len(gb)
 
-    # Each pair price is read from the cost model once per call.
-    na, nb = cm.numbers(sa), cm.numbers(sb)
-    rows = [cm.cost[u] for u in na]
-    ga = [r[0] for r in rows]
-    gb = [cm.cost[0][v] for v in nb]
-    sub = [[r[v] for v in nb] for r in rows]
-
-    # cost[i][j]: minimal cost aligning sa[:i] with sb[:j];
+    # cost[i][j]: minimal cost aligning a[:i] with b[:j];
     # alen[i][j]: maximal column count among minimal-cost alignments.
     cost = [[math.inf] * (m + 1) for _ in range(n + 1)]
     alen = [[0] * (m + 1) for _ in range(n + 1)]
@@ -56,6 +49,21 @@ def align_pair(sa, sb, cm: CostModel) -> Alignment:
                 blen = la[j - 1] + 1
             cb[j] = best
             lb[j] = blen
+    return cost, alen
+
+
+def align_pair(sa, sb, cm: CostModel) -> Alignment:
+    """Minimal-cost alignment of maximal length among the optima of two
+    segment sequences."""
+    n, m = len(sa), len(sb)
+
+    # Each pair price is read from the cost model once per call.
+    na, nb = cm.numbers(sa), cm.numbers(sb)
+    rows = [cm.cost[u] for u in na]
+    ga = [r[0] for r in rows]
+    gb = [cm.cost[0][v] for v in nb]
+    sub = [[r[v] for v in nb] for r in rows]
+    cost, alen = fill(ga, gb, sub)
 
     # Traceback, right-to-left; tie preference: del > ins > sub.
     columns, costs = [], []

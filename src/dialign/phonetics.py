@@ -163,12 +163,13 @@ def tokenize(raw: str, table: SegmentTable) -> tuple[Segment, ...]:
         if _is_modifier(ch):
             # modifier with no preceding base symbol
             raise UnknownSymbol(i, ch)
-        if ch not in table.entries:
-            raise UnknownSymbol(i, ch)
         j = i + 1
         while j < len(raw) and _is_modifier(raw[j]):
             j += 1
-        segments.append(table.segment(raw[i:j]))
+        try:  # the table knows the segment or its base symbol
+            segments.append(table.segment(raw[i:j]))
+        except UnknownSymbol:
+            raise UnknownSymbol(i, ch) from None
         i = j
     return tuple(segments)
 

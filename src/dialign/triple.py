@@ -1,19 +1,20 @@
 """Three-string alignment of (older, newer, standard) transcriptions.
 
 The cubic-lattice DP uses seven column operations: advance any one
-string, any two, or all three. Column cost is the sum of the three
-pairwise distances, with gap-gap pairs costing 0 and segment-gap pairs
-priced at the segment's gap distance. Per-column direction of change is
-distance(newer, standard) - distance(older, standard): positive means
-divergence from the standard, negative convergence towards it.
+string, any two, or all three; their order in MOVES matters only to the
+traceback. Column cost is the sum of the three pairwise distances, with
+gap-gap pairs costing 0 and segment-gap pairs priced at the segment's
+gap distance. Per-column direction of change is distance(newer,
+standard) - distance(older, standard): positive means divergence from
+the standard, negative convergence towards it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .costs import GAP, Alignment, CostModel
+from .pairwise import fill
 
 # Moves as (dx, dy, dz) in frozen traceback preference order: single-string
 # advances first (x, then y, then z), then pairs, then all three.
@@ -66,60 +67,50 @@ def align_triple(sx, sy, sz, cm: CostModel) -> Alignment:
     dxz = [[C[u][w] for w in uz] for u in ux]
     dyz = [[C[v][w] for w in uz] for v in uy]
 
-    inf = math.inf
-    cost = [[[inf] * (nz + 1) for _ in range(ny + 1)] for _ in range(nx + 1)]
-    alen = [[[0] * (nz + 1) for _ in range(ny + 1)] for _ in range(nx + 1)]
-    cost[0][0][0] = 0.0
+    # The faces i = 0, j = 0 and k = 0 are the 2D lattices of the other two
+    # strings. A cell keeps the cheapest candidate, and the longest among
+    # those, so its value is the same whatever order they are tried in.
+    face_i, len_i = fill(c_y, c_z, c_yz)  # cost[0][j][k]
+    face_j, len_j = fill(c_x, c_z, c_xz)  # cost[i][0][k]
+    face_k, len_k = fill(c_x, c_y, c_xy)  # cost[i][j][0]
+    cost, alen = [face_i], [len_i]
+    for i in range(1, nx + 1):
+        cost.append([face_j[i]] + [[c] + [0.0] * nz for c in face_k[i][1:]])
+        alen.append([len_j[i]] + [[n] + [0] * nz for n in len_k[i][1:]])
 
-    # Gap costs are finite, so every lattice point but the origin is
-    # reached at finite cost by a single-string move, and those come first
-    # in MOVES; a later candidate replaces the best one only if it is
-    # cheaper, or as cheap and longer. The moves are unrolled in MOVES
-    # order (about 3x faster than looping over MOVES); each row is named by
-    # the move that reads it.
-    for i in range(nx + 1):
-        for j in range(ny + 1):
+    # Every move is open in the interior; the first, (1, 0, 0), starts the
+    # comparison. The moves are unrolled (about 3x faster than looping over
+    # MOVES); each row is named by the move that reads it.
+    for i in range(1, nx + 1):
+        cx, cxz, dxz_i = c_x[i - 1], c_xz[i - 1], dxz[i - 1]
+        for j in range(1, ny + 1):
             r_z, l_z = cost[i][j], alen[i][j]
-            if i:
-                r_x, l_x = cost[i - 1][j], alen[i - 1][j]
-                cx, cxz, dxz_i = c_x[i - 1], c_xz[i - 1], dxz[i - 1]
-            if j:
-                r_y, l_y = cost[i][j - 1], alen[i][j - 1]
-                cy, cyz, dyz_j = c_y[j - 1], c_yz[j - 1], dyz[j - 1]
-            if i and j:
-                r_xy, l_xy = cost[i - 1][j - 1], alen[i - 1][j - 1]
-                cxy, dxy_ij = c_xy[i - 1][j - 1], dxy[i - 1][j - 1]
-            for k in range(0 if i or j else 1, nz + 1):
-                best = inf
-                blen = 0
-                if i:  # (1, 0, 0)
-                    best, blen = r_x[k] + cx, l_x[k] + 1
-                if j:  # (0, 1, 0)
-                    c, n = r_y[k] + cy, l_y[k] + 1
-                    if c < best or (c == best and n > blen):
-                        best, blen = c, n
-                if k:  # (0, 0, 1)
-                    c, n = r_z[k - 1] + c_z[k - 1], l_z[k - 1] + 1
-                    if c < best or (c == best and n > blen):
-                        best, blen = c, n
-                if i and j:  # (1, 1, 0)
-                    c, n = r_xy[k] + cxy, l_xy[k] + 1
-                    if c < best or (c == best and n > blen):
-                        best, blen = c, n
-                if k:
-                    if i:  # (1, 0, 1)
-                        c, n = r_x[k - 1] + cxz[k - 1], l_x[k - 1] + 1
-                        if c < best or (c == best and n > blen):
-                            best, blen = c, n
-                    if j:  # (0, 1, 1)
-                        c, n = r_y[k - 1] + cyz[k - 1], l_y[k - 1] + 1
-                        if c < best or (c == best and n > blen):
-                            best, blen = c, n
-                    if i and j:  # (1, 1, 1)
-                        c = r_xy[k - 1] + ((dxy_ij + dxz_i[k - 1]) + dyz_j[k - 1])
-                        n = l_xy[k - 1] + 1
-                        if c < best or (c == best and n > blen):
-                            best, blen = c, n
+            r_x, l_x = cost[i - 1][j], alen[i - 1][j]
+            r_y, l_y = cost[i][j - 1], alen[i][j - 1]
+            r_xy, l_xy = cost[i - 1][j - 1], alen[i - 1][j - 1]
+            cy, cyz, dyz_j = c_y[j - 1], c_yz[j - 1], dyz[j - 1]
+            cxy, dxy_ij = c_xy[i - 1][j - 1], dxy[i - 1][j - 1]
+            for k in range(1, nz + 1):
+                best, blen = r_x[k] + cx, l_x[k] + 1  # (1, 0, 0)
+                c, n = r_y[k] + cy, l_y[k] + 1  # (0, 1, 0)
+                if c < best or (c == best and n > blen):
+                    best, blen = c, n
+                c, n = r_z[k - 1] + c_z[k - 1], l_z[k - 1] + 1  # (0, 0, 1)
+                if c < best or (c == best and n > blen):
+                    best, blen = c, n
+                c, n = r_xy[k] + cxy, l_xy[k] + 1  # (1, 1, 0)
+                if c < best or (c == best and n > blen):
+                    best, blen = c, n
+                c, n = r_x[k - 1] + cxz[k - 1], l_x[k - 1] + 1  # (1, 0, 1)
+                if c < best or (c == best and n > blen):
+                    best, blen = c, n
+                c, n = r_y[k - 1] + cyz[k - 1], l_y[k - 1] + 1  # (0, 1, 1)
+                if c < best or (c == best and n > blen):
+                    best, blen = c, n
+                c = r_xy[k - 1] + ((dxy_ij + dxz_i[k - 1]) + dyz_j[k - 1])  # (1, 1, 1)
+                n = l_xy[k - 1] + 1
+                if c < best or (c == best and n > blen):
+                    best, blen = c, n
                 r_z[k] = best
                 l_z[k] = blen
 

@@ -273,6 +273,7 @@ def test_report_non_numeric_change_record(tmp_path, capsys, field, value):
         "loc02\tnan\t53.0",
         "loc02\t5.0\tinf",
         "loc01\t-inf\t1",
+        "loc01\t5.0\t53.0",  # loc01 is also on line 1
     ],
 )
 def test_report_non_numeric_coords(tmp_path, capsys, line):

@@ -43,8 +43,13 @@ def test_ingest_duplicate_row(tmp_path):
             "kampen\tstraat\tolder\tstrodə\tstraat\t-",
         ],
     )
-    with pytest.raises(DuplicateRecord):
+    with pytest.raises(DuplicateRecord) as info:
         ingest(path)
+    assert (info.value.path, info.value.line) == (path, 3)
+    assert str(info.value) == (
+        f"{path}: line 3: duplicate record for location 'kampen', word "
+        "'straat', source older (first at line 2)"
+    )
 
 
 def test_ingest_duplicate_standard_word(tmp_path):
@@ -55,8 +60,13 @@ def test_ingest_duplicate_standard_word(tmp_path):
             "b\tstraat\tstandard\tstrat\tstraat\t-",
         ],
     )
-    with pytest.raises(DuplicateRecord):
+    with pytest.raises(DuplicateRecord) as info:
         ingest(path)
+    assert (info.value.path, info.value.line) == (path, 3)
+    assert str(info.value) == (
+        f"{path}: line 3: second standard transcription for word 'straat' "
+        "(first at line 2)"
+    )
 
 
 @pytest.mark.parametrize(

@@ -75,6 +75,16 @@ def segment_of(*words) -> dict:
 # one for the substitution, in 3D one for each move after the first in
 # MOVES. All are under unconstrained unit costs but one.
 UNIT, UNIT_CONSTRAINED = binary_cost_model(False), binary_cost_model(True)
+# With one string empty, the 3D lattice is the 2D lattice of the other
+# two, which align_triple fills with pairwise.fill. The face examples pin
+# each face: under this dyadic table the face of "ttaa" and "ata" meets
+# both 2D ties that the longer alignment wins, the insertion's and the
+# substitution's; under UNIT the face of "aaə" and "ət" meets the
+# insertion's.
+FACE_TIES = CostModel(
+    PmiTable({(GAP, "a"): 0.25, (GAP, "t"): 0.25, ("a", "t"): 0.25, ("t", "t"): 0.25}),
+    constrained=False,
+)
 
 
 @SETTINGS
@@ -96,6 +106,13 @@ def test_align_pair_matches_loop_reference(a, b, cm):
 @example(*tok("aaə", "tata", "aaə"), UNIT)
 @example(*tok("ta", "aaəə", "atət"), UNIT_CONSTRAINED)
 @example(*tok("aaə", "aətt", "tata"), UNIT)
+@example((), *tok("ttaa", "ata"), FACE_TIES)
+@example(*tok("ttaa"), (), *tok("ata"), FACE_TIES)
+@example(*tok("ttaa", "ata"), (), FACE_TIES)
+@example((), *tok("aaə", "ət"), UNIT)
+@example(*tok("aaə"), (), *tok("ət"), UNIT)
+@example(*tok("aaə", "ət"), (), UNIT)
+@example((), (), *tok("atə"), UNIT)
 def test_align_triple_matches_loop_reference(x, y, z, cm):
     got, want = align_triple(x, y, z, cm), align_triple_loop(x, y, z, cm)
     assert got.total_cost == want.total_cost

@@ -143,7 +143,8 @@ def test_table_from_file(tmp_path):
         "a\tV\n"
         "ə\tV\tschwa\n"
         "n\tC\tsonorant\n"
-        "p\tC\t-\n",
+        "p\tC\t-\n"
+        "tʰ\tC\n",
         encoding="utf-8",
     )
     table = SegmentTable.from_file(path)
@@ -151,6 +152,11 @@ def test_table_from_file(tmp_path):
     assert table.classify("n") == (SegmentClass.CONSONANT, True, False)
     segs = tokenize("pan", table)
     assert [s.symbol for s in segs] == ["p", "a", "n"]
+    # an entry may carry modifiers without its base
+    assert [s.symbol for s in tokenize("tʰa", table)] == ["tʰ", "a"]
+    with pytest.raises(UnknownSymbol) as info:
+        tokenize("ata", table)  # the entry does not stand for its base
+    assert (info.value.position, info.value.char) == (1, "t")
 
 
 @pytest.mark.parametrize(
