@@ -18,7 +18,7 @@ from pathlib import Path
 from . import pmi as pmi_mod
 from .corpus import GroupMap, ingest, pair, retention_report
 from .costs import GAP, BinaryDistanceTable, CostModel, binary_cost_model
-from .errors import DialignError, EmptyCorpus, ParseError, read_lines, read_table
+from .errors import DialignError, EmptyCorpus, FirstLines, ParseError, read_table
 from .pmi import InductionOptions, PmiTable
 from .phonetics import SegmentTable
 from .triple import ChangeRecord, align_triple, decompose, directions
@@ -29,12 +29,22 @@ EXIT_OK = 0
 EXIT_DATA_ERROR = 1
 EXIT_CONFIG_ERROR = 2
 
+_RECORDS_HEADER = "location,word,conv,div,alignment_length"
+
 
 def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _write_manifest(outdir: Path, args, inputs: list[str]) -> None:
+def _write(args, name: str, text: str) -> None:
+    """Write one output file as UTF-8, creating --out-dir on first use, so
+    a run that fails before its first output leaves no directory behind."""
+    outdir = Path(args.out_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    (outdir / name).write_text(text, encoding="utf-8")
+
+
+def _write_manifest(args, inputs: list[str]) -> None:
     config = {
         k: str(v) if isinstance(v, Path) else v
         for k, v in sorted(vars(args).items())
@@ -44,9 +54,8 @@ def _write_manifest(outdir: Path, args, inputs: list[str]) -> None:
         "config": config,
         "inputs": {p: _sha256(p) for p in sorted({p for p in inputs if p})},
     }
-    (outdir / "run_manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    _write(args, "run_manifest.json", text)
 
 
 def _load_triples(args):
@@ -61,7 +70,7 @@ def _load_triples(args):
     return triples, excluded
 
 
-def _induce(args, triples, outdir: Path) -> PmiTable:
+def _induce(args, triples) -> PmiTable:
     """Induce PMI distances from the triples' (older, standard) and
     (newer, standard) pairs; writes pmi_table.tsv and pmi_log.txt."""
     pairs = []
@@ -71,11 +80,12 @@ def _induce(args, triples, outdir: Path) -> PmiTable:
     opts = InductionOptions(max_iter=args.max_iter, smoothing=args.smoothing)
     init = binary_cost_model(constrained=not args.unconstrained)
     table = pmi_mod.induce_distances(pairs, init, opts)
-    table.write(outdir / "pmi_table.tsv")
-    (outdir / "pmi_log.txt").write_text(
+    _write(args, "pmi_table.tsv", table.to_tsv())
+    _write(
+        args,
+        "pmi_log.txt",
         f"iterations_run\t{table.iterations_run}\n"
         f"converged\t{str(table.converged).lower()}\n",
-        encoding="utf-8",
     )
     return table
 
@@ -106,15 +116,13 @@ def _dump_alignment(t, al, cm) -> str:
 
 
 def cmd_align(args) -> int:
-    outdir = Path(args.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     triples, excluded = _load_triples(args)
     if args.mode == "binary":
         dist_table = BinaryDistanceTable()
     elif args.mode == "load":
         dist_table = PmiTable.read(args.pmi_table)
     else:
-        dist_table = _induce(args, triples, outdir)
+        dist_table = _induce(args, triples)
     cm = CostModel(dist_table, constrained=not args.unconstrained)
 
     change_records = []
@@ -138,28 +146,22 @@ def cmd_align(args) -> int:
         )
         dumps.append(_dump_alignment(t, al, cm))
 
-    lines = ["location,word,conv,div,alignment_length"]
+    lines = [_RECORDS_HEADER]
     for r in change_records:
         lines.append(
             f"{r.location},{r.word},{r.conv:.6f},{r.div:.6f},{r.alignment_length}"
         )
-    (outdir / "change_records.csv").write_text(
-        "\n".join(lines) + "\n", encoding="utf-8"
-    )
-    (outdir / "alignments.txt").write_text("\n".join(dumps), encoding="utf-8")
-    (outdir / "retention.txt").write_text(
-        retention_report(triples, excluded).format(), encoding="utf-8"
-    )
-    _write_manifest(outdir, args, [args.corpus, args.segments, args.pmi_table])
+    _write(args, "change_records.csv", "\n".join(lines) + "\n")
+    _write(args, "alignments.txt", "\n".join(dumps))
+    _write(args, "retention.txt", retention_report(triples, excluded).format())
+    _write_manifest(args, [args.corpus, args.segments, args.pmi_table])
     return EXIT_OK
 
 
 def cmd_pmi(args) -> int:
-    outdir = Path(args.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     triples, _ = _load_triples(args)
-    _induce(args, triples, outdir)
-    _write_manifest(outdir, args, [args.corpus, args.segments])
+    _induce(args, triples)
+    _write_manifest(args, [args.corpus, args.segments])
     return EXIT_OK
 
 
@@ -167,17 +169,9 @@ def _read_change_records(path) -> list[ChangeRecord]:
     """The records of a change-record CSV; a repeated (location, word) is
     a ParseError naming both lines, and so is a conv or div outside [0, 1],
     a conv + div above 1 or an alignment_length below 1 naming its line."""
-    lines = read_lines(path)
-    if not lines or lines[0] != "location,word,conv,div,alignment_length":
-        raise ParseError(path, 1, "not a change-record CSV")
-    records = []
-    first_line: dict[tuple[str, str], int] = {}
-    for lineno, line in enumerate(lines[1:], 2):
-        if not line.strip():
-            continue
-        fields = line.split(",")
-        if len(fields) != 5:
-            raise ParseError(path, lineno, f"expected 5 fields, got {len(fields)}")
+    records, seen = [], FirstLines(path)
+    usage = "5 comma-separated fields"
+    for lineno, fields in read_table(path, usage, 5, header=_RECORDS_HEADER):
         try:
             conv, div, length = float(fields[2]), float(fields[3]), int(fields[4])
         except ValueError as exc:
@@ -189,14 +183,9 @@ def _read_change_records(path) -> list[ChangeRecord]:
             raise ParseError(path, lineno, f"conv + div {conv + div} above 1")
         if length < 1:
             raise ParseError(path, lineno, f"alignment_length {length} below 1")
-        first = first_line.setdefault((fields[0], fields[1]), lineno)
-        if first != lineno:
-            raise ParseError(
-                path,
-                lineno,
-                f"duplicate record for location {fields[0]!r}, word "
-                f"{fields[1]!r} (first at line {first})",
-            )
+        seen.add(
+            (fields[0], fields[1]), lineno, "duplicate record for location %r, word %r"
+        )
         records.append(ChangeRecord(fields[0], fields[1], conv, div, length))
     return records
 
@@ -204,24 +193,16 @@ def _read_change_records(path) -> list[ChangeRecord]:
 def cmd_report(args) -> int:
     from . import analysis  # numpy is imported by report alone
 
-    outdir = Path(args.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     records = _read_change_records(args.records)
     groups = GroupMap.from_file(args.groups)
     by_loc = analysis.by_location(records, groups)
     inputs = [args.records, args.groups]
     geo = None
     if args.coords:  # a bad coords file fails before the permutation test
-        coords, first_line = {}, {}
+        coords, seen = {}, FirstLines(args.coords)
         usage = "location<TAB>lon<TAB>lat"
         for lineno, (location, lon, lat) in read_table(args.coords, usage, 3):
-            first = first_line.setdefault(location, lineno)
-            if first != lineno:
-                raise ParseError(
-                    args.coords,
-                    lineno,
-                    f"duplicate location {location!r} (first at line {first})",
-                )
+            seen.add(location, lineno, "duplicate location %r")
             try:
                 coords[location] = (float(lon), float(lat))
             except ValueError as exc:
@@ -247,7 +228,7 @@ def cmd_report(args) -> int:
                 f"{s.group}\t{s.n_records}\t{s.mean_conv:.6f}\t{s.mean_div:.6f}"
                 f"\t{s.mean_conv + s.mean_div:.6f}"
             )
-    (outdir / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write(args, "summary.txt", "\n".join(lines) + "\n")
 
     contrast_lines = ["measure,statistic,p_value,n_permutations,direction"]
     for result in contrasts:
@@ -255,13 +236,10 @@ def cmd_report(args) -> int:
             f"{result.measure},{result.statistic:.6f},{result.p_value:.6f},"
             f"{result.n_permutations},{result.direction}"
         )
-    (outdir / "contrasts.csv").write_text(
-        "\n".join(contrast_lines) + "\n", encoding="utf-8"
-    )
-
+    _write(args, "contrasts.csv", "\n".join(contrast_lines) + "\n")
     if geo is not None:
-        (outdir / "geo.csv").write_text(geo, encoding="utf-8")
-    _write_manifest(outdir, args, inputs)
+        _write(args, "geo.csv", geo)
+    _write_manifest(args, inputs)
     return EXIT_OK
 
 

@@ -11,13 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import (
-    DuplicateRecord,
-    ParseError,
-    UnknownSymbol,
-    read_lines,
-    read_table,
-)
+from .errors import FirstLines, ParseError, UnknownSymbol, read_table
 from .phonetics import Segment, SegmentTable, Source
 
 # perfbench/tracer.py wraps the tokenizer under this module-level name.
@@ -44,7 +38,7 @@ _EXCLUSION_TOKENS = {e.value: e for e in Exclusion}
 
 GROUPS = ("FR", "DU-FR", "GR", "LS")
 
-_HEADER = ("location", "word", "source", "transcription", "cognate_id", "exclusion")
+_HEADER = "location\tword\tsource\ttranscription\tcognate_id\texclusion"
 
 
 @dataclass(frozen=True)
@@ -81,26 +75,10 @@ class ExcludedPair:
 def ingest(path) -> list[CorpusRecord]:
     """Parse the corpus TSV; duplicate (location, word, source) rows and
     malformed fields are errors."""
-    lines = read_lines(path)
-    if not lines:
-        raise ParseError(path, 1, "empty corpus file")
-    header = tuple(lines[0].rstrip("\n").split("\t"))
-    if header != _HEADER:
-        raise ParseError(
-            path, 1, f"expected header {list(_HEADER)}, got {list(header)}"
-        )
-
     records = []
-    first_line: dict[tuple[str, str, str], int] = {}
-    std_line: dict[str, int] = {}  # word -> line of its standard row
-    for lineno, line in enumerate(lines[1:], 2):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != len(_HEADER):
-            raise ParseError(
-                path, lineno, f"expected {len(_HEADER)} fields, got {len(fields)}"
-            )
+    rows, standards = FirstLines(path), FirstLines(path)
+    usage = "6 tab-separated fields"
+    for lineno, fields in read_table(path, usage, 6, header=_HEADER):
         location, word, source_tok, raw, cognate_id, exclusion_tok = fields
         if not location or not word:
             raise ParseError(path, lineno, "location and word must be non-empty")
@@ -126,23 +104,9 @@ def ingest(path) -> list[CorpusRecord]:
                 )
             raw = ""
         key = (location, word, source_tok)  # str keys: enum hashing is slow
-        first = first_line.setdefault(key, lineno)
-        if first != lineno:
-            raise DuplicateRecord(
-                path,
-                lineno,
-                f"duplicate record for location {location!r}, word {word!r}, "
-                f"source {source_tok} (first at line {first})",
-            )
+        rows.add(key, lineno, "duplicate record for location %r, word %r, source %s")
         if source is Source.STANDARD:
-            first = std_line.setdefault(word, lineno)
-            if first != lineno:
-                raise DuplicateRecord(
-                    path,
-                    lineno,
-                    f"second standard transcription for word {word!r} "
-                    f"(first at line {first})",
-                )
+            standards.add(word, lineno, "second standard transcription for word %r")
         records.append(
             CorpusRecord(
                 location, word, source, raw, cognate_id or None, exclusion,
@@ -273,12 +237,11 @@ class GroupMap:
 
     @classmethod
     def from_file(cls, path) -> "GroupMap":
-        assignments = {}
+        assignments, seen = {}, FirstLines(path)
         for lineno, (location, group) in read_table(path, "location<TAB>group", 2):
             group = "DU-FR" if group == "DUFR" else group
             if group not in GROUPS:
                 raise ParseError(path, lineno, f"unknown group {group!r}")
-            if location in assignments:
-                raise ParseError(path, lineno, f"duplicate location {location!r}")
+            seen.add(location, lineno, "duplicate location %r")
             assignments[location] = group
         return cls(assignments)

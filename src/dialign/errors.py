@@ -1,5 +1,6 @@
 """Exception types shared across the toolkit, and the reader of its
-line-oriented input files, which raises them."""
+line-oriented input tables and their duplicate-key check, which raise
+them."""
 
 from pathlib import Path
 
@@ -42,25 +43,60 @@ def read_lines(path) -> list[str]:
         raise ParseError(path, line, f"not UTF-8: {exc.reason}") from None
 
 
-def read_table(path, usage: str, n_fields: int, max_fields: int | None = None):
-    """Yield (line number, fields) of a headerless tab-separated table.
+def read_table(
+    path,
+    usage: str,
+    n_fields: int,
+    max_fields: int | None = None,
+    header: str | None = None,
+):
+    """Yield (line number, fields) of a table; blank lines are skipped.
 
-    Lines are stripped; blank lines and lines starting with '#' are
-    skipped. A line with fewer than n_fields or more than max_fields
-    (default n_fields) fields is a ParseError quoting ``usage``.
+    A headed table must start with exactly the line ``header`` and is
+    comma-separated if the header holds a ',', else tab-separated; its
+    lines are split as they are. A headerless table is tab-separated; its
+    lines are stripped, and lines starting with '#' are skipped. A line
+    with fewer than n_fields or more than max_fields (default n_fields)
+    fields is a ParseError quoting ``usage`` and the line's field count.
     """
-    for lineno, line in enumerate(read_lines(path), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
+    lines = read_lines(path)
+    if header is not None and lines[:1] != [header]:
+        raise ParseError(path, 1, f"expected header {header!r}")
+    sep = "," if header and "," in header else "\t"
+    for lineno, line in enumerate(lines, 1):
+        if header is None:
+            line = line.strip()
+            if line.startswith("#"):
+                continue
+        elif lineno == 1:
             continue
-        fields = line.split("\t")
+        if not line.strip():
+            continue
+        fields = line.split(sep)
         if not n_fields <= len(fields) <= (max_fields or n_fields):
-            raise ParseError(path, lineno, f"expected {usage}")
+            reason = f"expected {usage}, got {len(fields)} field(s)"
+            raise ParseError(path, lineno, reason)
         yield lineno, fields
 
 
 class DuplicateRecord(ParseError):
     pass
+
+
+class FirstLines:
+    """The line of each key's first record in one file; a repeated key is
+    a DuplicateRecord naming its line and the first one. Its message is
+    ``what % key``, formatted only then."""
+
+    def __init__(self, path):
+        self.path = path
+        self.lines = {}
+
+    def add(self, key, lineno: int, what: str) -> None:
+        first = self.lines.setdefault(key, lineno)
+        if first != lineno:
+            reason = f"{what % key} (first at line {first})"
+            raise DuplicateRecord(self.path, lineno, reason)
 
 
 class UnmappedLocation(DialignError):

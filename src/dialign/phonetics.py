@@ -11,7 +11,7 @@ import unicodedata
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import EmptyInput, ParseError, UnknownSymbol, read_table
+from .errors import EmptyInput, FirstLines, ParseError, UnknownSymbol, read_table
 
 
 class SegmentClass(Enum):
@@ -97,7 +97,7 @@ class SegmentTable:
         A symbol is one base character followed only by modifiers, the
         only form tokenize can match; the gap symbol "-" may not be an entry.
         """
-        entries = {}
+        entries, seen = {}, FirstLines(path)
         for lineno, fields in read_table(path, "symbol<TAB>V|C[<TAB>flags]", 2, 3):
             symbol = unicodedata.normalize("NFC", fields[0])
             if symbol == GAP:
@@ -120,8 +120,7 @@ class SegmentTable:
                         schwa = True
                     else:
                         raise ParseError(path, lineno, f"unknown flag {flag!r}")
-            if symbol in entries:
-                raise ParseError(path, lineno, f"duplicate entry for {symbol!r}")
+            seen.add(symbol, lineno, "duplicate entry for %r")
             try:  # Segment holds the rule that ties the flags to the class
                 Segment(symbol, klass, sonorant, schwa)
             except ValueError as exc:

@@ -16,10 +16,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from pathlib import Path
 
 from .costs import GAP, CostModel
-from .errors import DialignError, EmptyCorpus, ParseError, read_table
+from .errors import DialignError, EmptyCorpus, FirstLines, ParseError, read_table
 from .pairwise import align_pair
 
 log = logging.getLogger(__name__)
@@ -61,13 +60,9 @@ class PmiTable:
         ]
         return "\n".join(lines) + "\n"
 
-    def write(self, path) -> None:
-        Path(path).write_text(self.to_tsv(), encoding="utf-8")
-
     @classmethod
     def read(cls, path) -> "PmiTable":
-        dist = {}
-        first_line: dict[tuple[str, str], int] = {}
+        dist, seen = {}, FirstLines(path)
         usage = "symbol_a<TAB>symbol_b<TAB>distance"
         for lineno, (a, b, value) in read_table(path, usage, 3):
             try:
@@ -77,11 +72,7 @@ class PmiTable:
             if not 0.0 <= d <= 1.0:  # also false for NaN
                 raise ParseError(path, lineno, f"distance {value!r} outside [0, 1]")
             key = (a, b) if a <= b else (b, a)
-            first = first_line.setdefault(key, lineno)
-            if first != lineno:
-                raise ParseError(
-                    path, lineno, f"repeated pair {key} (first at line {first})"
-                )
+            seen.add(key, lineno, "repeated pair (%r, %r)")
             dist[key] = d
         return cls(dist, iterations_run=0, converged=True)
 

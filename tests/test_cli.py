@@ -85,6 +85,25 @@ def test_align_missing_file_exit_code(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize(
+    "command", [["align", "--mode", "binary"], ["pmi"]], ids=["align", "pmi"]
+)
+@pytest.mark.parametrize(
+    "row", [None, "kampen\tstraat\tolder\tstrodə"], ids=["missing", "malformed"]
+)
+def test_failed_run_writes_no_out_dir(tmp_path, capsys, command, row):
+    corpus = tmp_path / "corpus.tsv"  # missing unless a row is given
+    if row is not None:
+        corpus.write_text(f"{HEADER}\n{row}\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main([*command, "--corpus", str(corpus), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(corpus) in err
+    if row is not None:
+        assert err.startswith(f"error: {corpus}: line 2: expected 6 ")
+    assert not out.exists()
+
+
 def test_config_errors(tmp_path, corpus_path, capsys):
     out = tmp_path / "o"
     common = ["--corpus", str(corpus_path), "--out-dir", str(out)]
@@ -261,7 +280,7 @@ def test_report_non_numeric_change_record(tmp_path, capsys, field, value):
     assert run_report(tmp_path, records=records, coords=make_coords(6)) == 1
     path = tmp_path / "change_records.csv"
     assert capsys.readouterr().err.startswith(f"error: {path}: line 3: ")
-    assert list((tmp_path / "rep").iterdir()) == []
+    assert not (tmp_path / "rep").exists()
 
 
 @pytest.mark.parametrize(
@@ -283,16 +302,24 @@ def test_report_non_numeric_coords(tmp_path, capsys, line):
     path = tmp_path / "coords.tsv"
     assert capsys.readouterr().err.startswith(f"error: {path}: line 2: ")
     # the coords are read before the permutation test writes anything
-    assert not (tmp_path / "rep" / "summary.txt").exists()
-    assert not (tmp_path / "rep" / "contrasts.csv").exists()
-    assert not (tmp_path / "rep" / "geo.csv").exists()
+    assert not (tmp_path / "rep").exists()
+
+
+def test_report_empty_change_record_file(tmp_path, capsys):
+    assert run_report(tmp_path, records="") == 1
+    path = tmp_path / "change_records.csv"
+    assert capsys.readouterr().err == (
+        f"error: {path}: line 1: expected header "
+        "'location,word,conv,div,alignment_length'\n"
+    )
+    assert not (tmp_path / "rep").exists()
 
 
 def test_report_coords_missing_location(tmp_path, capsys):
     coords = "".join(make_coords(6).splitlines(keepends=True)[:5])
     assert run_report(tmp_path, coords=coords) == 1
     assert "no coordinates for location 'loc06'" in capsys.readouterr().err
-    assert not (tmp_path / "rep" / "summary.txt").exists()
+    assert not (tmp_path / "rep").exists()
 
 
 def test_report_rejects_duplicate_record(tmp_path, capsys):
@@ -303,7 +330,7 @@ def test_report_rejects_duplicate_record(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: line {len(lines) + 1}: ")
     assert "'loc02', word 'w' (first at line 3)" in err
-    assert list((tmp_path / "rep").iterdir()) == []
+    assert not (tmp_path / "rep").exists()
 
 
 def test_report_ignores_record_order(tmp_path):
@@ -330,7 +357,7 @@ def test_report_degenerate_contrast_writes_no_report_file(tmp_path, capsys):
     all_fr = "".join(f"loc0{i}\tFR\n" for i in range(1, 7))
     assert run_report(tmp_path, groups=all_fr) == 1
     assert "contrast needs locations on both sides" in capsys.readouterr().err
-    assert list((tmp_path / "rep").iterdir()) == []
+    assert not (tmp_path / "rep").exists()
 
 
 def test_report_rejects_low_n_perm(tmp_path, capsys):
@@ -423,8 +450,7 @@ def test_align_load_names_a_pair_missing_from_the_table(tmp_path, capsys):
         "error: location 'kampen', word 'straat': "
         "symbol pair ('-', 's') is not in the PMI table\n"
     )
-    assert not (out / "change_records.csv").exists()
-    assert not (out / "alignments.txt").exists()
+    assert not out.exists()
 
 
 # SHA-256 of every output but run_manifest.json, which holds paths, by run

@@ -78,6 +78,7 @@ def test_ingest_duplicate_standard_word(tmp_path):
         "\tstraat\tolder\tstrat\tstraat\t-",  # empty location
         "kampen\tstraat\tolder\t\tstraat\t-",  # empty raw without missing tag
         "kam,pen\tstraat\tolder\tstrat\tstraat\t-",  # comma breaks the CSV output
+        "kampen\tstraat\tolder\tstrat\tstraat\t-\t-",  # seventh field
     ],
 )
 def test_ingest_parse_errors(tmp_path, row):
@@ -86,11 +87,20 @@ def test_ingest_parse_errors(tmp_path, row):
         ingest(path)
 
 
-def test_ingest_bad_header(tmp_path):
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("", id="empty-file"),
+        pytest.param("foo\tbar\n", id="wrong-header"),
+        pytest.param(HEADER + "\textra\n", id="extra-field"),
+    ],
+)
+def test_ingest_bad_header(tmp_path, text):
     path = tmp_path / "corpus.tsv"
-    path.write_text("foo\tbar\n", encoding="utf-8")
-    with pytest.raises(ParseError):
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError) as info:
         ingest(path)
+    assert (info.value.path, info.value.line) == (path, 1)
 
 
 def clean_cell(loc, word, older="strodə", newer="strɔət"):
@@ -207,6 +217,9 @@ def test_group_map_errors(tmp_path):
     path.write_text("kampen\tXX\n", encoding="utf-8")
     with pytest.raises(ParseError):
         GroupMap.from_file(path)
-    path.write_text("kampen\tLS\nkampen\tFR\n", encoding="utf-8")
-    with pytest.raises(ParseError):
+    path.write_text("loc01\tFR\nloc01\tGR\n", encoding="utf-8")
+    with pytest.raises(DuplicateRecord) as info:
         GroupMap.from_file(path)
+    assert str(info.value) == (
+        f"{path}: line 2: duplicate location 'loc01' (first at line 1)"
+    )

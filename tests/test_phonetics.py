@@ -159,21 +159,27 @@ def test_table_from_file(tmp_path):
     assert (info.value.position, info.value.char) == (1, "t")
 
 
+TABLE_ERRORS = [
+    ("a\tX", "line 1: class must be V or C, got 'X'"),
+    ("a", "line 1: expected symbol<TAB>V|C[<TAB>flags], got 1 field(s)"),
+    ("ə\tC\tschwa", "line 1: 'ə': schwa flag requires a vowel"),
+    ("n\tV\tsonorant", "line 1: 'n': sonorant flag requires a consonant"),
+    ("a\tV\tbogus", "line 1: unknown flag 'bogus'"),
+    ("-\tC", "line 1: '-' is the gap symbol"),
+    # two base characters: tokenize never matches it
+    ("ts\tC", "line 1: 'ts' is not one base character plus modifiers"),
+    # a modifier with no base character
+    ("ː\tV", "line 1: 'ː' is not one base character plus modifiers"),
+    ("a\tV\na\tV", "line 2: duplicate entry for 'a' (first at line 1)"),
+]
+
+
 @pytest.mark.parametrize(
-    "line",
-    [
-        "a\tX",
-        "a",
-        "ə\tC\tschwa",  # schwa flag on a consonant
-        "n\tV\tsonorant",  # sonorant flag on a vowel
-        "a\tV\tbogus",
-        "-\tC",  # the gap symbol
-        "ts\tC",  # two base characters: tokenize never matches it
-        "ː\tV",  # a modifier with no base character
-    ],
+    "text,reason", TABLE_ERRORS, ids=[text for text, _ in TABLE_ERRORS]
 )
-def test_table_file_errors(tmp_path, line):
+def test_table_file_errors(tmp_path, text, reason):
     path = tmp_path / "segments.tsv"
-    path.write_text(line + "\n", encoding="utf-8")
-    with pytest.raises(ParseError):
+    path.write_text(text + "\n", encoding="utf-8")
+    with pytest.raises(ParseError) as info:
         SegmentTable.from_file(path)
+    assert str(info.value) == f"{path}: {reason}"

@@ -175,7 +175,7 @@ def test_serialization_roundtrip(tmp_path, table):
     corpus = corpus_from_strings(table, make_vowel_shift_pairs())
     result = induce_distances(corpus, binary_cost_model())
     path = tmp_path / "pmi.tsv"
-    result.write(path)
+    path.write_text(result.to_tsv(), encoding="utf-8")
     text = path.read_text(encoding="utf-8")
     lines = text.splitlines()
     assert lines == sorted(lines)  # stable lexicographic order
