@@ -10,7 +10,7 @@ from .costs import (
     binary_cost_model,
 )
 from .pairwise import align_pair
-from .phonetics import Segment, SegmentClass, SegmentTable, Source, tokenize
+from .phonetics import Segment, SegmentTable, tokenize
 from .pmi import InductionOptions, PmiTable, induce_distances
 from .triple import ChangeRecord, align_triple, decompose, directions
 

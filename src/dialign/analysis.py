@@ -2,7 +2,8 @@
 
 The contrast permutes location labels, not word records: words within a
 location are correlated, so the location is the exchangeable unit under
-the null hypothesis.
+the null hypothesis. A group map is a dict from location to its group
+token in GROUPS, as corpus.read_groups reads it.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import GROUPS, GroupMap
+from .corpus import GROUPS
 from .errors import DegenerateContrast, MissingCoordinates, UnmappedLocation
 from .triple import ChangeRecord
 
@@ -34,21 +35,21 @@ class ContrastResult:
 
 
 def by_location(
-    records: list[ChangeRecord], groups: GroupMap
+    records: list[ChangeRecord], groups: dict[str, str]
 ) -> dict[str, list[ChangeRecord]]:
     """The records grouped by location, in (location, word) order; a
     location missing from the group map is an error. Every reduction
     runs in this order, so results do not depend on the input order."""
     by_loc: dict[str, list[ChangeRecord]] = {}
     for r in sorted(records, key=lambda r: (r.location, r.word)):
-        if r.location not in groups.assignments:
+        if r.location not in groups:
             raise UnmappedLocation(f"location {r.location!r} has no group")
         by_loc.setdefault(r.location, []).append(r)
     return by_loc
 
 
 def summarize(
-    by_loc: dict[str, list[ChangeRecord]], groups: GroupMap
+    by_loc: dict[str, list[ChangeRecord]], groups: dict[str, str]
 ) -> list[GroupSummary]:
     """One summary per dialect group, plus an overall summary ("ALL"), of
     records grouped by by_location."""
@@ -57,7 +58,7 @@ def summarize(
         members = [
             r
             for loc, rs in by_loc.items()
-            if group == "ALL" or groups.group(loc) == group
+            if group == "ALL" or groups[loc] == group
             for r in rs
         ]
         if members:
@@ -85,7 +86,7 @@ def _hits(values, perm, rest, observed) -> int:
 
 def permutation_contrast(
     by_loc: dict[str, list[ChangeRecord]],
-    groups: GroupMap,
+    groups: dict[str, str],
     n_perm: int = 9999,
     seed: int = 0,
 ) -> tuple[ContrastResult, ContrastResult]:
@@ -102,7 +103,7 @@ def permutation_contrast(
     """
     if n_perm < 999:
         raise ValueError("n_perm must be >= 999")
-    is_ls = np.array([groups.is_ls(loc) for loc in by_loc])
+    is_ls = np.array([groups[loc] == "LS" for loc in by_loc])
     n = len(is_ls)
     n_ls = int(is_ls.sum())
     if n_ls == 0 or n_ls == n:

@@ -2,7 +2,9 @@
 
 All outputs are plain CSV/TSV written in a fixed order, plus a run
 manifest recording the configuration and input digests, so identical
-configurations produce byte-identical results.
+configurations produce byte-identical results. Bad input data or a path
+that cannot be read or written ends with exit 1, a bad option value with
+exit 2, each with one line on stderr and no traceback.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import pmi as pmi_mod
-from .corpus import GroupMap, ingest, pair, retention_report
+from .corpus import ingest, pair, read_groups, retention_report
 from .costs import GAP, BinaryDistanceTable, CostModel, binary_cost_model
 from .errors import DialignError, EmptyCorpus, FirstLines, ParseError, read_table
 from .pmi import InductionOptions, PmiTable
@@ -153,7 +155,7 @@ def cmd_align(args) -> int:
         )
     _write(args, "change_records.csv", "\n".join(lines) + "\n")
     _write(args, "alignments.txt", "\n".join(dumps))
-    _write(args, "retention.txt", retention_report(triples, excluded).format())
+    _write(args, "retention.txt", retention_report(triples, excluded))
     _write_manifest(args, [args.corpus, args.segments, args.pmi_table])
     return EXIT_OK
 
@@ -194,7 +196,7 @@ def cmd_report(args) -> int:
     from . import analysis  # numpy is imported by report alone
 
     records = _read_change_records(args.records)
-    groups = GroupMap.from_file(args.groups)
+    groups = read_groups(args.groups)
     by_loc = analysis.by_location(records, groups)
     inputs = [args.records, args.groups]
     geo = None
@@ -312,6 +314,8 @@ def _validate(args) -> None:
         raise ValueError("--mode load requires --pmi-table, other modes reject it")
     if args.command == "report" and args.n_perm < 999:
         raise ValueError("--n-perm must be >= 999")
+    if args.command == "report" and args.seed < 0:
+        raise ValueError("--seed must be >= 0")
 
 
 def main(argv=None) -> int:
@@ -325,7 +329,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG_ERROR
     try:
         return args.func(args)
-    except (FileNotFoundError, DialignError) as exc:
+    except (OSError, DialignError) as exc:  # OSError: an unreadable input or out-dir
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA_ERROR
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .phonetics import GAP, Segment, SegmentClass
+from .phonetics import GAP, Segment
 
 FORBIDDEN = math.inf
 
@@ -42,9 +42,9 @@ class BinaryDistanceTable:
 
 def substitution_allowed(a: Segment, b: Segment) -> bool:
     """Constraint policy: no vowel-consonant pairing, schwa-sonorant excepted."""
-    if a.klass is b.klass:
+    if a.klass == b.klass:
         return True
-    vowel, cons = (a, b) if a.klass is SegmentClass.VOWEL else (b, a)
+    vowel, cons = (a, b) if a.klass == "V" else (b, a)
     return vowel.is_schwa and cons.is_sonorant_consonant
 
 

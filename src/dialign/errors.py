@@ -33,9 +33,11 @@ class ParseError(DialignError):
 
 
 def read_lines(path) -> list[str]:
-    """The lines of a UTF-8 text file; a byte that is not UTF-8 is a
-    ParseError naming its line."""
+    """The lines of a UTF-8 text file, without a leading byte order mark;
+    a byte that is not UTF-8 is a ParseError naming its line."""
     data = Path(path).read_bytes()
+    if data.startswith(b"\xef\xbb\xbf"):  # stripped here, not by utf-8-sig,
+        data = data[3:]  # so that error offsets index this data
     try:
         return data.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:

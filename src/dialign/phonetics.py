@@ -2,27 +2,17 @@
 
 A segment is one phonetic token: a base IPA character plus any length
 marks or diacritics attached to it. Its symbol, the full base+modifier
-string, is its identity, so [oː] and [o] are distinct segments.
+string, is its identity, so [oː] and [o] are distinct segments. Its
+class is the segment table's token, "V" for a vowel or "C" for a
+consonant.
 """
 
 from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass
-from enum import Enum
 
 from .errors import EmptyInput, FirstLines, ParseError, UnknownSymbol, read_table
-
-
-class SegmentClass(Enum):
-    VOWEL = "V"
-    CONSONANT = "C"
-
-
-class Source(Enum):
-    OLDER = "older"
-    NEWER = "newer"
-    STANDARD = "standard"
 
 
 # The seven sonorant consonants that a schwa may align with.
@@ -54,14 +44,14 @@ def _is_modifier(ch: str) -> bool:
 @dataclass(frozen=True)
 class Segment:
     symbol: str
-    klass: SegmentClass
+    klass: str  # "V" or "C"
     is_sonorant_consonant: bool
     is_schwa: bool
 
     def __post_init__(self):
-        if self.is_schwa and self.klass is not SegmentClass.VOWEL:
+        if self.is_schwa and self.klass != "V":
             raise ValueError("schwa flag requires a vowel")
-        if self.is_sonorant_consonant and self.klass is not SegmentClass.CONSONANT:
+        if self.is_sonorant_consonant and self.klass != "C":
             raise ValueError("sonorant flag requires a consonant")
 
     def __str__(self) -> str:
@@ -75,7 +65,7 @@ class SegmentTable:
     corrupt the vowel-consonant alignment constraint downstream.
     """
 
-    def __init__(self, entries: dict[str, tuple[SegmentClass, bool, bool]]):
+    def __init__(self, entries: dict[str, tuple[str, bool, bool]]):
         self.entries = dict(entries)
         self._by_symbol: dict[str, Segment] = {}
 
@@ -83,9 +73,9 @@ class SegmentTable:
     def default(cls) -> "SegmentTable":
         entries = {}
         for ch in _VOWELS:
-            entries[ch] = (SegmentClass.VOWEL, False, ch == SCHWA)
+            entries[ch] = ("V", False, ch == SCHWA)
         for ch in _CONSONANTS:
-            entries[ch] = (SegmentClass.CONSONANT, ch in SONORANTS, False)
+            entries[ch] = ("C", ch in SONORANTS, False)
         return cls(entries)
 
     @classmethod
@@ -105,12 +95,9 @@ class SegmentTable:
             if _is_modifier(symbol[0]) or not all(map(_is_modifier, symbol[1:])):
                 reason = f"{symbol!r} is not one base character plus modifiers"
                 raise ParseError(path, lineno, reason)
-            if fields[1] not in ("V", "C"):
-                raise ParseError(
-                    path, lineno, f"class must be V or C, got {fields[1]!r}"
-                )
-            klass = SegmentClass.VOWEL if fields[1] == "V" else SegmentClass.CONSONANT
-            sonorant = schwa = False
+            klass, sonorant, schwa = fields[1], False, False
+            if klass not in ("V", "C"):
+                raise ParseError(path, lineno, f"class must be V or C, got {klass!r}")
             if len(fields) > 2 and fields[2] not in ("", "-"):
                 for flag in fields[2].split(","):
                     flag = flag.strip()
@@ -128,7 +115,7 @@ class SegmentTable:
             entries[symbol] = (klass, sonorant, schwa)
         return cls(entries)
 
-    def classify(self, symbol: str) -> tuple[SegmentClass, bool, bool]:
+    def classify(self, symbol: str) -> tuple[str, bool, bool]:
         """Classification for a full symbol; falls back to its base symbol."""
         if symbol in self.entries:
             return self.entries[symbol]

@@ -30,7 +30,6 @@ from dialign.pmi import induce_distances
 from dialign.synth import make_benchmark_corpus, make_mixed_corpus
 from dialign.triple import align_triple, decompose, directions
 from dialign.analysis import by_location, permutation_contrast
-from dialign.corpus import GroupMap
 from dialign.triple import ChangeRecord
 
 DATA_DIR = Path(__file__).parents[1] / "data" / "synthetic"
@@ -287,10 +286,8 @@ def test_criterion_09_pipeline_determinism(tmp_path, acceptance_report):
 
 
 def test_criterion_10_permutation_calibration(acceptance_report):
-    groups = GroupMap(
-        {f"ls{i:02d}": "LS" for i in range(10)}
-        | {f"fr{i:02d}": "FR" for i in range(10)}
-    )
+    groups = {f"ls{i:02d}": "LS" for i in range(10)}
+    groups |= {f"fr{i:02d}": "FR" for i in range(10)}
     hits = {"conv": 0, "div": 0}
     n_runs = 100
     for seed in range(n_runs):
@@ -298,7 +295,7 @@ def test_criterion_10_permutation_calibration(acceptance_report):
         records = [
             ChangeRecord(loc, f"w{w:02d}", max(0.0, rng.gauss(0.02, 0.01)),
                          max(0.0, rng.gauss(0.014, 0.01)), 10)
-            for loc in groups.assignments
+            for loc in groups
             for w in range(30)
         ]
         by_loc = by_location(records, groups)

@@ -11,7 +11,6 @@ from dialign.analysis import (
     permutation_contrast,
     summarize,
 )
-from dialign.corpus import GroupMap
 from dialign.errors import (
     DegenerateContrast,
     MissingCoordinates,
@@ -21,17 +20,14 @@ from dialign.triple import ChangeRecord
 
 
 def make_groups(n_ls=10, n_other=10):
-    assignments = {}
-    for i in range(n_ls):
-        assignments[f"ls{i:02d}"] = "LS"
-    for i in range(n_other):
-        assignments[f"fr{i:02d}"] = "FR"
-    return GroupMap(assignments)
+    groups = {f"ls{i:02d}": "LS" for i in range(n_ls)}
+    groups |= {f"fr{i:02d}": "FR" for i in range(n_other)}
+    return groups
 
 
 def make_records(groups, rng, conv_shift_ls=0.0, n_words=30):
     records = []
-    for loc, group in groups.assignments.items():
+    for loc, group in groups.items():
         shift = conv_shift_ls if group == "LS" else 0.0
         for w in range(n_words):
             conv = max(0.0, rng.gauss(0.02, 0.01) + shift)
@@ -44,7 +40,7 @@ def test_summarize_headline_numbers():
     groups = make_groups()
     records = [
         ChangeRecord(loc, f"w{i}", 0.02, 0.014, 10)
-        for loc in groups.assignments
+        for loc in groups
         for i in range(5)
     ]
     summaries = {s.group: s for s in summarize(by_location(records, groups), groups)}
@@ -57,7 +53,7 @@ def test_summarize_headline_numbers():
 
 
 def test_summarize_single_record():
-    groups = GroupMap({"x": "LS"})
+    groups = {"x": "LS"}
     by_loc = by_location([ChangeRecord("x", "w", 0.1, 0.2, 5)], groups)
     summaries = {s.group: s for s in summarize(by_loc, groups)}
     assert summaries["LS"].mean_conv == 0.1
@@ -72,14 +68,14 @@ def test_by_location_order_invariant():
     random.Random(2).shuffle(shuffled)
     by_loc = by_location(shuffled, groups)
     assert list(by_loc.items()) == list(by_location(records, groups).items())
-    assert list(by_loc) == sorted(groups.assignments)
+    assert list(by_loc) == sorted(groups)
     for rs in by_loc.values():
         assert [r.word for r in rs] == sorted(r.word for r in rs)
 
 
 def test_by_location_unmapped_location():
     with pytest.raises(UnmappedLocation):
-        by_location([ChangeRecord("nowhere", "w", 0.0, 0.0, 1)], GroupMap({}))
+        by_location([ChangeRecord("nowhere", "w", 0.0, 0.0, 1)], {})
 
 
 def permutation_contrast_loop(records, groups, measure, n_perm, seed):
@@ -91,7 +87,7 @@ def permutation_contrast_loop(records, groups, measure, n_perm, seed):
     loc_means = {loc: float(np.mean(vals)) for loc, vals in sums.items()}
     locations = sorted(loc_means)
     values = np.array([loc_means[loc] for loc in locations])
-    is_ls = np.array([groups.is_ls(loc) for loc in locations])
+    is_ls = np.array([groups[loc] == "LS" for loc in locations])
     observed = float(values[is_ls].mean() - values[~is_ls].mean())
     rng = np.random.default_rng(seed)
     hits = 0
@@ -139,8 +135,8 @@ def test_contrast_deterministic_and_identity_statistic():
     by_loc = {}
     for r in records:
         by_loc.setdefault(r.location, []).append(r.conv)
-    ls = [np.mean(v) for loc, v in by_loc.items() if groups.is_ls(loc)]
-    other = [np.mean(v) for loc, v in by_loc.items() if not groups.is_ls(loc)]
+    ls = [np.mean(v) for loc, v in by_loc.items() if groups[loc] == "LS"]
+    other = [np.mean(v) for loc, v in by_loc.items() if groups[loc] != "LS"]
     assert r1.statistic == pytest.approx(np.mean(ls) - np.mean(other))
     assert r1.direction == "conv_higher_in_ls"
 
@@ -157,7 +153,7 @@ def test_contrast_detects_injected_shift():
 
 
 def test_contrast_degenerate():
-    groups = GroupMap({"a": "LS", "b": "LS"})
+    groups = {"a": "LS", "b": "LS"}
     records = [ChangeRecord("a", "w", 0.1, 0.1, 5), ChangeRecord("b", "w", 0.1, 0.1, 5)]
     with pytest.raises(DegenerateContrast):
         permutation_contrast(by_location(records, groups), groups, n_perm=999, seed=0)
@@ -173,7 +169,7 @@ def test_contrast_rejects_low_n_perm():
 def test_export_geo():
     groups = make_groups(2, 2)
     records = make_records(groups, random.Random(0), n_words=3)
-    coords = {loc: (5.0 + i, 52.0 + i) for i, loc in enumerate(sorted(groups.assignments))}
+    coords = {loc: (5.0 + i, 52.0 + i) for i, loc in enumerate(sorted(groups))}
     csv_text = export_geo(by_location(records, groups), coords)
     lines = csv_text.strip().splitlines()
     assert lines[0] == "location,lon,lat,mean_conv,mean_div"
@@ -187,5 +183,5 @@ def test_export_geo_empty_records():
 def test_export_geo_missing_coordinates():
     records = [ChangeRecord("x", "w", 0.1, 0.1, 5)]
     with pytest.raises(MissingCoordinates) as exc:
-        export_geo(by_location(records, GroupMap({"x": "LS"})), {})
+        export_geo(by_location(records, {"x": "LS"}), {})
     assert "x" in str(exc.value)

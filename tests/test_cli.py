@@ -85,6 +85,25 @@ def test_align_missing_file_exit_code(tmp_path):
     assert rc == 1
 
 
+def test_align_corpus_directory_exit_code(tmp_path, capsys):
+    rc = main(
+        ["align", "--corpus", str(tmp_path), "--out-dir", str(tmp_path / "o"), "--mode", "binary"]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err  # one line, no traceback
+    assert err.startswith("error: ") and str(tmp_path) in err and err.count("\n") == 1
+
+
+def test_out_dir_that_is_a_file_exit_code(tmp_path, capsys):
+    out = tmp_path / "o"
+    out.write_text("", encoding="utf-8")
+    corpus = worked_example_corpus(tmp_path)
+    rc = main(["align", "--corpus", str(corpus), "--out-dir", str(out), "--mode", "binary"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "command", [["align", "--mode", "binary"], ["pmi"]], ids=["align", "pmi"]
 )
@@ -248,7 +267,8 @@ RECORDS_6 = "location,word,conv,div,alignment_length\n" + "".join(
 
 
 def run_report(
-    tmp_path, records=RECORDS_6, coords=None, encoding="utf-8", n_perm=999, groups=GROUPS_6
+    tmp_path, records=RECORDS_6, coords=None, encoding="utf-8", n_perm=999,
+    groups=GROUPS_6, seed=0,
 ):
     rec_path = tmp_path / "change_records.csv"
     rec_path.write_text(records, encoding=encoding)
@@ -257,6 +277,7 @@ def run_report(
     argv = [
         "report", "--records", str(rec_path), "--groups", str(groups_path),
         "--out-dir", str(tmp_path / "rep"), "--n-perm", str(n_perm),
+        "--seed", str(seed),
     ]
     if coords is not None:
         coords_path = tmp_path / "coords.tsv"
@@ -363,6 +384,12 @@ def test_report_degenerate_contrast_writes_no_report_file(tmp_path, capsys):
 def test_report_rejects_low_n_perm(tmp_path, capsys):
     assert run_report(tmp_path, n_perm=998) == 2
     assert capsys.readouterr().err == "config error: --n-perm must be >= 999\n"
+
+
+def test_report_rejects_negative_seed(tmp_path, capsys):
+    assert run_report(tmp_path, seed=-1) == 2
+    assert capsys.readouterr().err == "config error: --seed must be >= 0\n"
+    assert not (tmp_path / "rep").exists()
 
 
 @pytest.mark.parametrize("command", ["align", "report"])

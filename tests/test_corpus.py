@@ -1,14 +1,7 @@
 import pytest
 
-from dialign.corpus import (
-    Exclusion,
-    GroupMap,
-    ingest,
-    pair,
-    retention_report,
-)
+from dialign.corpus import ingest, pair, read_groups, retention_report
 from dialign.errors import DuplicateRecord, ParseError
-from dialign.phonetics import Source
 
 HEADER = "location\tword\tsource\ttranscription\tcognate_id\texclusion"
 
@@ -30,7 +23,7 @@ def test_ingest_well_formed(tmp_path):
     )
     records = ingest(path)
     assert len(records) == 3
-    assert records[0].source is Source.OLDER
+    assert records[0].source == "older"
     assert records[0].exclusion is None
     assert records[0].cognate_id == "straat"
 
@@ -69,22 +62,33 @@ def test_ingest_duplicate_standard_word(tmp_path):
     )
 
 
-@pytest.mark.parametrize(
-    "row",
-    [
-        "kampen\tstraat\tmiddle\tstrat\tstraat\t-",  # unknown source
-        "kampen\tstraat\tolder\tstrat\tstraat\tbogus",  # unknown exclusion
-        "kampen\tstraat\tolder\tstrat\tstraat",  # missing field
-        "\tstraat\tolder\tstrat\tstraat\t-",  # empty location
-        "kampen\tstraat\tolder\t\tstraat\t-",  # empty raw without missing tag
-        "kam,pen\tstraat\tolder\tstrat\tstraat\t-",  # comma breaks the CSV output
-        "kampen\tstraat\tolder\tstrat\tstraat\t-\t-",  # seventh field
-    ],
-)
+# each malformed row and the reason its ParseError gives
+PARSE_ERRORS = {
+    "kampen\tstraat\tmiddle\tstrat\tstraat\t-": "unknown source 'middle'",
+    "kampen\tstraat\tolder\tstrat\tstraat\tbogus": "unknown exclusion tag 'bogus'",
+    "kampen\tstraat\tolder\tstrat\tstraat": (
+        "expected 6 tab-separated fields, got 5 field(s)"
+    ),
+    "\tstraat\tolder\tstrat\tstraat\t-": "location and word must be non-empty",
+    "kampen\tstraat\tolder\t\tstraat\t-": (
+        "empty transcription requires the 'missing' exclusion tag"
+    ),
+    # a comma would break the CSV output
+    "kam,pen\tstraat\tolder\tstrat\tstraat\t-": (
+        "location and word may not contain ','"
+    ),
+    "kampen\tstraat\tolder\tstrat\tstraat\t-\t-": (
+        "expected 6 tab-separated fields, got 7 field(s)"
+    ),
+}
+
+
+@pytest.mark.parametrize("row", list(PARSE_ERRORS))
 def test_ingest_parse_errors(tmp_path, row):
     path = write_corpus(tmp_path, [row])
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as info:
         ingest(path)
+    assert str(info.value) == f"{path}: line 2: {PARSE_ERRORS[row]}"
 
 
 @pytest.mark.parametrize(
@@ -131,7 +135,7 @@ def test_pair_lexical_mismatch(tmp_path, table):
     ]
     triples, excluded = pair(ingest(write_corpus(tmp_path, rows)), table)
     assert not triples
-    assert excluded[0].reason is Exclusion.LEXICAL_MISMATCH
+    assert excluded[0].reason == "lex"
 
 
 def test_pair_missing_source_beats_other_reasons(tmp_path, table):
@@ -141,7 +145,7 @@ def test_pair_missing_source_beats_other_reasons(tmp_path, table):
         "standard\tsteen\tstandard\tsten\tsteen\t-",
     ]
     triples, excluded = pair(ingest(write_corpus(tmp_path, rows)), table)
-    assert excluded[0].reason is Exclusion.MISSING_DATA
+    assert excluded[0].reason == "missing"
 
 
 def test_pair_explicit_flags(tmp_path, table):
@@ -151,7 +155,23 @@ def test_pair_explicit_flags(tmp_path, table):
         "standard\tlater\tstandard\tlatər\tlater\t-",
     ]
     triples, excluded = pair(ingest(write_corpus(tmp_path, rows)), table)
-    assert excluded[0].reason is Exclusion.PHONETIC_REDUCTION
+    assert excluded[0].reason == "reduction"
+
+
+@pytest.mark.parametrize(
+    "older_tag,cognate,reason",
+    [("morph", "kei", "lex"), ("morph", "steen", "morph")],
+)
+def test_pair_exclusion_priority(tmp_path, table, older_tag, cognate, reason):
+    # the newer row is flagged reduction, the lowest priority
+    rows = [
+        f"loc\tsteen\tolder\tsten\tsteen\t{older_tag}",
+        f"loc\tsteen\tnewer\tstenə\t{cognate}\treduction",
+        "standard\tsteen\tstandard\tsten\tsteen\t-",
+    ]
+    triples, excluded = pair(ingest(write_corpus(tmp_path, rows)), table)
+    assert not triples
+    assert excluded[0].reason == reason
 
 
 def test_pair_partition_complete_and_ordered(tmp_path, table):
@@ -193,33 +213,64 @@ def test_retention_report(tmp_path, table):
         ]
     )
     triples, excluded = pair(ingest(write_corpus(tmp_path, rows)), table)
-    report = retention_report(triples, excluded)
-    assert report.per_location["kampen"] == (2, 3)
-    assert report.retention == pytest.approx(2 / 3)
-    assert "kampen\t2\t3" in report.format()
+    assert retention_report(triples, excluded) == (
+        "location\tretained\ttotal\n"
+        "kampen\t2\t3\n"
+        "overall\t2\t3\t(retention 0.6667)\n"
+    )
 
 
-def test_retention_all_excluded(table):
-    report = retention_report([], [])
-    assert report.retention == 0.0
+def test_retention_all_excluded(tmp_path, table):
+    rows = ["kampen\tw1\tolder\tstrat\tw1\tmorph", "grouw\tw1\tnewer\tstrat\tw1\t-"]
+    triples, excluded = pair(ingest(write_corpus(tmp_path, rows)), table)
+    assert retention_report(triples, excluded) == (
+        "location\tretained\ttotal\n"
+        "grouw\t0\t1\n"
+        "kampen\t0\t1\n"
+        "overall\t0\t2\t(retention 0.0000)\n"
+    )
+    assert retention_report([], []) == (
+        "location\tretained\ttotal\noverall\t0\t0\t(retention 0.0000)\n"
+    )
 
 
 def test_group_map(tmp_path):
     path = tmp_path / "groups.tsv"
-    path.write_text("kampen\tLS\ngrouw\tFR\nsneek\tDU-FR\n", encoding="utf-8")
-    gm = GroupMap.from_file(path)
-    assert gm.group("kampen") == "LS"
-    assert gm.is_ls("kampen") and not gm.is_ls("grouw")
+    path.write_text("kampen\tLS\ngrouw\tFR\nsneek\tDUFR\n", encoding="utf-8")
+    assert read_groups(path) == {"kampen": "LS", "grouw": "FR", "sneek": "DU-FR"}
 
 
 def test_group_map_errors(tmp_path):
     path = tmp_path / "groups.tsv"
     path.write_text("kampen\tXX\n", encoding="utf-8")
-    with pytest.raises(ParseError):
-        GroupMap.from_file(path)
+    with pytest.raises(ParseError) as info:
+        read_groups(path)
+    assert str(info.value) == f"{path}: line 1: unknown group 'XX'"
     path.write_text("loc01\tFR\nloc01\tGR\n", encoding="utf-8")
     with pytest.raises(DuplicateRecord) as info:
-        GroupMap.from_file(path)
+        read_groups(path)
     assert str(info.value) == (
         f"{path}: line 2: duplicate location 'loc01' (first at line 1)"
     )
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+def test_byte_order_mark_is_not_data(tmp_path, table):
+    groups = tmp_path / "groups.tsv"
+    groups.write_bytes(BOM + "kampen\tLS\ngrouw\tFR\n".encode())
+    assert read_groups(groups) == {"kampen": "LS", "grouw": "FR"}
+    rows = clean_cell("kampen", "straat") + ["standard\tstraat\tstandard\tstrat\tstraat\t-"]
+    plain = write_corpus(tmp_path, rows)
+    marked = tmp_path / "marked.tsv"
+    marked.write_bytes(BOM + plain.read_bytes())
+    assert pair(ingest(marked), table) == pair(ingest(plain), table)
+
+
+def test_byte_order_mark_keeps_error_lines(tmp_path):
+    path = tmp_path / "groups.tsv"
+    path.write_bytes(BOM + b"kampen\tLS\ngrouw\tFR\nsn\xe9ek\tGR\n")
+    with pytest.raises(ParseError) as info:
+        read_groups(path)
+    assert (info.value.line, info.value.reason) == (3, "not UTF-8: invalid continuation byte")

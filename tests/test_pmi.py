@@ -214,4 +214,4 @@ def test_induction_respects_constraint(table):
     klass = {s.symbol: s.klass for s in a + b}
     for left, right in al.columns:
         if GAP not in (left, right):
-            assert klass[left] is klass[right]
+            assert klass[left] == klass[right]
