@@ -46,6 +46,16 @@ def _write(args, name: str, text: str) -> None:
     (outdir / name).write_text(text, encoding="utf-8")
 
 
+def _check_out_dir(path) -> None:
+    """Fail before any input is read if --out-dir cannot be made: its
+    nearest existing ancestor must be a directory."""
+    ancestor = Path(path)
+    while not ancestor.exists() and ancestor != ancestor.parent:
+        ancestor = ancestor.parent
+    if not ancestor.is_dir():
+        raise DialignError(f"--out-dir {path}: {ancestor} is not a directory")
+
+
 def _write_manifest(args, inputs: list[str]) -> None:
     config = {
         k: str(v) if isinstance(v, Path) else v
@@ -328,6 +338,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     try:
+        _check_out_dir(args.out_dir)
         return args.func(args)
     except (OSError, DialignError) as exc:  # OSError: an unreadable input or out-dir
         print(f"error: {exc}", file=sys.stderr)

@@ -102,7 +102,9 @@ def pair(
 
     Exclusions are data, not errors; each excluded cell carries the
     highest-priority governing reason. Output is ordered by location then
-    word for reproducibility.
+    word for reproducibility. Each distinct transcription is tokenized
+    once, so an unknown symbol names the first record, in that order,
+    that holds it.
     """
     standard = {r.word: r for r in records if r.source == "standard" and r.raw}
     cells: dict[tuple[str, str], list[CorpusRecord | None]] = {}  # [older, newer]
@@ -113,6 +115,7 @@ def pair(
 
     triples = []
     excluded = []
+    segments: dict[str, tuple[Segment, ...]] = {}  # transcription -> its segments
     for (location, word) in sorted(cells):
         older, newer = cells[(location, word)]
         std = standard.get(word)
@@ -142,27 +145,30 @@ def pair(
             PairedTriple(
                 location,
                 word,
-                _transcribe(older, table),
-                _transcribe(newer, table),
-                _transcribe(std, table),
+                _transcribe(older, table, segments),
+                _transcribe(newer, table, segments),
+                _transcribe(std, table, segments),
             )
         )
     return triples, excluded
 
 
-def _transcribe(r: CorpusRecord, table: SegmentTable) -> tuple[Segment, ...]:
-    """The segments of a record's transcription; an unknown symbol is a
-    ParseError naming the record's file, line, location and word."""
-    try:
-        return make_transcription(r.raw, table)
-    except UnknownSymbol as exc:
-        raise ParseError(
-            r.path,
-            r.line,
-            f"location {r.location!r}, word {r.word!r}, {r.source} "
-            f"transcription {r.raw!r}: unknown symbol {exc.char!r} "
-            f"at position {exc.position}",
-        ) from None
+def _transcribe(r: CorpusRecord, table: SegmentTable, segments: dict):
+    """The segments of a record's transcription, tokenized on first sight
+    and kept in segments; an unknown symbol is a ParseError naming the
+    record's file, line, location and word."""
+    if r.raw not in segments:
+        try:
+            segments[r.raw] = make_transcription(r.raw, table)
+        except UnknownSymbol as exc:
+            raise ParseError(
+                r.path,
+                r.line,
+                f"location {r.location!r}, word {r.word!r}, {r.source} "
+                f"transcription {r.raw!r}: unknown symbol {exc.char!r} "
+                f"at position {exc.position}",
+            ) from None
+    return segments[r.raw]
 
 
 def retention_report(

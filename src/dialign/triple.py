@@ -4,14 +4,18 @@ The cubic-lattice DP uses seven column operations: advance any one
 string, any two, or all three; their order in MOVES matters only to the
 traceback. Column cost is the sum of the three pairwise distances, with
 gap-gap pairs costing 0 and segment-gap pairs priced at the segment's
-gap distance. Per-column direction of change is distance(newer,
-standard) - distance(older, standard): positive means divergence from
-the standard, negative convergence towards it.
+gap distance; so bounds from the three pairwise lattices (Carrillo and
+Lipman 1988) show which cells an optimal alignment can pass through,
+and the DP fills only those. Per-column direction of change is
+distance(newer, standard) - distance(older, standard): positive means
+divergence from the standard, negative convergence towards it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import add
 
 from .costs import GAP, Alignment, CostModel
 from .pairwise import fill
@@ -28,6 +32,10 @@ MOVES = (
     (1, 1, 1),
 )
 
+# Slack of the pruning bound, far above the float error of summing it in
+# another order than the DP sums the costs.
+EPS = 1e-9
+
 
 @dataclass(frozen=True)
 class ChangeRecord:
@@ -38,6 +46,15 @@ class ChangeRecord:
     alignment_length: int
 
 
+def through(ga, gb, sub):
+    """The least cost of a 2D alignment of strings a and b through each
+    node (i, j) of their lattice: the fill's cost to the node plus the
+    reversed strings' fill's cost from it."""
+    fwd, _ = fill(ga, gb, sub)
+    bwd, _ = fill(ga[::-1], gb[::-1], [row[::-1] for row in sub[::-1]])
+    return [list(map(add, f, reversed(b))) for f, b in zip(fwd, reversed(bwd))]
+
+
 def align_triple(sx, sy, sz, cm: CostModel) -> Alignment:
     """Minimal-cost three-string alignment, longest among the optima.
 
@@ -45,6 +62,7 @@ def align_triple(sx, sy, sz, cm: CostModel) -> Alignment:
     transcriptions, in that order.
     """
     nx, ny, nz = len(sx), len(sy), len(sz)
+    inf = math.inf
 
     # Each pair price is read from the cost model once per call.
     C = cm.cost
@@ -55,64 +73,104 @@ def align_triple(sx, sy, sz, cm: CostModel) -> Alignment:
         pair sum (p_xy + p_xz) + p_yz, in that float order."""
         return (C[u][v] + C[u][w]) + C[v][w]
 
-    # Column costs of the moves that advance one or two strings, and the
-    # pair prices of the move that advances all three.
-    c_x = [column(u, 0, 0) for u in ux]
-    c_y = [column(0, v, 0) for v in uy]
-    c_z = [column(0, 0, w) for w in uz]
-    c_xy = [[column(u, v, 0) for v in uy] for u in ux]
-    c_xz = [[column(u, 0, w) for w in uz] for u in ux]
-    c_yz = [[column(0, v, w) for w in uz] for v in uy]
-    dxy = [[C[u][v] for v in uy] for u in ux]
-    dxz = [[C[u][w] for w in uz] for u in ux]
-    dyz = [[C[v][w] for w in uz] for v in uy]
+    # A column costs the sum of its three pair prices, gap-gap at 0, so an
+    # alignment through cell (i, j, k) costs at least its bound
+    # bxy[i][j] + bxz[i][k] + byz[j][k], from each pair's through costs.
+    pxy = [[C[u][v] for v in uy] for u in ux]
+    pxz = [[C[u][w] for w in uz] for u in ux]
+    pyz = [[C[v][w] for w in uz] for v in uy]
+    gx, gy, gz = ([C[u][0] for u in us] for us in (ux, uy, uz))
+    bxy, bxz, byz = through(gx, gy, pxy), through(gx, gz, pxz), through(gy, gz, pyz)
+    # No cell (i, j, k) has a bound below bxy[i][j] + mxz[i] + myz[j].
+    mxz, myz = [min(r) for r in bxz], [min(r) for r in byz]
 
-    # The faces i = 0, j = 0 and k = 0 are the 2D lattices of the other two
-    # strings. A cell keeps the cheapest candidate, and the longest among
-    # those, so its value is the same whatever order they are tried in.
-    face_i, len_i = fill(c_y, c_z, c_yz)  # cost[0][j][k]
-    face_j, len_j = fill(c_x, c_z, c_xz)  # cost[i][0][k]
-    face_k, len_k = fill(c_x, c_y, c_xy)  # cost[i][j][0]
-    cost, alen = [face_i], [len_i]
-    for i in range(1, nx + 1):
-        cost.append([face_j[i]] + [[c] + [0.0] * nz for c in face_k[i][1:]])
-        alen.append([len_j[i]] + [[n] + [0] * nz for n in len_k[i][1:]])
+    def padded(rows, m):
+        """The rows, each and the list of them with a trailing inf."""
+        return [r + [inf] for r in rows] + [[inf] * (m + 1)]
 
-    # Every move is open in the interior; the first, (1, 0, 0), starts the
-    # comparison. The moves are unrolled (about 3x faster than looping over
-    # MOVES); each row is named by the move that reads it.
-    for i in range(1, nx + 1):
-        cx, cxz, dxz_i = c_x[i - 1], c_xz[i - 1], dxz[i - 1]
-        for j in range(1, ny + 1):
-            r_z, l_z = cost[i][j], alen[i][j]
-            r_x, l_x = cost[i - 1][j], alen[i - 1][j]
-            r_y, l_y = cost[i][j - 1], alen[i][j - 1]
-            r_xy, l_xy = cost[i - 1][j - 1], alen[i - 1][j - 1]
-            cy, cyz, dyz_j = c_y[j - 1], c_yz[j - 1], dyz[j - 1]
-            cxy, dxy_ij = c_xy[i - 1][j - 1], dxy[i - 1][j - 1]
-            for k in range(1, nz + 1):
-                best, blen = r_x[k] + cx, l_x[k] + 1  # (1, 0, 0)
-                c, n = r_y[k] + cy, l_y[k] + 1  # (0, 1, 0)
-                if c < best or (c == best and n > blen):
-                    best, blen = c, n
-                c, n = r_z[k - 1] + c_z[k - 1], l_z[k - 1] + 1  # (0, 0, 1)
-                if c < best or (c == best and n > blen):
-                    best, blen = c, n
-                c, n = r_xy[k] + cxy, l_xy[k] + 1  # (1, 1, 0)
-                if c < best or (c == best and n > blen):
-                    best, blen = c, n
-                c, n = r_x[k - 1] + cxz[k - 1], l_x[k - 1] + 1  # (1, 0, 1)
-                if c < best or (c == best and n > blen):
-                    best, blen = c, n
-                c, n = r_y[k - 1] + cyz[k - 1], l_y[k - 1] + 1  # (0, 1, 1)
-                if c < best or (c == best and n > blen):
-                    best, blen = c, n
-                c = r_xy[k - 1] + ((dxy_ij + dxz_i[k - 1]) + dyz_j[k - 1])  # (1, 1, 1)
-                n = l_xy[k - 1] + 1
-                if c < best or (c == best and n > blen):
-                    best, blen = c, n
-                r_z[k] = best
-                l_z[k] = blen
+    # Column costs of the moves that advance one or two strings, summed as
+    # column() sums them (a gap-gap price adds 0.0, which changes nothing),
+    # and the pair prices of the move that advances all three. Every list,
+    # row, row list and plane ends with an inf that index -1 reads, so a
+    # move from outside the lattice costs inf, with no boundary test.
+    c_x, c_y, c_z = ([g + g for g in gs] + [inf] for gs in (gx, gy, gz))
+    c_xy = padded([[(p + g) + h for p, h in zip(r, gy)] for r, g in zip(pxy, gx)], ny)
+    c_xz = padded([[(g + p) + h for p, h in zip(r, gz)] for r, g in zip(pxz, gx)], nz)
+    c_yz = padded([[(g + h) + p for p, h in zip(r, gz)] for r, g in zip(pyz, gy)], nz)
+    dxy, dxz, dyz = padded(pxy, ny), padded(pxz, nz), padded(pyz, nz)
+    all_k = range(nz + 1)
+
+    def sweep(limit):
+        """The cost and length tables of the lattice, filled at the cells
+        whose bound is at most limit; every other cell holds inf. A cell
+        keeps the cheapest candidate, and the longest among those."""
+        inf_row, zero_row = [inf] * (nz + 2), [0] * (nz + 2)  # never written
+        cost = [[inf_row] * (ny + 2) for _ in range(nx + 2)]
+        alen = [[zero_row] * (ny + 2) for _ in range(nx + 2)]
+        cost[0][0], alen[0][0] = [0.0] + [inf] * (nz + 1), [0] * (nz + 2)
+        for i in range(nx + 1):
+            cost_i, alen_i, bxz_i, mxz_i = cost[i], alen[i], bxz[i], mxz[i]
+            cx, cxz, dxz_i = c_x[i - 1], c_xz[i - 1], dxz[i - 1]
+            for j in range(ny + 1):
+                rest = limit - bxy[i][j]
+                if mxz_i + myz[j] > rest:
+                    continue
+                byz_j = byz[j]
+                ks = [k for k in all_k if bxz_i[k] + byz_j[k] <= rest]
+                if not ks:
+                    continue
+                if i or j:
+                    r_z = cost_i[j] = [inf] * (nz + 2)
+                    l_z = alen_i[j] = [0] * (nz + 2)
+                else:  # the origin keeps its 0
+                    r_z, l_z = cost_i[j], alen_i[j]
+                    ks = [k for k in ks if k]
+                r_x, l_x = cost[i - 1][j], alen[i - 1][j]
+                r_y, l_y = cost_i[j - 1], alen_i[j - 1]
+                r_xy, l_xy = cost[i - 1][j - 1], alen[i - 1][j - 1]
+                cy, cyz, dyz_j = c_y[j - 1], c_yz[j - 1], dyz[j - 1]
+                cxy, dxy_ij = c_xy[i - 1][j - 1], dxy[i - 1][j - 1]
+                # The moves are unrolled (about 3x faster than looping over
+                # MOVES); each row is named by the move that reads it.
+                for k in ks:
+                    best, blen = r_x[k] + cx, l_x[k] + 1  # (1, 0, 0)
+                    c, n = r_y[k] + cy, l_y[k] + 1  # (0, 1, 0)
+                    if c < best or (c == best and n > blen):
+                        best, blen = c, n
+                    c, n = r_z[k - 1] + c_z[k - 1], l_z[k - 1] + 1  # (0, 0, 1)
+                    if c < best or (c == best and n > blen):
+                        best, blen = c, n
+                    c, n = r_xy[k] + cxy, l_xy[k] + 1  # (1, 1, 0)
+                    if c < best or (c == best and n > blen):
+                        best, blen = c, n
+                    c, n = r_x[k - 1] + cxz[k - 1], l_x[k - 1] + 1  # (1, 0, 1)
+                    if c < best or (c == best and n > blen):
+                        best, blen = c, n
+                    c, n = r_y[k - 1] + cyz[k - 1], l_y[k - 1] + 1  # (0, 1, 1)
+                    if c < best or (c == best and n > blen):
+                        best, blen = c, n
+                    c = r_xy[k - 1] + ((dxy_ij + dxz_i[k - 1]) + dyz_j[k - 1])
+                    n = l_xy[k - 1] + 1  # (1, 1, 1)
+                    if c < best or (c == best and n > blen):
+                        best, blen = c, n
+                    r_z[k] = best
+                    l_z[k] = blen
+        return cost, alen
+
+    # Every cell of an optimal alignment, and of every optimal prefix of
+    # one, has a bound at most the optimum. A sweep whose limit is at least
+    # the optimum therefore gives those cells their full-lattice cost and
+    # length, so the traceback takes the same moves, and it never steps
+    # into a pruned cell, which holds inf. The first limit is the sum of
+    # the pairwise optima, at most the optimum. If the cost found exceeds
+    # it, the second limit is that cost, or the whole lattice if no path
+    # survived. EPS covers the bounds' other float summation order; extra
+    # cells change nothing.
+    limit = bxy[0][0] + bxz[0][0] + byz[0][0] + EPS
+    cost, alen = sweep(limit)
+    found = cost[nx][ny][nz]
+    if found + EPS / 2 > limit:  # half of EPS is left for the bounds' rounding
+        cost, alen = sweep(found + EPS)  # inf + EPS is inf
 
     columns, costs = [], []
     i, j, k = nx, ny, nz

@@ -95,13 +95,21 @@ def test_align_corpus_directory_exit_code(tmp_path, capsys):
 
 
 def test_out_dir_that_is_a_file_exit_code(tmp_path, capsys):
-    out = tmp_path / "o"
-    out.write_text("", encoding="utf-8")
-    corpus = worked_example_corpus(tmp_path)
-    rc = main(["align", "--corpus", str(corpus), "--out-dir", str(out), "--mode", "binary"])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(out) in err and err.count("\n") == 1
+    file = tmp_path / "o"
+    file.write_text("", encoding="utf-8")
+    corpus, missing = worked_example_corpus(tmp_path), tmp_path / "missing.tsv"
+    runs = [
+        ["align", "--corpus", str(corpus), "--mode", "binary"],
+        # the out-dir is checked before any input is read
+        ["align", "--corpus", str(missing), "--mode", "binary"],
+        ["report", "--records", str(missing), "--groups", str(missing)],
+    ]
+    for out in (file, file / "sub"):
+        for argv in runs:
+            assert main([*argv, "--out-dir", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: --out-dir {out}: {file} is not a directory\n"
+    assert file.read_text(encoding="utf-8") == ""
 
 
 @pytest.mark.parametrize(

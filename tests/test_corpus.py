@@ -1,7 +1,9 @@
 import pytest
 
+from dialign import corpus
 from dialign.corpus import ingest, pair, read_groups, retention_report
 from dialign.errors import DuplicateRecord, ParseError
+from dialign.phonetics import SegmentTable
 
 HEADER = "location\tword\tsource\ttranscription\tcognate_id\texclusion"
 
@@ -198,6 +200,43 @@ def test_pair_deterministic(tmp_path, table):
     )
     records = ingest(write_corpus(tmp_path, rows))
     assert pair(records, table) == pair(records, table)
+
+
+def test_pair_tokenizes_each_distinct_transcription_once(tmp_path, table, monkeypatch):
+    calls = []
+    tokenize = corpus.make_transcription
+    monkeypatch.setattr(
+        corpus, "make_transcription", lambda raw, t: calls.append(raw) or tokenize(raw, t)
+    )
+    rows = (
+        clean_cell("x", "w1")
+        + clean_cell("y", "w1")
+        + clean_cell("z", "w1", newer="strodə")
+        + ["standard\tw1\tstandard\tstrat\tw1\t-"]
+    )
+    triples, _ = pair(ingest(write_corpus(tmp_path, rows)), table)
+    assert sorted(calls) == ["strat", "strodə", "strɔət"]
+    fresh = [tokenize(raw, table) for raw in ("strodə", "strɔət", "strat")]
+    for t in triples[:2]:
+        assert [t.older, t.newer, t.standard] == fresh
+    assert [triples[2].older, triples[2].newer] == [fresh[0], fresh[0]]
+
+
+def test_pair_unknown_symbol_names_the_first_record_that_holds_it(tmp_path, table):
+    # "b_loc" holds "strɔət" on an earlier line, but "a_loc" pairs first
+    rows = (
+        clean_cell("b_loc", "w1")
+        + clean_cell("a_loc", "w1")
+        + ["standard\tw1\tstandard\tstrɔət\tw1\t-"]
+    )
+    path = write_corpus(tmp_path, rows)
+    no_open_o = SegmentTable({s: table.classify(s) for s in "strdoaə"})
+    with pytest.raises(ParseError) as info:
+        pair(ingest(path), no_open_o)
+    assert str(info.value) == (
+        f"{path}: line 5: location 'a_loc', word 'w1', newer transcription "
+        "'strɔət': unknown symbol 'ɔ' at position 3"
+    )
 
 
 def test_retention_report(tmp_path, table):

@@ -8,6 +8,7 @@ exception both occur. Distance tables are drawn with many ties.
 
 import itertools
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 from loop_dp import (
     _pair_cost,
@@ -17,11 +18,13 @@ from loop_dp import (
     enumerate_optimal,
 )
 
+from dialign.corpus import ingest, pair
 from dialign.costs import GAP, BinaryDistanceTable, CostModel, binary_cost_model
 from dialign.pairwise import align_pair
 from dialign.phonetics import SegmentTable, tokenize
-from dialign.pmi import PmiTable
-from dialign.triple import align_triple, decompose, directions
+from dialign.pmi import PmiTable, induce_distances
+from dialign.synth import make_mixed_corpus
+from dialign.triple import align_triple, decompose, directions, through
 
 TABLE = SegmentTable.default()
 ALPHABET = ("a", "o", "ə", "n", "r", "t", "s")
@@ -76,11 +79,10 @@ def segment_of(*words) -> dict:
 # MOVES. All are under unconstrained unit costs but one.
 UNIT, UNIT_CONSTRAINED = binary_cost_model(False), binary_cost_model(True)
 # With one string empty, the 3D lattice is the 2D lattice of the other
-# two, which align_triple fills with pairwise.fill. The face examples pin
-# each face: under this dyadic table the face of "ttaa" and "ata" meets
-# both 2D ties that the longer alignment wins, the insertion's and the
-# substitution's; under UNIT the face of "aaə" and "ət" meets the
-# insertion's.
+# two. The face examples pin each face: under this dyadic table the face
+# of "ttaa" and "ata" meets both 2D ties that the longer alignment wins,
+# the insertion's and the substitution's; under UNIT the face of "aaə"
+# and "ət" meets the insertion's.
 FACE_TIES = CostModel(
     PmiTable({(GAP, "a"): 0.25, (GAP, "t"): 0.25, ("a", "t"): 0.25, ("t", "t"): 0.25}),
     constrained=False,
@@ -98,8 +100,30 @@ def test_align_pair_matches_loop_reference(a, b, cm):
     assert got.columns == want.columns
 
 
+# align_triple prunes its lattice by these tables, so each entry must be
+# the least pair cost through its node, neither more nor less.
+@SETTINGS
+@given(words(5), words(5), DYADIC_COSTS)
+def test_through_is_the_least_pair_cost_through_each_node(a, b, cm):
+    C, ua, ub = cm.cost, cm.numbers(a), cm.numbers(b)
+    sub = [[C[u][v] for v in ub] for u in ua]
+    table = through([C[u][0] for u in ua], [C[0][v] for v in ub], sub)
+    for i, j in itertools.product(range(len(a) + 1), range(len(b) + 1)):
+        head = align_pair_loop(a[:i], b[:j], cm).total_cost
+        tail = align_pair_loop(a[i:], b[j:], cm).total_cost
+        assert table[i][j] == head + tail
+
+
+# align_triple first sweeps only the cells whose pairwise bound is at most
+# the sum of the pairwise optima. Here that sum is 3 and the optimum 4, and
+# no path survives the first sweep, so the second sweeps the whole lattice.
+SECOND_SWEEP = tok("a", "ə", "aə")
+
+
 @SETTINGS
 @given(words(5), words(5), words(5), ANY_COSTS)
+@example(*SECOND_SWEEP, UNIT)
+@example(*SECOND_SWEEP, UNIT_CONSTRAINED)
 @example(*tok("taat", "tta", "ət"), UNIT)
 @example(*tok("əəa", "a", "aə"), UNIT)
 @example(*tok("aat", "aəət", "taə"), UNIT)
@@ -118,6 +142,23 @@ def test_align_triple_matches_loop_reference(x, y, z, cm):
     assert got.total_cost == want.total_cost
     assert got.length == want.length
     assert got.columns == want.columns
+
+
+# The words above stop at 5 segments, where pruning seldom cuts a cell;
+# the mixed corpus holds words of 3 to 13 segments.
+@pytest.mark.parametrize("costs", ["binary", "pmi"])
+def test_align_triple_matches_loop_reference_on_the_mixed_corpus(tmp_path, costs):
+    corpus = tmp_path / "mixed.tsv"
+    corpus.write_text(make_mixed_corpus(), encoding="utf-8")
+    triples, _ = pair(ingest(corpus), TABLE)
+    cm = binary_cost_model()
+    if costs == "pmi":
+        pairs = [p for t in triples for p in ((t.older, t.standard), (t.newer, t.standard))]
+        cm = CostModel(induce_distances(pairs, cm))
+    distinct = {(t.older, t.newer, t.standard) for t in triples}
+    assert max(len(w) for triple in distinct for w in triple) >= 12
+    for x, y, z in distinct:
+        assert align_triple(x, y, z, cm) == align_triple_loop(x, y, z, cm)
 
 
 @SETTINGS
