@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import pmi as pmi_mod
-from .corpus import ingest, pair, read_groups, retention_report
+from .corpus import distinct, ingest, pair, read_groups, retention_report
 from .costs import GAP, BinaryDistanceTable, CostModel, binary_cost_model
 from .errors import DialignError, EmptyCorpus, FirstLines, ParseError, read_table
 from .pmi import InductionOptions, PmiTable
@@ -137,32 +137,24 @@ def cmd_align(args) -> int:
         dist_table = _induce(args, triples)
     cm = CostModel(dist_table, constrained=not args.unconstrained)
 
-    change_records = []
-    dumps = []
-    memo = {}  # each distinct (older, newer, standard) is aligned once
-    for t in triples:  # already sorted by (location, word)
-        key = tuple(
-            tuple(s.symbol for s in x) for x in (t.older, t.newer, t.standard)
-        )
+    # Triples with equal symbols align alike, so each distinct one is
+    # aligned once; the first that fails is the first in (location, word).
+    firsts, slots = distinct([(t.older, t.newer, t.standard) for t in triples])
+    aligned = []
+    for t in (triples[i] for i in firsts):
         try:
-            al = memo.get(key)
-            if al is None:
-                al = memo[key] = align_triple(t.older, t.newer, t.standard, cm)
-            conv, div = decompose(al, cm)
+            aligned.append(align_triple(t.older, t.newer, t.standard, cm))
         except DialignError as exc:  # a pair missing from a loaded table
             raise DialignError(
                 f"location {t.location!r}, word {t.word!r}: {exc}"
             ) from None
-        change_records.append(
-            ChangeRecord(t.location, t.word, conv, div, al.length)
-        )
-        dumps.append(_dump_alignment(t, al, cm))
 
-    lines = [_RECORDS_HEADER]
-    for r in change_records:
-        lines.append(
-            f"{r.location},{r.word},{r.conv:.6f},{r.div:.6f},{r.alignment_length}"
-        )
+    lines, dumps = [_RECORDS_HEADER], []
+    for t, slot in zip(triples, slots):
+        al = aligned[slot]
+        conv, div = decompose(al, cm)
+        lines.append(f"{t.location},{t.word},{conv:.6f},{div:.6f},{al.length}")
+        dumps.append(_dump_alignment(t, al, cm))
     _write(args, "change_records.csv", "\n".join(lines) + "\n")
     _write(args, "alignments.txt", "\n".join(dumps))
     _write(args, "retention.txt", retention_report(triples, excluded))

@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import logging
 import math
+import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
+from .corpus import distinct
 from .costs import GAP, CostModel
 from .errors import DialignError, EmptyCorpus, FirstLines, ParseError, read_table
 from .pairwise import align_pair
@@ -71,6 +73,7 @@ class PmiTable:
                 raise ParseError(path, lineno, f"bad distance {value!r}")
             if not 0.0 <= d <= 1.0:  # also false for NaN
                 raise ParseError(path, lineno, f"distance {value!r} outside [0, 1]")
+            a, b = (unicodedata.normalize("NFC", s) for s in (a, b))
             key = (a, b) if a <= b else (b, a)
             seen.add(key, lineno, "repeated pair (%r, %r)")
             dist[key] = d
@@ -155,13 +158,8 @@ def induce_distances(
         )
 
     # Pairs with equal symbols align alike under any one cost model, so
-    # each iteration aligns only the first of them; first[i] is the index
-    # of the first pair equal to pair i.
-    seen: dict = {}
-    first = [
-        seen.setdefault((tuple(s.symbol for s in a), tuple(s.symbol for s in b)), i)
-        for i, (a, b) in enumerate(pairs)
-    ]
+    # each iteration aligns only the first of them.
+    firsts, slots = distinct(pairs)
 
     cm = init
     prev_dist = None
@@ -169,11 +167,8 @@ def induce_distances(
     converged = False
     iterations = 0
     for iterations in range(1, opts.max_iter + 1):
-        alignments = []
-        for i, (a, b) in enumerate(pairs):
-            j = first[i]
-            alignments.append(align_pair(a, b, cm) if j == i else alignments[j])
-        counts = Counter(col for al in alignments for col in al.columns)
+        aligned = [align_pair(*pairs[i], cm) for i in firsts]
+        counts = Counter(col for slot in slots for col in aligned[slot].columns)
         dist = distances_from_counts(counts, opts.smoothing)
         if dist == prev_dist:  # unchanged alignments give the same table
             converged = True

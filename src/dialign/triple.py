@@ -68,11 +68,6 @@ def align_triple(sx, sy, sz, cm: CostModel) -> Alignment:
     C = cm.cost
     ux, uy, uz = cm.numbers(sx), cm.numbers(sy), cm.numbers(sz)
 
-    def column(u, v, w) -> float:
-        """Cost of a column of segment numbers u, v, w (0 for a gap): the
-        pair sum (p_xy + p_xz) + p_yz, in that float order."""
-        return (C[u][v] + C[u][w]) + C[v][w]
-
     # A column costs the sum of its three pair prices, gap-gap at 0, so an
     # alignment through cell (i, j, k) costs at least its bound
     # bxy[i][j] + bxz[i][k] + byz[j][k], from each pair's through costs.
@@ -88,11 +83,12 @@ def align_triple(sx, sy, sz, cm: CostModel) -> Alignment:
         """The rows, each and the list of them with a trailing inf."""
         return [r + [inf] for r in rows] + [[inf] * (m + 1)]
 
-    # Column costs of the moves that advance one or two strings, summed as
-    # column() sums them (a gap-gap price adds 0.0, which changes nothing),
-    # and the pair prices of the move that advances all three. Every list,
-    # row, row list and plane ends with an inf that index -1 reads, so a
-    # move from outside the lattice costs inf, with no boundary test.
+    # Column costs of the moves that advance one or two strings, each the
+    # pair sum (p_xy + p_xz) + p_yz in that float order (a gap-gap price
+    # adds 0.0, which changes nothing), and the pair prices of the move that
+    # advances all three; the sweep and the traceback both read them. Every
+    # list, row, row list and plane ends with an inf that index -1 reads, so
+    # a move from outside the lattice costs inf, with no boundary test.
     c_x, c_y, c_z = ([g + g for g in gs] + [inf] for gs in (gx, gy, gz))
     c_xy = padded([[(p + g) + h for p, h in zip(r, gy)] for r, g in zip(pxy, gx)], ny)
     c_xz = padded([[(g + p) + h for p, h in zip(r, gz)] for r, g in zip(pxz, gx)], nz)
@@ -176,11 +172,13 @@ def align_triple(sx, sy, sz, cm: CostModel) -> Alignment:
     i, j, k = nx, ny, nz
     while i > 0 or j > 0 or k > 0:
         here_cost, here_len = cost[i][j][k], alen[i][j][k]
-        for dx, dy, dz in MOVES:
+        prices = (  # in MOVES order; no move from a pruned or outside cell matches
+            c_x[i - 1], c_y[j - 1], c_z[k - 1], c_xy[i - 1][j - 1],
+            c_xz[i - 1][k - 1], c_yz[j - 1][k - 1],
+            (dxy[i - 1][j - 1] + dxz[i - 1][k - 1]) + dyz[j - 1][k - 1],
+        )
+        for (dx, dy, dz), c in zip(MOVES, prices):
             pi, pj, pk = i - dx, j - dy, k - dz
-            if pi < 0 or pj < 0 or pk < 0:
-                continue
-            c = column(ux[pi] if dx else 0, uy[pj] if dy else 0, uz[pk] if dz else 0)
             if cost[pi][pj][pk] + c == here_cost and alen[pi][pj][pk] + 1 == here_len:
                 columns.append(
                     (

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import unicodedata
 from pathlib import Path
 
 import pytest
@@ -470,7 +471,12 @@ def test_align_repeated_triples_match_fresh_alignments(tmp_path):
 
 
 def test_align_load_names_a_pair_missing_from_the_table(tmp_path, capsys):
-    corpus = worked_example_corpus(tmp_path)
+    # The failing triple is aligned once; the error names its first
+    # location in (location, word) order, kampen, though zwolle is read first.
+    rows = worked_example_corpus(tmp_path).read_text(encoding="utf-8").splitlines()
+    zwolle = [row.replace("kampen", "zwolle") for row in rows[1:3]]
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text("\n".join([HEADER, *zwolle, *rows[1:]]) + "\n", encoding="utf-8")
     table = tmp_path / "pmi.tsv"
     table.write_text("s\tt\t0.5\n", encoding="utf-8")
     out = tmp_path / "o"
@@ -486,6 +492,46 @@ def test_align_load_names_a_pair_missing_from_the_table(tmp_path, capsys):
         "symbol pair ('-', 's') is not in the PMI table\n"
     )
     assert not out.exists()
+
+
+def test_align_load_reads_an_nfd_table(tmp_path, capsys):
+    segments = tmp_path / "segments.tsv"
+    segments.write_text("p\tC\na\tV\nã\tV\n", encoding="utf-8")
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text(
+        f"{HEADER}\nloc\tw\tolder\tpã\tw\t-\nloc\tw\tnewer\tpa\tw\t-\n"
+        "standard\tw\tstandard\tpa\tw\t-\n",
+        encoding="utf-8",
+    )
+    records = []
+    for form in ("NFC", "NFD"):
+        table = tmp_path / f"{form}.tsv"
+        text = "-\tp\t1\n-\tã\t1\n-\ta\t1\na\tã\t0.5\n"
+        table.write_text(unicodedata.normalize(form, text), encoding="utf-8")
+        out = tmp_path / form
+        rc = main(
+            [
+                "align", "--corpus", str(corpus), "--segments", str(segments),
+                "--out-dir", str(out), "--mode", "load", "--pmi-table", str(table),
+            ]
+        )
+        assert (rc, capsys.readouterr().err) == (0, "")
+        records.append((out / "change_records.csv").read_bytes())
+    assert records[0] == records[1]
+
+
+def test_align_load_of_the_induced_table_gives_the_same_records(tmp_path):
+    # pmi_table.tsv rounds to 12 significant digits, which can move
+    # co-optimal ties in alignments.txt but not conv and div here
+    corpus = tmp_path / "mixed.tsv"
+    corpus.write_text(make_mixed_corpus(), encoding="utf-8")
+    pmi, load = tmp_path / "pmi", tmp_path / "load"
+    base = ["align", "--corpus", str(corpus), "--out-dir"]
+    assert main(base + [str(pmi), "--mode", "pmi"]) == 0
+    table = str(pmi / "pmi_table.tsv")
+    assert main(base + [str(load), "--mode", "load", "--pmi-table", table]) == 0
+    name = "change_records.csv"
+    assert (pmi / name).read_bytes() == (load / name).read_bytes()
 
 
 # SHA-256 of every output but run_manifest.json, which holds paths, by run

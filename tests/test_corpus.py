@@ -1,9 +1,11 @@
+import unicodedata
+
 import pytest
 
 from dialign import corpus
-from dialign.corpus import ingest, pair, read_groups, retention_report
+from dialign.corpus import distinct, ingest, pair, read_groups, retention_report
 from dialign.errors import DuplicateRecord, ParseError
-from dialign.phonetics import SegmentTable
+from dialign.phonetics import SegmentTable, tokenize
 
 HEADER = "location\tword\tsource\ttranscription\tcognate_id\texclusion"
 
@@ -237,6 +239,17 @@ def test_pair_unknown_symbol_names_the_first_record_that_holds_it(tmp_path, tabl
         f"{path}: line 5: location 'a_loc', word 'w1', newer transcription "
         "'strɔət': unknown symbol 'ɔ' at position 3"
     )
+
+
+def test_distinct_keys_on_symbols_in_first_seen_order(table):
+    raw_nfd = unicodedata.normalize("NFD", "ça")
+    assert raw_nfd != "ça"  # two spellings of one word, one key
+    ca_nfd, ca, pa = (tokenize(raw, table) for raw in (raw_nfd, "ça", "pa"))
+    pairs = [(pa, pa), (ca_nfd, pa), (pa, ca), (ca, pa), (pa, pa), (ca, ca_nfd)]
+    assert distinct(pairs) == ([0, 1, 2, 5], [0, 1, 2, 1, 0, 3])
+    triples = [(pa, ca, pa), (pa, ca_nfd, pa), (pa, pa, ca)]
+    assert distinct(triples) == ([0, 2], [0, 0, 1])
+    assert distinct([]) == ([], [])
 
 
 def test_retention_report(tmp_path, table):

@@ -1,6 +1,7 @@
 import logging
 import math
 import random
+import unicodedata
 
 import pytest
 from loop_dp import make_vowel_shift_pairs
@@ -202,6 +203,28 @@ def test_read_rejects_repeated_pair(tmp_path, repeat):
         PmiTable.read(path)
     assert str(exc.value) == (
         f"{path}: line 3: repeated pair ('a', 'b') (first at line 1)"
+    )
+
+
+def test_read_normalizes_symbols_to_nfc(tmp_path, table):
+    # the tokenizer gives NFC symbols, so an NFD table must price them too
+    nfd = unicodedata.normalize("NFD", "ç")
+    assert nfd != "ç"
+    path = tmp_path / "pmi.tsv"
+    path.write_text(f"{GAP}\t{nfd}\t0.4\n", encoding="utf-8")
+    cm = CostModel(PmiTable.read(path))
+    (u,) = cm.numbers(tokenize("ç", table))
+    assert cm.cost[u][0] == 0.4
+
+
+def test_read_rejects_a_pair_repeated_in_another_normal_form(tmp_path):
+    nfd = unicodedata.normalize("NFD", "ç")
+    path = tmp_path / "pmi.tsv"
+    path.write_text(f"{GAP}\tç\t0.4\n{GAP}\t{nfd}\t0.5\n", encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        PmiTable.read(path)
+    assert str(exc.value) == (
+        f"{path}: line 2: repeated pair ('{GAP}', 'ç') (first at line 1)"
     )
 
 
