@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 from operator import add
 
 from .costs import GAP, Alignment, CostModel
@@ -47,12 +48,66 @@ class ChangeRecord:
 
 
 def through(ga, gb, sub):
-    """The least cost of a 2D alignment of strings a and b through each
-    node (i, j) of their lattice: the fill's cost to the node plus the
-    reversed strings' fill's cost from it."""
-    fwd, _ = fill(ga, gb, sub)
-    bwd, _ = fill(ga[::-1], gb[::-1], [row[::-1] for row in sub[::-1]])
-    return [list(map(add, f, reversed(b))) for f, b in zip(fwd, reversed(bwd))]
+    """The fill's cost table of the 2D lattice of strings a and b, and the
+    least cost of an alignment of them through each node (i, j): the
+    fill's cost to the node plus the reversed strings' fill's cost from
+    it."""
+    fwd = fill(ga, gb, sub)
+    bwd = fill(ga[::-1], gb[::-1], [row[::-1] for row in sub[::-1]])
+    return fwd, [list(map(add, f, reversed(b))) for f, b in zip(fwd, reversed(bwd))]
+
+
+def trace(fwd, ua, ub, C):
+    """An optimal alignment of strings a and b, numbered ua and ub in the
+    price table C, traced back through their fill's cost table fwd. For
+    each k in 0..len(b) it gives the a segments aligned to gaps right
+    after b's segment k, and the a segment aligned with b's segment k, 0
+    for a gap; segments count from 1."""
+    runs, partner = [[] for _ in range(len(ub) + 1)], [0] * (len(ub) + 1)
+    i, k = len(ua), len(ub)
+    while i or k:
+        here = fwd[i][k]
+        if i and fwd[i - 1][k] + C[ua[i - 1]][0] == here:
+            runs[k].append(i)
+            i -= 1
+        elif k and fwd[i][k - 1] + C[ub[k - 1]][0] == here:
+            k -= 1
+        else:
+            partner[k] = i
+            i, k = i - 1, k - 1
+    return [r[::-1] for r in runs], partner
+
+
+def star(ux, uy, uz, C, fxz, fyz):
+    """The star alignment of strings x and y through the standard z, from
+    their numbers in the price table C and the fill tables fxz and fyz of
+    the (x, z) and (y, z) lattices: its columns (i, j, k), each the
+    segment of x, y and z it holds counting from 1, 0 for a gap, and its
+    sum-of-pairs cost. It joins optimal (x, z) and (y, z) alignments
+    through z; x and y segments aligned to gaps between the same two z
+    segments share columns. A column that holds an x and a y segment is
+    split in two, x's part and y's, where that costs less, as it does
+    where the pair is forbidden. It is a feasible alignment, so its cost
+    is at least the optimum."""
+    rx, px = trace(fxz, ux, uz, C)
+    ry, py = trace(fyz, uy, uz, C)
+    vx, vy, vz = [0] + ux, [0] + uy, [0] + uz
+
+    def price(i, j, k):
+        return (C[vx[i]][vy[j]] + C[vx[i]][vz[k]]) + C[vy[j]][vz[k]]
+
+    joined = []
+    for k in range(len(uz) + 1):
+        if k:
+            joined.append((px[k], py[k], k))
+        joined += ((i, j, 0) for i, j in zip_longest(rx[k], ry[k], fillvalue=0))
+    columns = []
+    for i, j, k in joined:
+        if i and j and price(i, 0, k) + price(0, j, 0) < price(i, j, k):
+            columns += ((i, 0, k), (0, j, 0))
+        else:
+            columns.append((i, j, k))
+    return columns, sum(price(*col) for col in columns)
 
 
 def align_triple(sx, sy, sz, cm: CostModel) -> Alignment:
@@ -75,7 +130,9 @@ def align_triple(sx, sy, sz, cm: CostModel) -> Alignment:
     pxz = [[C[u][w] for w in uz] for u in ux]
     pyz = [[C[v][w] for w in uz] for v in uy]
     gx, gy, gz = ([C[u][0] for u in us] for us in (ux, uy, uz))
-    bxy, bxz, byz = through(gx, gy, pxy), through(gx, gz, pxz), through(gy, gz, pyz)
+    (_, bxy), (fxz, bxz), (fyz, byz) = (
+        through(gx, gy, pxy), through(gx, gz, pxz), through(gy, gz, pyz)
+    )
     # No cell (i, j, k) has a bound below bxy[i][j] + mxz[i] + myz[j].
     mxz, myz = [min(r) for r in bxz], [min(r) for r in byz]
 
@@ -159,13 +216,16 @@ def align_triple(sx, sy, sz, cm: CostModel) -> Alignment:
     # length, so the traceback takes the same moves, and it never steps
     # into a pruned cell, which holds inf. The first limit is the sum of
     # the pairwise optima, at most the optimum. If the cost found exceeds
-    # it, the second limit is that cost, or the whole lattice if no path
-    # survived. EPS covers the bounds' other float summation order; extra
-    # cells change nothing.
+    # it, the second limit is that cost, or, if no path survived, the cost
+    # of the star alignment; each is the cost of a feasible alignment, so
+    # at least the optimum. EPS covers the bounds' other float summation
+    # order; extra cells change nothing.
     limit = bxy[0][0] + bxz[0][0] + byz[0][0] + EPS
     cost, alen = sweep(limit)
     found = cost[nx][ny][nz]
     if found + EPS / 2 > limit:  # half of EPS is left for the bounds' rounding
+        if found == inf:
+            found = star(ux, uy, uz, C, fxz, fyz)[1]
         cost, alen = sweep(found + EPS)  # inf + EPS is inf
 
     columns, costs = [], []

@@ -7,6 +7,7 @@ exception both occur. Distance tables are drawn with many ties.
 """
 
 import itertools
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -24,7 +25,7 @@ from dialign.pairwise import align_pair
 from dialign.phonetics import SegmentTable, tokenize
 from dialign.pmi import PmiTable, induce_distances
 from dialign.synth import make_mixed_corpus
-from dialign.triple import align_triple, decompose, directions, through
+from dialign.triple import EPS, align_triple, decompose, directions, star, through
 
 TABLE = SegmentTable.default()
 ALPHABET = ("a", "o", "ə", "n", "r", "t", "s")
@@ -100,14 +101,29 @@ def test_align_pair_matches_loop_reference(a, b, cm):
     assert got.columns == want.columns
 
 
+# Over two symbols nearly every node ties, so the traceback counts the
+# lengths of a large part of a lattice far bigger than words(8) give.
+@pytest.mark.parametrize("cm", [UNIT, UNIT_CONSTRAINED], ids=["unit", "constrained"])
+def test_align_pair_matches_loop_reference_on_long_tie_heavy_words(cm):
+    rng = random.Random(17)
+    a, b = (tokenize("".join(rng.choices("ta", k=300)), TABLE) for _ in range(2))
+    assert align_pair(a, b, cm) == align_pair_loop(a, b, cm)
+
+
+def pair_prices(cm, a, b):
+    """The gap prices of a's and b's segments and their substitution
+    prices, as the DPs read them from the cost model."""
+    C, ua, ub = cm.cost, cm.numbers(a), cm.numbers(b)
+    sub = [[C[u][v] for v in ub] for u in ua]
+    return [C[u][0] for u in ua], [C[0][v] for v in ub], sub
+
+
 # align_triple prunes its lattice by these tables, so each entry must be
 # the least pair cost through its node, neither more nor less.
 @SETTINGS
 @given(words(5), words(5), DYADIC_COSTS)
 def test_through_is_the_least_pair_cost_through_each_node(a, b, cm):
-    C, ua, ub = cm.cost, cm.numbers(a), cm.numbers(b)
-    sub = [[C[u][v] for v in ub] for u in ua]
-    table = through([C[u][0] for u in ua], [C[0][v] for v in ub], sub)
+    _, table = through(*pair_prices(cm, a, b))
     for i, j in itertools.product(range(len(a) + 1), range(len(b) + 1)):
         head = align_pair_loop(a[:i], b[:j], cm).total_cost
         tail = align_pair_loop(a[i:], b[j:], cm).total_cost
@@ -116,8 +132,30 @@ def test_through_is_the_least_pair_cost_through_each_node(a, b, cm):
 
 # align_triple first sweeps only the cells whose pairwise bound is at most
 # the sum of the pairwise optima. Here that sum is 3 and the optimum 4, and
-# no path survives the first sweep, so the second sweeps the whole lattice.
+# no path survives the first sweep, so the second sweep's limit is the cost
+# of the star alignment.
 SECOND_SWEEP = tok("a", "ə", "aə")
+
+
+# The second sweep is exact only if the star alignment is an alignment of
+# the three words, so that its cost is at least the optimum.
+@SETTINGS
+@given(words(5), words(5), words(5), ANY_COSTS)
+@example(*SECOND_SWEEP, UNIT)
+@example(*SECOND_SWEEP, UNIT_CONSTRAINED)
+def test_star_alignment_is_an_alignment_that_bounds_the_optimum(x, y, z, cm):
+    fxz, _ = through(*pair_prices(cm, x, z))
+    fyz, _ = through(*pair_prices(cm, y, z))
+    ux, uy, uz = cm.numbers(x), cm.numbers(y), cm.numbers(z)
+    columns, cost = star(ux, uy, uz, cm.cost, fxz, fyz)
+    for s, word in enumerate((x, y, z)):  # each word's segments once, in order
+        assert [col[s] for col in columns if col[s]] == [*range(1, len(word) + 1)]
+    assert all(any(col) for col in columns)
+    segments = [(None, *x), (None, *y), (None, *z)]
+    assert cost == sum(
+        column_cost(cm, *(w[i] for w, i in zip(segments, col))) for col in columns
+    )
+    assert cost >= align_triple(x, y, z, cm).total_cost - EPS
 
 
 @SETTINGS
