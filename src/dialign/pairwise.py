@@ -2,11 +2,11 @@
 
 The DP minimizes total cost and, among minimal-cost alignments, maximizes
 the column count (the normalization denominator is the length of the
-longest optimal alignment). The fill computes costs only; lengths are
-counted in the traceback, and only where costs tie. Traceback is
-deterministic: when costs tie, deletion is preferred over insertion over
-substitution, applied right-to-left, among the moves that keep the
-alignment longest.
+longest optimal alignment). The fill reads numbered strings and the
+price table, costs only; lengths are counted in the traceback, and only
+where costs tie. Traceback is deterministic: when costs tie, deletion is
+preferred over insertion over substitution, applied right-to-left, among
+the moves that keep the alignment longest.
 """
 
 from __future__ import annotations
@@ -14,15 +14,17 @@ from __future__ import annotations
 from .costs import GAP, Alignment, CostModel
 
 
-def fill(ga, gb, sub):
-    """The cost table of the 2D lattice of strings a and b, from their
-    segments' gap prices ga, gb and substitution prices sub[i][j]:
-    cost[i][j] is the least cost of aligning a[:i] with b[:j]."""
+def fill(ua, ub, C):
+    """The cost table of the 2D lattice of strings numbered ua and ub in the
+    price table C: cost[i][j] is the least cost of aligning ua[:i] with ub[:j]."""
+    gb = [C[0][v] for v in ub]
     row = [0.0]
     for h in gb:
         row.append(row[-1] + h)
     cost = [row]
-    for g, sub_i in zip(ga, sub):
+    for u in ua:
+        prices = C[u]
+        g = prices[0]
         up, left = row, row[0] + g
         row = [left]
         for j, h in enumerate(gb):  # deletion, insertion, substitution
@@ -30,7 +32,7 @@ def fill(ga, gb, sub):
             c = left + h
             if c < best:
                 best = c
-            c = up[j] + sub_i[j]
+            c = up[j] + prices[ub[j]]
             if c < best:
                 best = c
             row.append(best)
@@ -43,14 +45,9 @@ def align_pair(sa, sb, cm: CostModel) -> Alignment:
     """Minimal-cost alignment of maximal length among the optima of two
     segment sequences."""
     n, m = len(sa), len(sb)
-
-    # Each pair price is read from the cost model once per call.
-    na, nb = cm.numbers(sa), cm.numbers(sb)
-    rows = [cm.cost[u] for u in na]
-    ga = [r[0] for r in rows]
-    gb = [cm.cost[0][v] for v in nb]
-    sub = [[r[v] for v in nb] for r in rows]
-    cost = fill(ga, gb, sub)
+    C, ua, ub = cm.cost, cm.numbers(sa), cm.numbers(sb)
+    gap = C[0]  # gap[u] is C[u][0]
+    cost = fill(ua, ub, C)
 
     # longest[i][j]: the column count of the longest optimal alignment of
     # a[:i] with b[:j], the longest path of tight moves to the node (a move
@@ -72,22 +69,22 @@ def align_pair(sa, sb, cm: CostModel) -> Alignment:
             if longest[i][j] is not None:
                 stack.pop()
                 continue
-            here, up, row = cost[i][j], cost[i - 1], cost[i]
+            here, up, row, prices = cost[i][j], cost[i - 1], cost[i], C[ua[i - 1]]
             best, size = -1, len(stack)
             # The three moves are unrolled: del, ins, sub.
-            if up[j] + ga[i - 1] == here:
+            if up[j] + prices[0] == here:
                 got = longest[i - 1][j]
                 if got is None:
                     stack.append((i - 1, j))
                 elif got > best:
                     best = got
-            if row[j - 1] + gb[j - 1] == here:
+            if row[j - 1] + gap[ub[j - 1]] == here:
                 got = longest[i][j - 1]
                 if got is None:
                     stack.append((i, j - 1))
                 elif got > best:
                     best = got
-            if up[j - 1] + sub[i - 1][j - 1] == here:
+            if up[j - 1] + prices[ub[j - 1]] == here:
                 got = longest[i - 1][j - 1]
                 if got is None:
                     stack.append((i - 1, j - 1))
@@ -101,14 +98,14 @@ def align_pair(sa, sb, cm: CostModel) -> Alignment:
     # first in del > ins > sub order that keeps the alignment longest.
     columns, costs = [], []
     i, j = n, m
-    while i > 0 or j > 0:
-        here, tight = cost[i][j], []
-        if i and cost[i - 1][j] + ga[i - 1] == here:
-            tight.append((i - 1, j, ga[i - 1]))
-        if j and cost[i][j - 1] + gb[j - 1] == here:
-            tight.append((i, j - 1, gb[j - 1]))
-        if i and j and cost[i - 1][j - 1] + sub[i - 1][j - 1] == here:
-            tight.append((i - 1, j - 1, sub[i - 1][j - 1]))
+    while i and j:
+        here, prices, v, tight = cost[i][j], C[ua[i - 1]], ub[j - 1], []
+        if cost[i - 1][j] + prices[0] == here:
+            tight.append((i - 1, j, prices[0]))
+        if cost[i][j - 1] + gap[v] == here:
+            tight.append((i, j - 1, gap[v]))
+        if cost[i - 1][j - 1] + prices[v] == here:
+            tight.append((i - 1, j - 1, prices[v]))
         pi, pj, c = tight[0]
         if len(tight) > 1:
             count(i, j)
@@ -119,4 +116,7 @@ def align_pair(sa, sb, cm: CostModel) -> Alignment:
         )
         costs.append(c)
         i, j = pi, pj
-    return Alignment(tuple(columns[::-1]), tuple(costs[::-1]), cost[n][m])
+    # A border node has one predecessor: the rest of a or of b is gapped.
+    head = [(s.symbol, GAP) for s in sa[:i]] + [(GAP, s.symbol) for s in sb[:j]]
+    costs = [gap[u] for u in ua[:i] + ub[:j]] + costs[::-1]
+    return Alignment(tuple(head + columns[::-1]), tuple(costs), cost[n][m])

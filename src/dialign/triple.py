@@ -47,13 +47,13 @@ class ChangeRecord:
     alignment_length: int
 
 
-def through(ga, gb, sub):
-    """The fill's cost table of the 2D lattice of strings a and b, and the
-    least cost of an alignment of them through each node (i, j): the
-    fill's cost to the node plus the reversed strings' fill's cost from
-    it."""
-    fwd = fill(ga, gb, sub)
-    bwd = fill(ga[::-1], gb[::-1], [row[::-1] for row in sub[::-1]])
+def through(ua, ub, C):
+    """The fill's cost table of the 2D lattice of strings numbered ua and
+    ub in the price table C, and the least cost of an alignment of them
+    through each node (i, j): the fill's cost to the node plus the
+    reversed strings' fill's cost from it."""
+    fwd = fill(ua, ub, C)
+    bwd = fill(ua[::-1], ub[::-1], C)
     return fwd, [list(map(add, f, reversed(b))) for f, b in zip(fwd, reversed(bwd))]
 
 
@@ -119,19 +119,19 @@ def align_triple(sx, sy, sz, cm: CostModel) -> Alignment:
     nx, ny, nz = len(sx), len(sy), len(sz)
     inf = math.inf
 
-    # Each pair price is read from the cost model once per call.
+    # The sweep's pair prices are read from the cost model once per call.
     C = cm.cost
     ux, uy, uz = cm.numbers(sx), cm.numbers(sy), cm.numbers(sz)
-
-    # A column costs the sum of its three pair prices, gap-gap at 0, so an
-    # alignment through cell (i, j, k) costs at least its bound
-    # bxy[i][j] + bxz[i][k] + byz[j][k], from each pair's through costs.
     pxy = [[C[u][v] for v in uy] for u in ux]
     pxz = [[C[u][w] for w in uz] for u in ux]
     pyz = [[C[v][w] for w in uz] for v in uy]
     gx, gy, gz = ([C[u][0] for u in us] for us in (ux, uy, uz))
+
+    # A column costs the sum of its three pair prices, gap-gap at 0, so an
+    # alignment through cell (i, j, k) costs at least its bound
+    # bxy[i][j] + bxz[i][k] + byz[j][k], from each pair's through costs.
     (_, bxy), (fxz, bxz), (fyz, byz) = (
-        through(gx, gy, pxy), through(gx, gz, pxz), through(gy, gz, pyz)
+        through(ux, uy, C), through(ux, uz, C), through(uy, uz, C)
     )
     # No cell (i, j, k) has a bound below bxy[i][j] + mxz[i] + myz[j].
     mxz, myz = [min(r) for r in bxz], [min(r) for r in byz]

@@ -7,17 +7,21 @@ _pair_cost (via column_cost in 3D). _pair_cost prices a pair itself, from
 substitution_allowed and the cost model's distance table, and never reads
 the cost model's own price table. The arithmetic is the same, so the
 package's align_pair and align_triple must return equal results;
-tests/test_dp_reference.py checks that. enumerate_optimal and
-brute_force_min_cost are exhaustive oracles for short strings.
+tests/test_dp_reference.py checks that. induce_distances_loop is PMI
+induction over these references, aligning every pair on every iteration.
+enumerate_optimal and brute_force_min_cost are exhaustive oracles for
+short strings.
 """
 
 import math
 import random
+from collections import Counter
 
 from dialign.costs import FORBIDDEN, GAP, Alignment, CostModel, substitution_allowed
 from dialign.errors import DialignError
 from dialign.pairwise import align_pair
 from dialign.phonetics import Segment
+from dialign.pmi import InductionOptions, PmiTable, distances_from_counts
 from dialign.triple import MOVES
 
 
@@ -116,6 +120,25 @@ def align_pair_loop(sa, sb, cm) -> Alignment:
         j -= 1
     columns.reverse()
     return _alignment(columns, cost[n][m])
+
+
+def induce_distances_loop(
+    pairs, init: CostModel, opts: InductionOptions = InductionOptions()
+) -> PmiTable:
+    """Iterative PMI induction that aligns every pair, repeated or not,
+    with align_pair_loop, and stops when an iteration gives the table of
+    the one before it, or after opts.max_iter iterations."""
+    cm, prev, dist, converged = init, None, {}, False
+    for iterations in range(1, opts.max_iter + 1):
+        aligned = [align_pair_loop(a, b, cm) for a, b in pairs]
+        counts = Counter(col for al in aligned for col in al.columns)
+        dist = distances_from_counts(counts, opts.smoothing)
+        if dist == prev:
+            converged = True
+            break
+        prev = dist
+        cm = CostModel(PmiTable(dict(dist)), constrained=init.constrained)
+    return PmiTable(dict(dist), iterations_run=iterations, converged=converged)
 
 
 def align_triple_loop(sx, sy, sz, cm) -> Alignment:

@@ -17,13 +17,14 @@ from loop_dp import (
     align_triple_loop,
     column_cost,
     enumerate_optimal,
+    induce_distances_loop,
 )
 
 from dialign.corpus import ingest, pair
 from dialign.costs import GAP, BinaryDistanceTable, CostModel, binary_cost_model
 from dialign.pairwise import align_pair
 from dialign.phonetics import SegmentTable, tokenize
-from dialign.pmi import PmiTable, induce_distances
+from dialign.pmi import InductionOptions, PmiTable, induce_distances
 from dialign.synth import make_mixed_corpus
 from dialign.triple import EPS, align_triple, decompose, directions, star, through
 
@@ -111,11 +112,9 @@ def test_align_pair_matches_loop_reference_on_long_tie_heavy_words(cm):
 
 
 def pair_prices(cm, a, b):
-    """The gap prices of a's and b's segments and their substitution
-    prices, as the DPs read them from the cost model."""
-    C, ua, ub = cm.cost, cm.numbers(a), cm.numbers(b)
-    sub = [[C[u][v] for v in ub] for u in ua]
-    return [C[u][0] for u in ua], [C[0][v] for v in ub], sub
+    """a's and b's numbers in the cost model's price table, and the table,
+    as the DPs read them."""
+    return cm.numbers(a), cm.numbers(b), cm.cost
 
 
 # align_triple prunes its lattice by these tables, so each entry must be
@@ -123,10 +122,11 @@ def pair_prices(cm, a, b):
 @SETTINGS
 @given(words(5), words(5), DYADIC_COSTS)
 def test_through_is_the_least_pair_cost_through_each_node(a, b, cm):
-    _, table = through(*pair_prices(cm, a, b))
+    fwd, table = through(*pair_prices(cm, a, b))
     for i, j in itertools.product(range(len(a) + 1), range(len(b) + 1)):
         head = align_pair_loop(a[:i], b[:j], cm).total_cost
         tail = align_pair_loop(a[i:], b[j:], cm).total_cost
+        assert fwd[i][j] == head
         assert table[i][j] == head + tail
 
 
@@ -182,21 +182,47 @@ def test_align_triple_matches_loop_reference(x, y, z, cm):
     assert got.columns == want.columns
 
 
+def mixed_corpus(tmp_path):
+    """The triples of make_mixed_corpus(), and their (older, standard) and
+    (newer, standard) pairs, as PMI induction reads them."""
+    corpus = tmp_path / "mixed.tsv"
+    corpus.write_text(make_mixed_corpus(), encoding="utf-8")
+    triples, _ = pair(ingest(corpus), TABLE)
+    pairs = [p for t in triples for p in ((t.older, t.standard), (t.newer, t.standard))]
+    return triples, pairs
+
+
 # The words above stop at 5 segments, where pruning seldom cuts a cell;
 # the mixed corpus holds words of 3 to 13 segments.
 @pytest.mark.parametrize("costs", ["binary", "pmi"])
 def test_align_triple_matches_loop_reference_on_the_mixed_corpus(tmp_path, costs):
-    corpus = tmp_path / "mixed.tsv"
-    corpus.write_text(make_mixed_corpus(), encoding="utf-8")
-    triples, _ = pair(ingest(corpus), TABLE)
+    triples, pairs = mixed_corpus(tmp_path)
     cm = binary_cost_model()
     if costs == "pmi":
-        pairs = [p for t in triples for p in ((t.older, t.standard), (t.newer, t.standard))]
         cm = CostModel(induce_distances(pairs, cm))
     distinct = {(t.older, t.newer, t.standard) for t in triples}
     assert max(len(w) for triple in distinct for w in triple) >= 12
     for x, y, z in distinct:
         assert align_triple(x, y, z, cm) == align_triple_loop(x, y, z, cm)
+
+
+# Induction aligns each distinct pair once an iteration with the
+# table-driven DP; the loop reference aligns every pair with the loop DP.
+# Under the default cap the mixed corpus converges in 3 iterations
+# constrained and in 6 unconstrained, so a cap of 3 stops on the last
+# iteration, converged in one case and not in the other.
+@pytest.mark.parametrize("max_iter", [3, InductionOptions().max_iter])
+@pytest.mark.parametrize("constrained", [True, False], ids=["constrained", "free"])
+def test_induce_distances_matches_loop_reference_on_the_mixed_corpus(
+    tmp_path, constrained, max_iter
+):
+    _, pairs = mixed_corpus(tmp_path)
+    init, opts = binary_cost_model(constrained), InductionOptions(max_iter=max_iter)
+    got = induce_distances(pairs, init, opts)
+    want = induce_distances_loop(pairs, init, opts)
+    assert got.dist == want.dist
+    assert got.iterations_run == want.iterations_run
+    assert got.converged == want.converged
 
 
 @SETTINGS
