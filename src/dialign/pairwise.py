@@ -3,10 +3,10 @@
 The DP minimizes total cost and, among minimal-cost alignments, maximizes
 the column count (the normalization denominator is the length of the
 longest optimal alignment). The fill reads numbered strings and the
-price table, costs only; lengths are counted in the traceback, and only
-where costs tie. Traceback is deterministic: when costs tie, deletion is
-preferred over insertion over substitution, applied right-to-left, among
-the moves that keep the alignment longest.
+price table, costs only; `longest`, which the 3D traceback shares, counts
+lengths only where the traceback meets a tie. Traceback is deterministic:
+when costs tie, deletion is preferred over insertion over substitution,
+applied right-to-left, among the moves that keep the alignment longest.
 """
 
 from __future__ import annotations
@@ -41,6 +41,25 @@ def fill(ua, ub, C):
     return cost
 
 
+def longest(node, starts, memo):
+    """The column count of the longest path of tight moves from the origin
+    to node: the length of the longest optimal alignment of its prefixes.
+    starts(node) lists the starts of the tight moves into a node, those
+    whose start's cost plus price, summed as the fill sums them, is the
+    node's cost; every start sorts before its node. memo maps each node
+    counted so far to its count, the origin to 0. The nodes to count are
+    gathered with an explicit stack, so long words need no deep recursion."""
+    got, stack = {}, [node]
+    while stack:  # each uncounted node on a tight path to node, and its starts
+        top = stack.pop()
+        if top not in memo and top not in got:
+            got[top] = starts(top)
+            stack += got[top]
+    for top in sorted(got):  # a move's start sorts before its end
+        memo[top] = max(map(memo.__getitem__, got[top])) + 1
+    return memo[node]
+
+
 def align_pair(sa, sb, cm: CostModel) -> Alignment:
     """Minimal-cost alignment of maximal length among the optima of two
     segment sequences."""
@@ -48,55 +67,23 @@ def align_pair(sa, sb, cm: CostModel) -> Alignment:
     C, ua, ub = cm.cost, cm.numbers(sa), cm.numbers(sb)
     gap = C[0]  # gap[u] is C[u][0]
     cost = fill(ua, ub, C)
+    w = m + 1  # the length count numbers node (i, j) i * w + j, a fast key
 
-    # longest[i][j]: the column count of the longest optimal alignment of
-    # a[:i] with b[:j], the longest path of tight moves to the node (a move
-    # is tight if its start's cost plus its price, summed as the fill sums
-    # them, is the node's cost). Lengths are counted only where the
-    # traceback meets a tie, over the tight moves into that node, with an
-    # explicit stack; the table is made at the first tie.
-    longest = []
-
-    def count(i, j):
-        """Fill longest at node (i, j) and every node a tight move into it
-        comes from."""
-        if not longest:
-            longest.extend([r] + [None] * m for r in range(n + 1))
-            longest[0] = list(range(m + 1))
-        stack = [(i, j)]
-        while stack:
-            i, j = stack[-1]
-            if longest[i][j] is not None:
-                stack.pop()
-                continue
-            here, up, row, prices = cost[i][j], cost[i - 1], cost[i], C[ua[i - 1]]
-            best, size = -1, len(stack)
-            # The three moves are unrolled: del, ins, sub.
-            if up[j] + prices[0] == here:
-                got = longest[i - 1][j]
-                if got is None:
-                    stack.append((i - 1, j))
-                elif got > best:
-                    best = got
-            if row[j - 1] + gap[ub[j - 1]] == here:
-                got = longest[i][j - 1]
-                if got is None:
-                    stack.append((i, j - 1))
-                elif got > best:
-                    best = got
-            if up[j - 1] + prices[ub[j - 1]] == here:
-                got = longest[i - 1][j - 1]
-                if got is None:
-                    stack.append((i - 1, j - 1))
-                elif got > best:
-                    best = got
-            if len(stack) == size:  # every tight predecessor is counted
-                longest[i][j] = best + 1
-                stack.pop()
+    def starts(node):
+        """The starts of the tight moves into node i * w + j."""
+        i, j = divmod(node, w)
+        here, out = cost[i][j], []
+        if i and cost[i - 1][j] + gap[ua[i - 1]] == here:
+            out.append(node - w)
+        if j and cost[i][j - 1] + gap[ub[j - 1]] == here:
+            out.append(node - 1)
+        if i and j and cost[i - 1][j - 1] + C[ua[i - 1]][ub[j - 1]] == here:
+            out.append(node - w - 1)
+        return out
 
     # Traceback, right-to-left. Where several moves are tight, take the
     # first in del > ins > sub order that keeps the alignment longest.
-    columns, costs = [], []
+    columns, costs, memo = [], [], {0: 0}
     i, j = n, m
     while i and j:
         here, prices, v, tight = cost[i][j], C[ua[i - 1]], ub[j - 1], []
@@ -108,9 +95,8 @@ def align_pair(sa, sb, cm: CostModel) -> Alignment:
             tight.append((i - 1, j - 1, prices[v]))
         pi, pj, c = tight[0]
         if len(tight) > 1:
-            count(i, j)
-            want = longest[i][j] - 1
-            pi, pj, c = next(t for t in tight if longest[t[0]][t[1]] == want)
+            want = longest(i * w + j, starts, memo) - 1
+            pi, pj, c = next(t for t in tight if memo[t[0] * w + t[1]] == want)
         columns.append(
             (sa[pi].symbol if pi < i else GAP, sb[pj].symbol if pj < j else GAP)
         )

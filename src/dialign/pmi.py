@@ -113,6 +113,8 @@ def distances_from_counts(
     ]
     smoothed = {key: ordered.get(key, 0.0) + smoothing for key in universe}
     total = sum(smoothed.values())
+    if not math.isfinite(2.0 * total):  # each symbol's share divides by it
+        raise DialignError(f"smoothing {smoothing!r} overflows the counts' total")
 
     occurrence = {s: 0.0 for s in alphabet}
     for (a, b), c in smoothed.items():

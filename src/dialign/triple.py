@@ -6,9 +6,11 @@ traceback. Column cost is the sum of the three pairwise distances, with
 gap-gap pairs costing 0 and segment-gap pairs priced at the segment's
 gap distance; so bounds from the three pairwise lattices (Carrillo and
 Lipman 1988) show which cells an optimal alignment can pass through,
-and the DP fills only those. Per-column direction of change is
-distance(newer, standard) - distance(older, standard): positive means
-divergence from the standard, negative convergence towards it.
+and the DP fills only those, with costs only; where moves tie, the
+traceback counts lengths with pairwise.longest. Per-column direction of
+change is distance(newer, standard) - distance(older, standard):
+positive means divergence from the standard, negative convergence
+towards it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from itertools import zip_longest
 from operator import add
 
 from .costs import GAP, Alignment, CostModel
-from .pairwise import fill
+from .pairwise import fill, longest
 
 # Moves as (dx, dy, dz) in frozen traceback preference order: single-string
 # advances first (x, then y, then z), then pairs, then all three.
@@ -154,15 +156,13 @@ def align_triple(sx, sy, sz, cm: CostModel) -> Alignment:
     all_k = range(nz + 1)
 
     def sweep(limit):
-        """The cost and length tables of the lattice, filled at the cells
-        whose bound is at most limit; every other cell holds inf. A cell
-        keeps the cheapest candidate, and the longest among those."""
-        inf_row, zero_row = [inf] * (nz + 2), [0] * (nz + 2)  # never written
+        """The cost table of the lattice, filled at the cells whose bound
+        is at most limit; every other cell holds inf."""
+        inf_row = [inf] * (nz + 2)  # never written
         cost = [[inf_row] * (ny + 2) for _ in range(nx + 2)]
-        alen = [[zero_row] * (ny + 2) for _ in range(nx + 2)]
-        cost[0][0], alen[0][0] = [0.0] + [inf] * (nz + 1), [0] * (nz + 2)
+        cost[0][0] = [0.0] + [inf] * (nz + 1)
         for i in range(nx + 1):
-            cost_i, alen_i, bxz_i, mxz_i = cost[i], alen[i], bxz[i], mxz[i]
+            cost_i, bxz_i, mxz_i = cost[i], bxz[i], mxz[i]
             cx, cxz, dxz_i = c_x[i - 1], c_xz[i - 1], dxz[i - 1]
             for j in range(ny + 1):
                 rest = limit - bxy[i][j]
@@ -174,84 +174,88 @@ def align_triple(sx, sy, sz, cm: CostModel) -> Alignment:
                     continue
                 if i or j:
                     r_z = cost_i[j] = [inf] * (nz + 2)
-                    l_z = alen_i[j] = [0] * (nz + 2)
                 else:  # the origin keeps its 0
-                    r_z, l_z = cost_i[j], alen_i[j]
+                    r_z = cost_i[j]
                     ks = [k for k in ks if k]
-                r_x, l_x = cost[i - 1][j], alen[i - 1][j]
-                r_y, l_y = cost_i[j - 1], alen_i[j - 1]
-                r_xy, l_xy = cost[i - 1][j - 1], alen[i - 1][j - 1]
+                r_x, r_y, r_xy = cost[i - 1][j], cost_i[j - 1], cost[i - 1][j - 1]
                 cy, cyz, dyz_j = c_y[j - 1], c_yz[j - 1], dyz[j - 1]
                 cxy, dxy_ij = c_xy[i - 1][j - 1], dxy[i - 1][j - 1]
                 # The moves are unrolled (about 3x faster than looping over
                 # MOVES); each row is named by the move that reads it.
                 for k in ks:
-                    best, blen = r_x[k] + cx, l_x[k] + 1  # (1, 0, 0)
-                    c, n = r_y[k] + cy, l_y[k] + 1  # (0, 1, 0)
-                    if c < best or (c == best and n > blen):
-                        best, blen = c, n
-                    c, n = r_z[k - 1] + c_z[k - 1], l_z[k - 1] + 1  # (0, 0, 1)
-                    if c < best or (c == best and n > blen):
-                        best, blen = c, n
-                    c, n = r_xy[k] + cxy, l_xy[k] + 1  # (1, 1, 0)
-                    if c < best or (c == best and n > blen):
-                        best, blen = c, n
-                    c, n = r_x[k - 1] + cxz[k - 1], l_x[k - 1] + 1  # (1, 0, 1)
-                    if c < best or (c == best and n > blen):
-                        best, blen = c, n
-                    c, n = r_y[k - 1] + cyz[k - 1], l_y[k - 1] + 1  # (0, 1, 1)
-                    if c < best or (c == best and n > blen):
-                        best, blen = c, n
+                    best = r_x[k] + cx  # (1, 0, 0)
+                    c = r_y[k] + cy  # (0, 1, 0)
+                    if c < best:
+                        best = c
+                    c = r_z[k - 1] + c_z[k - 1]  # (0, 0, 1)
+                    if c < best:
+                        best = c
+                    c = r_xy[k] + cxy  # (1, 1, 0)
+                    if c < best:
+                        best = c
+                    c = r_x[k - 1] + cxz[k - 1]  # (1, 0, 1)
+                    if c < best:
+                        best = c
+                    c = r_y[k - 1] + cyz[k - 1]  # (0, 1, 1)
+                    if c < best:
+                        best = c
                     c = r_xy[k - 1] + ((dxy_ij + dxz_i[k - 1]) + dyz_j[k - 1])
-                    n = l_xy[k - 1] + 1  # (1, 1, 1)
-                    if c < best or (c == best and n > blen):
-                        best, blen = c, n
+                    if c < best:  # (1, 1, 1)
+                        best = c
                     r_z[k] = best
-                    l_z[k] = blen
-        return cost, alen
+        return cost
 
     # Every cell of an optimal alignment, and of every optimal prefix of
     # one, has a bound at most the optimum. A sweep whose limit is at least
-    # the optimum therefore gives those cells their full-lattice cost and
-    # length, so the traceback takes the same moves, and it never steps
-    # into a pruned cell, which holds inf. The first limit is the sum of
-    # the pairwise optima, at most the optimum. If the cost found exceeds
-    # it, the second limit is that cost, or, if no path survived, the cost
-    # of the star alignment; each is the cost of a feasible alignment, so
-    # at least the optimum. EPS covers the bounds' other float summation
-    # order; extra cells change nothing.
+    # the optimum therefore gives those cells their full-lattice cost, so
+    # the tight moves into them, which start at such cells too, are those
+    # of the full lattice: the traceback and the length count take the
+    # same moves and never step into a pruned cell, which holds inf. The
+    # first limit is the sum of the pairwise optima, at most the optimum.
+    # If the cost found exceeds it, the second limit is that cost, or, if
+    # no path survived, the cost of the star alignment; each is the cost
+    # of a feasible alignment, so at least the optimum. EPS covers the
+    # bounds' other float summation order; extra cells change nothing.
     limit = bxy[0][0] + bxz[0][0] + byz[0][0] + EPS
-    cost, alen = sweep(limit)
+    cost = sweep(limit)
     found = cost[nx][ny][nz]
     if found + EPS / 2 > limit:  # half of EPS is left for the bounds' rounding
         if found == inf:
             found = star(ux, uy, uz, C, fxz, fyz)[1]
-        cost, alen = sweep(found + EPS)  # inf + EPS is inf
+        cost = sweep(found + EPS)  # inf + EPS is inf
 
-    columns, costs = [], []
-    i, j, k = nx, ny, nz
-    while i > 0 or j > 0 or k > 0:
-        here_cost, here_len = cost[i][j][k], alen[i][j][k]
-        prices = (  # in MOVES order; no move from a pruned or outside cell matches
-            c_x[i - 1], c_y[j - 1], c_z[k - 1], c_xy[i - 1][j - 1],
-            c_xz[i - 1][k - 1], c_yz[j - 1][k - 1],
-            (dxy[i - 1][j - 1] + dxz[i - 1][k - 1]) + dyz[j - 1][k - 1],
+    def tight(node):
+        """The starts and prices of the tight moves into a cell, in MOVES
+        order; a move from a pruned or outside cell is never tight."""
+        i, j, k = node
+        a, b, h = i - 1, j - 1, k - 1
+        r_x, r_y, r_xy, r_z = cost[a][j], cost[i][b], cost[a][b], cost[i][j]
+        befores = (r_x[k], r_y[k], r_z[h], r_xy[k], r_x[h], r_y[h], r_xy[h])
+        prices = (
+            c_x[a], c_y[b], c_z[h], c_xy[a][b], c_xz[a][h], c_yz[b][h],
+            (dxy[a][b] + dxz[a][h]) + dyz[b][h],
         )
-        for (dx, dy, dz), c in zip(MOVES, prices):
-            pi, pj, pk = i - dx, j - dy, k - dz
-            if cost[pi][pj][pk] + c == here_cost and alen[pi][pj][pk] + 1 == here_len:
-                columns.append(
-                    (
-                        sx[pi].symbol if dx else GAP,
-                        sy[pj].symbol if dy else GAP,
-                        sz[pk].symbol if dz else GAP,
-                    )
-                )
-                costs.append(c)
-                i, j, k = pi, pj, pk
-                break
-        else:  # pragma: no cover - DP guarantees a predecessor
-            raise AssertionError("traceback found no consistent predecessor")
+        here, starts, paid = r_z[k], [], []
+        for (dx, dy, dz), before, c in zip(MOVES, befores, prices):
+            if before + c == here:
+                starts.append((i - dx, j - dy, k - dz))
+                paid.append(c)
+        return starts, paid
+
+    # Traceback. Where several moves are tight, take the first in MOVES
+    # order that keeps the alignment longest.
+    columns, costs, memo = [], [], {(0, 0, 0): 0}
+    node = (nx, ny, nz)
+    while any(node):
+        starts, prices = tight(node)
+        t = 0  # the index of the move taken
+        if len(starts) > 1:
+            want = longest(node, lambda cell: tight(cell)[0], memo) - 1
+            t = [memo[start] for start in starts].index(want)
+        strings = zip((sx, sy, sz), starts[t], node)
+        columns.append(tuple(s[p].symbol if p < q else GAP for s, p, q in strings))
+        costs.append(prices[t])
+        node = starts[t]
     return Alignment(tuple(columns[::-1]), tuple(costs[::-1]), cost[nx][ny][nz])
 
 

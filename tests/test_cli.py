@@ -183,6 +183,23 @@ def test_pmi_max_iter_one_logs_nonconvergence(tmp_path, corpus_path):
     assert "converged\tfalse" in (out / "pmi_log.txt").read_text(encoding="utf-8")
 
 
+# Any finite smoothing above 0 is a valid option, but twice the smoothed
+# counts' total must stay finite too, or every PMI value is 0/0 or NaN.
+@pytest.mark.parametrize(
+    "options",
+    [["--smoothing", "1e306"], ["--smoothing", "1e308", "--max-iter", "1"]],
+    ids=["1e306", "1e308-one-iteration"],
+)
+def test_pmi_rejects_a_smoothing_that_overflows(tmp_path, capsys, options):
+    out = tmp_path / "o"
+    corpus = DATA_DIR / "corpus.tsv"
+    assert main(["pmi", "--corpus", str(corpus), "--out-dir", str(out), *options]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: smoothing {float(options[1])!r} ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_full_pipeline_determinism(tmp_path, corpus_path):
     groups = tmp_path / "groups.tsv"
     groups.write_text(GROUPS_6, encoding="utf-8")

@@ -182,6 +182,18 @@ def test_align_triple_matches_loop_reference(x, y, z, cm):
     assert got.columns == want.columns
 
 
+# words(5) leave the tight subgraph small; over two symbols nearly every
+# cell ties, so the traceback counts lengths deep into a 3D lattice.
+@pytest.mark.parametrize("cm", [UNIT, UNIT_CONSTRAINED], ids=["unit", "constrained"])
+def test_align_triple_matches_loop_reference_on_long_tie_heavy_words(cm):
+    rng = random.Random(1)
+    x, y, z = (
+        tokenize("".join(rng.choices("ta", k=rng.randint(30, 40))), TABLE)
+        for _ in range(3)
+    )
+    assert align_triple(x, y, z, cm) == align_triple_loop(x, y, z, cm)
+
+
 def mixed_corpus(tmp_path):
     """The triples of make_mixed_corpus(), and their (older, standard) and
     (newer, standard) pairs, as PMI induction reads them."""
