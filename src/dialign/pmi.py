@@ -127,6 +127,8 @@ def distances_from_counts(
         p_joint = c / total
         p_a = occurrence[a] / (2.0 * total)
         p_b = occurrence[b] / (2.0 * total)
+        if p_joint == 0.0 or p_a * p_b == 0.0:  # a share underflowed
+            raise DialignError(f"smoothing {smoothing!r} underflows a pair's share")
         raw[key] = -math.log2(p_joint / (p_a * p_b))
 
     lo, hi = min(raw.values()), max(raw.values())

@@ -7,7 +7,11 @@ gap-gap pairs costing 0 and segment-gap pairs priced at the segment's
 gap distance; so bounds from the three pairwise lattices (Carrillo and
 Lipman 1988) show which cells an optimal alignment can pass through,
 and the DP fills only those, with costs only; where moves tie, the
-traceback counts lengths with pairwise.longest. Per-column direction of
+traceback counts lengths with pairwise.longest. Where two strings are
+equal and their symbols price 0 against themselves and more than EPS
+against the gap, the bound is met exactly with the two in lockstep, so
+one 2D alignment of the third string with them, each price doubled, is
+the triple's, and no 3D lattice is filled. Per-column direction of
 change is distance(newer, standard) - distance(older, standard):
 positive means divergence from the standard, negative convergence
 towards it.
@@ -21,7 +25,7 @@ from itertools import zip_longest
 from operator import add
 
 from .costs import GAP, Alignment, CostModel
-from .pairwise import fill, longest
+from .pairwise import align_pair, fill, longest
 
 # Moves as (dx, dy, dz) in frozen traceback preference order: single-string
 # advances first (x, then y, then z), then pairs, then all three.
@@ -112,6 +116,30 @@ def star(ux, uy, uz, C, fxz, fyz):
     return columns, sum(price(*col) for col in columns)
 
 
+def lockstep(sx, sy, sz, ux, uy, uz, cm: CostModel):
+    """The alignment of a triple of which two strings are equal, by one 2D
+    alignment of the third string with them, or None if no two strings are
+    equal or some symbol of theirs does not price 0 against itself and
+    more than EPS against the gap. ux, uy and uz number sx, sy and sz."""
+    if ux == uy:
+        third, same, us, roles = sz, sx, ux, lambda a, b: (b, b, a)
+    elif ux == uz:
+        third, same, us, roles = sy, sx, ux, lambda a, b: (b, a, b)
+    elif uy == uz:
+        third, same, us, roles = sx, sy, uy, lambda a, b: (a, b, b)
+    else:
+        return None
+    C = cm.cost
+    if not all(C[u][u] == 0.0 and C[u][0] > EPS for u in us):
+        return None
+    al = align_pair(third, same, cm)
+    return Alignment(
+        tuple(roles(a, b) for a, b in al.columns),
+        tuple(c + c for c in al.costs),
+        al.total_cost + al.total_cost,
+    )
+
+
 def align_triple(sx, sy, sz, cm: CostModel) -> Alignment:
     """Minimal-cost three-string alignment, longest among the optima.
 
@@ -121,9 +149,22 @@ def align_triple(sx, sy, sz, cm: CostModel) -> Alignment:
     nx, ny, nz = len(sx), len(sy), len(sz)
     inf = math.inf
 
-    # The sweep's pair prices are read from the cost model once per call.
     C = cm.cost
     ux, uy, uz = cm.numbers(sx), cm.numbers(sy), cm.numbers(sz)
+
+    # Prices are at least 0. Where two strings are equal and each symbol of
+    # theirs prices 0 against itself and more than EPS against the gap,
+    # the triple's optimum is its bound, twice the third string's pair
+    # optimum, met only with the equal two in lockstep: any other alignment
+    # gaps each of them, at least 2 * EPS more, far above float error. A
+    # lockstep move costs p + p (and a 0.0), exactly twice its 2D price p;
+    # with the third string first, 2D del > ins > sub is MOVES order. So
+    # the sweep would trace the lockstep image of the 2D alignment.
+    paired = lockstep(sx, sy, sz, ux, uy, uz, cm)
+    if paired is not None:
+        return paired
+
+    # The sweep's pair prices are read from the cost model once per call.
     pxy = [[C[u][v] for v in uy] for u in ux]
     pxz = [[C[u][w] for w in uz] for u in ux]
     pyz = [[C[v][w] for w in uz] for v in uy]

@@ -184,11 +184,17 @@ def test_pmi_max_iter_one_logs_nonconvergence(tmp_path, corpus_path):
 
 
 # Any finite smoothing above 0 is a valid option, but twice the smoothed
-# counts' total must stay finite too, or every PMI value is 0/0 or NaN.
+# counts' total must stay finite too, or every PMI value is 0/0 or NaN;
+# and no pair's share may underflow to 0, or its PMI divides by 0.
 @pytest.mark.parametrize(
     "options",
-    [["--smoothing", "1e306"], ["--smoothing", "1e308", "--max-iter", "1"]],
-    ids=["1e306", "1e308-one-iteration"],
+    [
+        ["--smoothing", "1e306"],
+        ["--smoothing", "1e308", "--max-iter", "1"],
+        ["--smoothing", "1e-320"],
+        ["--smoothing", "5e-324"],
+    ],
+    ids=["1e306", "1e308-one-iteration", "1e-320", "5e-324"],
 )
 def test_pmi_rejects_a_smoothing_that_overflows(tmp_path, capsys, options):
     out = tmp_path / "o"

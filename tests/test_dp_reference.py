@@ -182,8 +182,36 @@ def test_align_triple_matches_loop_reference(x, y, z, cm):
     assert got.columns == want.columns
 
 
+def with_two_equal(a, b):
+    """The triples that hold a twice and b once."""
+    return (a, a, b), (a, b, a), (b, a, a)
+
+
+# Two equal strings take one 2D alignment of the third with them, in
+# lockstep, where their symbols price 0 against themselves and more than
+# EPS against the gap; ANY_COSTS also draws tables where they do not, so
+# the 3D sweep runs too. Under UNIT "ot" and "to" have two optima of equal
+# length, and only the MOVES order picks one, in each placement. Under
+# FREE_GAP a gap costs "t" nothing, so two "t"s that do not advance
+# together tie with the lockstep alignment, and the longest rule picks them.
+FREE_GAP = CostModel(
+    PmiTable({(GAP, "a"): 0.25, (GAP, "t"): 0.0, ("a", "t"): 1.0}), constrained=False
+)
+
+
+@SETTINGS
+@given(words(5), words(5), ANY_COSTS)
+@example(*tok("ot", "to"), UNIT)
+@example(*tok("to", "ot"), UNIT)
+@example(*tok("t", "a"), FREE_GAP)
+def test_align_triple_with_two_equal_strings_matches_loop_reference(a, b, cm):
+    for x, y, z in with_two_equal(a, b):
+        assert align_triple(x, y, z, cm) == align_triple_loop(x, y, z, cm)
+
+
 # words(5) leave the tight subgraph small; over two symbols nearly every
-# cell ties, so the traceback counts lengths deep into a 3D lattice.
+# cell ties, so the traceback counts lengths deep into a 3D lattice, or,
+# for two equal words, into the 2D lattice of the third with them.
 @pytest.mark.parametrize("cm", [UNIT, UNIT_CONSTRAINED], ids=["unit", "constrained"])
 def test_align_triple_matches_loop_reference_on_long_tie_heavy_words(cm):
     rng = random.Random(1)
@@ -191,7 +219,11 @@ def test_align_triple_matches_loop_reference_on_long_tie_heavy_words(cm):
         tokenize("".join(rng.choices("ta", k=rng.randint(30, 40))), TABLE)
         for _ in range(3)
     )
-    assert align_triple(x, y, z, cm) == align_triple_loop(x, y, z, cm)
+    triples = [(x, y, z)]
+    for a, b in ((x, z), (y, x), (z, y)):
+        triples += with_two_equal(a, b)
+    for triple in triples:
+        assert align_triple(*triple, cm) == align_triple_loop(*triple, cm)
 
 
 def mixed_corpus(tmp_path):

@@ -40,6 +40,28 @@ def test_identity_triple(tok):
     assert decompose(al, cm) == (0.0, 0.0)
 
 
+class Filled(Exception):
+    pass
+
+
+# Two equal strings need none of the bound tables, so no 2D fill of
+# align_triple's own, and an unchanged word shows no change. Where their
+# symbols do not price 0 against themselves, the 3D sweep still runs.
+def test_two_equal_strings_need_no_bound_tables(tok, monkeypatch):
+    def fill(*args):
+        raise Filled
+
+    monkeypatch.setattr("dialign.triple.fill", fill)
+    a, b = tok("strat"), tok("strɔt")
+    cm = binary_cost_model()
+    assert decompose(align_triple(a, a, b, cm), cm) == (0.0, 0.0)
+    costly_self = PmiTable(
+        {("a", "a"): 0.5, ("a", "t"): 1.0, (GAP, "a"): 1.0, (GAP, "t"): 1.0}
+    )
+    with pytest.raises(Filled):
+        align_triple(tok("ta"), tok("ta"), tok("at"), CostModel(costly_self))
+
+
 def test_seven_presence_patterns_only(tok):
     cm = binary_cost_model()
     rng = random.Random(3)
