@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from dialign import analysis
 from dialign.analysis import (
     PERM_CELLS,
     ContrastResult,
@@ -122,6 +123,91 @@ def test_one_stream_matches_per_measure_streams(n_perm, n_ls, n_other):
             assert got.p_value == want.p_value
             assert got.direction == want.direction
             assert got.n_permutations == n_perm
+
+
+def count_exact_rows(monkeypatch):
+    """Wrap analysis._hits so that it counts the rows it scores."""
+    rows = [0]
+    hits = analysis._hits
+
+    def counting(values, perm, rest, observed):
+        rows[0] += len(perm)
+        return hits(values, perm, rest, observed)
+
+    monkeypatch.setattr(analysis, "_hits", counting)
+    return rows
+
+
+def tie_heavy_cases():
+    """Small group maps with LS on both sides and dyadic means, so that
+    many permutations tie with the observed statistic exactly; the first
+    case ties or beats its div statistic on every permutation. In the
+    last ones, 8 LS locations of 9 with random means, the observed split
+    recurs in a ninth of the draws, and the matrix products often sum
+    its LS means in another order than the mask mean does, so that its
+    estimate misses the observed statistic by an ulp."""
+    groups = {"loc01": "LS", "loc02": "FR", "loc03": "FR"}
+    records = [
+        ChangeRecord(loc, "w", conv, div, 5)
+        for loc, conv, div in (("loc01", 0.25, 0.1), ("loc02", 0.0, 0.1), ("loc03", 0.5, 0.0))
+    ]
+    yield groups, records
+    rng = random.Random(21)
+    for _ in range(40):
+        n = rng.randint(3, 7)
+        n_ls = rng.randint(1, n - 1)
+        groups = {f"loc{i:02d}": "LS" if i < n_ls else rng.choice(["FR", "GR"]) for i in range(n)}
+        records = [
+            ChangeRecord(loc, f"w{w}", rng.choice((0.0, 0.25, 0.5)), rng.choice((0.0, 0.25, 0.5)), 5)
+            for loc in groups
+            for w in range(rng.randint(1, 2))
+        ]
+        yield groups, records
+    for _ in range(10):
+        groups = {f"loc{i:02d}": "LS" for i in range(9)}
+        groups[rng.choice(sorted(groups))] = "FR"
+        records = [ChangeRecord(loc, "w", rng.random() / 2, rng.random() / 2, 5) for loc in groups]
+        yield groups, records
+
+
+def test_filtered_scoring_matches_loop_reference_on_ties(monkeypatch):
+    exact_rows = count_exact_rows(monkeypatch)
+    for case, (groups, records) in enumerate(tie_heavy_cases()):
+        results = permutation_contrast(by_location(records, groups), groups, n_perm=999, seed=case)
+        for measure, got in zip(("conv", "div"), results):
+            want = permutation_contrast_loop(records, groups, measure, 999, case)
+            assert (got.statistic, got.p_value) == (want.statistic, want.p_value)
+        if case == 0:
+            assert results[1].p_value == 1.0
+    assert exact_rows[0] > 0
+
+
+def test_band_routes_rows_without_deciding_them(monkeypatch):
+    groups = make_groups()
+    grouped = [
+        by_location(make_records(groups, random.Random(seed), conv_shift_ls=0.005), groups)
+        for seed in range(10)
+    ]
+    want = [permutation_contrast(g, groups, n_perm=999, seed=s) for s, g in enumerate(grouped)]
+    exact_rows = count_exact_rows(monkeypatch)
+    monkeypatch.setattr(analysis, "BAND", float("inf"))  # every row is near
+    got = [permutation_contrast(g, groups, n_perm=999, seed=s) for s, g in enumerate(grouped)]
+    assert got == want
+    assert exact_rows[0] == 10 * 2 * 999
+
+
+@pytest.mark.parametrize("n", [2, 7, 40])
+def test_permuted_float_labels_match_successive_permutation_draws(n):
+    # permutation_contrast shuffles 0/1 float labels a block at a time and
+    # relies on each row being the next rng.permutation(is_ls) draw.
+    for seed in range(5):
+        is_ls = np.random.default_rng(100 + seed).random(n) < 0.5
+        labels = is_ls.astype(np.float64)
+        blocks, draws = np.random.default_rng(seed), np.random.default_rng(seed)
+        for b in (5, 3):
+            rows = blocks.permuted(np.broadcast_to(labels, (b, n)).copy(), axis=1)
+            want = [draws.permutation(is_ls) for _ in range(b)]
+            assert np.array_equal(rows, np.array(want, dtype=np.float64))
 
 
 def test_contrast_deterministic_and_identity_statistic():

@@ -1,13 +1,16 @@
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
 import sys
+import tempfile
 import unicodedata
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dialign
 from dialign.cli import main
@@ -422,6 +425,88 @@ def test_report_rejects_negative_seed(tmp_path, capsys):
     assert run_report(tmp_path, seed=-1) == 2
     assert capsys.readouterr().err == "config error: --seed must be >= 0\n"
     assert not (tmp_path / "rep").exists()
+
+
+FIELD_VALUES = ("nan", "inf", "-0", "1e308", "5e-324", "", "\0")
+
+
+@st.composite
+def mutated(draw, text, sep):
+    """The bytes of text after one to three line or field edits, and a
+    byte flip in one case of four."""
+    lines = [line.split(sep) for line in text.split("\n")]
+    for _ in range(draw(st.integers(1, 3))):
+        i, j = draw(st.integers(0, len(lines) - 1)), draw(st.integers(0, len(lines) - 1))
+        fields = lines[i]
+        k, k2 = draw(st.integers(0, len(fields) - 1)), draw(st.integers(0, len(fields) - 1))
+        edit = draw(st.sampled_from(["drop", "repeat", "swap", "field", "value"]))
+        if edit == "drop" and len(lines) > 1:
+            del lines[i]
+        elif edit == "repeat":
+            lines.insert(i, list(fields))
+        elif edit == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        elif edit == "field":
+            change = draw(st.sampled_from(["drop", "repeat", "swap"]))
+            if change == "drop" and len(fields) > 1:
+                del fields[k]
+            elif change == "repeat":
+                fields.insert(k, fields[k])
+            else:
+                fields[k], fields[k2] = fields[k2], fields[k]
+        elif edit == "value":
+            fields[k] = draw(st.sampled_from(FIELD_VALUES))
+    data = bytearray("\n".join(sep.join(fields) for fields in lines).encode())
+    if draw(st.integers(0, 3)) == 0:
+        data[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
+    return bytes(data)
+
+
+REPORT_INPUTS = {
+    "--records": (RECORDS_6, ","),
+    "--groups": (GROUPS_6, "\t"),
+    "--coords": (make_coords(6), "\t"),
+}
+
+
+@st.composite
+def report_inputs(draw):
+    """The report input files, one of them mutated."""
+    files = {flag: text.encode() for flag, (text, _) in REPORT_INPUTS.items()}
+    flag = draw(st.sampled_from(sorted(files)))
+    files[flag] = draw(mutated(*REPORT_INPUTS[flag]))
+    return files
+
+
+def numeric_fields(name, text):
+    """The number fields of a report output, which must all be finite."""
+    rows = text.splitlines()[1:]
+    if name == "summary.txt":
+        return [f for row in rows for f in row.split("\t")[1:] if f != "-"]
+    if name == "contrasts.csv":
+        return [f for row in rows for f in row.split(",")[1:4]]
+    return [f for row in rows for f in row.rsplit(",", 4)[1:]]  # geo.csv
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(report_inputs())
+def test_report_survives_mutated_inputs(files):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        argv = ["report", "--out-dir", str(tmp / "rep"), "--n-perm", "999"]
+        for flag, data in files.items():
+            path = tmp / flag.lstrip("-")
+            path.write_bytes(data)
+            argv += [flag, str(path)]
+        rc = main(argv)
+        assert rc in (0, 1, 2)
+        if rc != 0:
+            assert not (tmp / "rep").exists()
+            return
+        for name in ("summary.txt", "contrasts.csv", "geo.csv"):
+            text = (tmp / "rep" / name).read_text(encoding="utf-8")
+            for field in numeric_fields(name, text):
+                assert math.isfinite(float(field)), (name, text)
 
 
 @pytest.mark.parametrize("command", ["align", "report"])
