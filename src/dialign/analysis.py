@@ -8,7 +8,7 @@ token in GROUPS, as corpus.read_groups reads it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -17,21 +17,19 @@ from .errors import DegenerateContrast, MissingCoordinates, UnmappedLocation
 from .triple import ChangeRecord
 
 
-@dataclass(frozen=True)
-class GroupSummary:
-    group: str
-    mean_conv: float | None
-    mean_div: float | None
-    n_records: int
+GroupSummary = namedtuple("GroupSummary", "group mean_conv mean_div n_records")
 
 
-@dataclass(frozen=True)
-class ContrastResult:
-    measure: str  # "conv" or "div"
-    statistic: float  # mean over LS location means minus non-LS
-    p_value: float
-    n_permutations: int
-    direction: str  # e.g. "conv_higher_in_ls"
+class ContrastResult(
+    namedtuple(
+        "ContrastResult", "measure statistic p_value n_permutations direction"
+    )
+):
+    """One measure's ("conv" or "div") contrast: the statistic, the mean
+    over LS location means minus the non-LS one, its p-value over
+    n_permutations, and its direction, e.g. "conv_higher_in_ls"."""
+
+    __slots__ = ()
 
 
 def by_location(

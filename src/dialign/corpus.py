@@ -9,7 +9,7 @@ are all present, unflagged, and the older/newer cognates match.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import FirstLines, ParseError, UnknownSymbol, read_table
 from .phonetics import Segment, SegmentTable
@@ -25,28 +25,23 @@ GROUPS = ("FR", "DU-FR", "GR", "LS")
 _HEADER = "location\tword\tsource\ttranscription\tcognate_id\texclusion"
 
 
-@dataclass(frozen=True)
-class CorpusRecord:
-    location: str
-    word: str
-    source: str  # in SOURCES
-    raw: str
-    cognate_id: str | None
-    exclusion: str | None  # in EXCLUSIONS
-    path: str  # the corpus file and line the record was read from
-    line: int
+class CorpusRecord(
+    namedtuple(
+        "CorpusRecord", "location word source raw cognate_id exclusion path line"
+    )
+):
+    """A corpus row: its source in SOURCES, its transcription raw, its
+    cognate_id and exclusion tag (in EXCLUSIONS), each None for "-", and
+    the corpus file path and line it was read from."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PairedTriple:
+class PairedTriple(namedtuple("PairedTriple", "location word older newer standard")):
     """A (location, word) cell's transcriptions as segment tuples, in the
     role order older, newer, standard that align_triple takes."""
 
-    location: str
-    word: str
-    older: tuple[Segment, ...]
-    newer: tuple[Segment, ...]
-    standard: tuple[Segment, ...]
+    __slots__ = ()
 
 
 def distinct(items) -> tuple[list[int], list[int]]:
@@ -64,11 +59,10 @@ def distinct(items) -> tuple[list[int], list[int]]:
     return firsts, slots
 
 
-@dataclass(frozen=True)
-class ExcludedPair:
-    location: str
-    word: str
-    reason: str  # in EXCLUSIONS
+class ExcludedPair(namedtuple("ExcludedPair", "location word reason")):
+    """A (location, word) cell left out, with its reason in EXCLUSIONS."""
+
+    __slots__ = ()
 
 
 def ingest(path) -> list[CorpusRecord]:

@@ -12,21 +12,18 @@ return an Alignment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .phonetics import GAP, Segment
 
 FORBIDDEN = math.inf
 
 
-@dataclass(frozen=True)
-class Alignment:
+class Alignment(namedtuple("Alignment", "columns costs total_cost")):
     """Columns of the aligned strings' symbols, GAP for a gap, with
     costs[i] the price of column i and total_cost the DP's optimum."""
 
-    columns: tuple[tuple[str, ...], ...]
-    costs: tuple[float, ...]
-    total_cost: float
+    __slots__ = ()
 
     @property
     def length(self) -> int:

@@ -33,13 +33,15 @@ class ParseError(DialignError):
 
 
 def read_lines(path) -> list[str]:
-    """The lines of a UTF-8 text file, without a leading byte order mark;
-    a byte that is not UTF-8 is a ParseError naming its line."""
+    """The lines of a UTF-8 text file, without a leading byte order mark
+    or a line's trailing "\\r"; only "\\n" ends a line, so a line number
+    counts the "\\n" before it. A byte that is not UTF-8 is a ParseError
+    naming its line."""
     data = Path(path).read_bytes()
     if data.startswith(b"\xef\xbb\xbf"):  # stripped here, not by utf-8-sig,
         data = data[3:]  # so that error offsets index this data
     try:
-        return data.decode("utf-8").splitlines()
+        return [line.removesuffix("\r") for line in data.decode("utf-8").split("\n")]
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ParseError(path, line, f"not UTF-8: {exc.reason}") from None

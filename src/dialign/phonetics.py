@@ -10,7 +10,7 @@ consonant.
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import EmptyInput, FirstLines, ParseError, UnknownSymbol, read_table
 
@@ -41,18 +41,18 @@ def _is_modifier(ch: str) -> bool:
     return ch in MODIFIER_CHARS or unicodedata.category(ch) == "Mn"
 
 
-@dataclass(frozen=True)
-class Segment:
-    symbol: str
-    klass: str  # "V" or "C"
-    is_sonorant_consonant: bool
-    is_schwa: bool
+class Segment(namedtuple("Segment", "symbol klass is_sonorant_consonant is_schwa")):
+    """A segment's symbol, its class klass, "V" or "C", and two flags: a
+    sonorant is a consonant and a schwa is a vowel."""
 
-    def __post_init__(self):
-        if self.is_schwa and self.klass != "V":
+    __slots__ = ()
+
+    def __new__(cls, symbol, klass, is_sonorant_consonant, is_schwa):
+        if is_schwa and klass != "V":
             raise ValueError("schwa flag requires a vowel")
-        if self.is_sonorant_consonant and self.klass != "C":
+        if is_sonorant_consonant and klass != "C":
             raise ValueError("sonorant flag requires a consonant")
+        return super().__new__(cls, symbol, klass, is_sonorant_consonant, is_schwa)
 
     def __str__(self) -> str:
         return self.symbol

@@ -14,8 +14,7 @@ from __future__ import annotations
 import logging
 import math
 import unicodedata
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import combinations_with_replacement
 
 from .corpus import distinct
@@ -28,24 +27,21 @@ log = logging.getLogger(__name__)
 MIN_PAIRS = 50  # induction from fewer pairs logs a warning
 
 
-@dataclass(frozen=True)
-class PmiTable:
+class PmiTable(namedtuple("PmiTable", "dist iterations_run converged")):
     """Symmetric segment-pair distances in [0,1], gap included. A symbol's
     distance to itself defaults to 0; any other missing pair is an error,
     and a table file may give each unordered pair once."""
 
-    dist: dict[tuple[str, str], float]
-    iterations_run: int = 0
-    converged: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, dist, iterations_run=0, converged=False):
         normalized = {}
-        for (a, b), v in self.dist.items():
+        for (a, b), v in dist.items():
             key = (a, b) if a <= b else (b, a)
             if key in normalized:
                 raise ValueError(f"pair {key} given in both orders")
             normalized[key] = v
-        object.__setattr__(self, "dist", normalized)
+        return super().__new__(cls, normalized, iterations_run, converged)
 
     def distance(self, a: str, b: str) -> float:
         if a == b and a != GAP:
@@ -80,16 +76,17 @@ class PmiTable:
         return cls(dist, iterations_run=0, converged=True)
 
 
-@dataclass(frozen=True)
-class InductionOptions:
-    max_iter: int = 50
-    smoothing: float = 0.5
+class InductionOptions(namedtuple("InductionOptions", "max_iter smoothing")):
+    """The iteration cap and additive smoothing of PMI induction."""
 
-    def __post_init__(self):  # NaN fails each check
-        if not self.max_iter >= 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if not 0 < self.smoothing < math.inf:
-            raise ValueError(f"smoothing must be finite and > 0, got {self.smoothing}")
+    __slots__ = ()
+
+    def __new__(cls, max_iter=50, smoothing=0.5):  # NaN fails each check
+        if not max_iter >= 1:
+            raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+        if not 0 < smoothing < math.inf:
+            raise ValueError(f"smoothing must be finite and > 0, got {smoothing}")
+        return super().__new__(cls, max_iter, smoothing)
 
 
 def distances_from_counts(

@@ -20,7 +20,7 @@ towards it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import zip_longest
 from operator import add
 
@@ -44,13 +44,7 @@ MOVES = (
 EPS = 1e-9
 
 
-@dataclass(frozen=True)
-class ChangeRecord:
-    location: str
-    word: str
-    conv: float
-    div: float
-    alignment_length: int
+ChangeRecord = namedtuple("ChangeRecord", "location word conv div alignment_length")
 
 
 def through(ua, ub, C):

@@ -1,8 +1,10 @@
+import functools
 import hashlib
 import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -282,6 +284,21 @@ def test_cli_import_does_not_load_numpy():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
+def test_cli_starts_without_dataclasses():
+    # Every command pays its imports at start-up; -S keeps a site hook
+    # from loading these modules before dialign.cli does.
+    src = str(Path(dialign.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import dialign.cli; "
+        "print(' '.join(m for m in ('dataclasses', 'typing', 'inspect', 'numpy')"
+        " if m in sys.modules))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert run.stdout.split() == []
+
+
 def test_pmi_and_align_induce_identically(tmp_path, corpus_path):
     opts = ["--max-iter", "3", "--smoothing", "0.3"]
     out_pmi, out_align = tmp_path / "pmi", tmp_path / "align"
@@ -337,6 +354,38 @@ def test_report_non_numeric_change_record(tmp_path, capsys, field, value):
     path = tmp_path / "change_records.csv"
     assert capsys.readouterr().err.startswith(f"error: {path}: line 3: ")
     assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize(
+    "sep",
+    ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
+    ids=lambda sep: f"U+{ord(sep):04X}",
+)
+def test_error_line_after_a_stray_line_separator(tmp_path, capsys, sep):
+    # Only "\n" ends a line, as in the count of a non-UTF-8 byte's line.
+    # Line 3 of the records is the separator alone, a blank line; line 3
+    # of the group map ends in it, which the headerless table strips.
+    lines = RECORDS_6.splitlines()
+    lines[2] = sep
+    lines[3] = lines[3].replace(",0.3,", ",0.x,")
+    assert run_report(tmp_path, records="\n".join(lines) + "\n") == 1
+    path = tmp_path / "change_records.csv"
+    assert capsys.readouterr().err.startswith(f"error: {path}: line 4: could not")
+    groups = GROUPS_6.replace("DU-FR\n", f"DU-FR{sep}\n").replace("GR\n", "XX\n")
+    assert run_report(tmp_path, groups=groups) == 1
+    path = tmp_path / "groups.tsv"
+    assert capsys.readouterr().err == f"error: {path}: line 4: unknown group 'XX'\n"
+
+
+def test_crlf_lines_read_like_lf_lines(tmp_path):
+    corpus = worked_example_corpus(tmp_path)
+    argv = ["align", "--corpus", str(corpus), "--mode", "binary", "--out-dir"]
+    assert main([*argv, str(tmp_path / "lf")]) == 0
+    corpus.write_bytes(corpus.read_bytes().replace(b"\n", b"\r\n"))
+    assert main([*argv, str(tmp_path / "crlf")]) == 0
+    for name in ("change_records.csv", "alignments.txt"):
+        lf, crlf = tmp_path / "lf" / name, tmp_path / "crlf" / name
+        assert lf.read_bytes() == crlf.read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -431,9 +480,10 @@ FIELD_VALUES = ("nan", "inf", "-0", "1e308", "5e-324", "", "\0")
 
 
 @st.composite
-def mutated(draw, text, sep):
-    """The bytes of text after one to three line or field edits, and a
-    byte flip in one case of four."""
+def mutated(draw, text, sep, values=FIELD_VALUES):
+    """The bytes of text after one to three line or field edits, each
+    value edit putting one of values in a field, and a byte flip in one
+    case of four."""
     lines = [line.split(sep) for line in text.split("\n")]
     for _ in range(draw(st.integers(1, 3))):
         i, j = draw(st.integers(0, len(lines) - 1)), draw(st.integers(0, len(lines) - 1))
@@ -455,7 +505,7 @@ def mutated(draw, text, sep):
             else:
                 fields[k], fields[k2] = fields[k2], fields[k]
         elif edit == "value":
-            fields[k] = draw(st.sampled_from(FIELD_VALUES))
+            fields[k] = draw(st.sampled_from(values))
     data = bytearray("\n".join(sep.join(fields) for fields in lines).encode())
     if draw(st.integers(0, 3)) == 0:
         data[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
@@ -507,6 +557,95 @@ def test_report_survives_mutated_inputs(files):
             text = (tmp / "rep" / name).read_text(encoding="utf-8")
             for field in numeric_fields(name, text):
                 assert math.isfinite(float(field)), (name, text)
+
+
+MIXED_6 = make_mixed_corpus(3, 3, 2)
+# A lone combining mark has no base symbol to attach to; "-" is the gap.
+ALIGN_VALUES = FIELD_VALUES + ("\u0301", "a\u0301", "-")
+
+
+def segments_table(corpus):
+    """A segment table of the symbols of a corpus' transcriptions, with
+    the built-in table's classes."""
+    entries = SegmentTable.default().entries
+    rows = []
+    symbols = {ch for row in corpus.splitlines()[1:] for ch in row.split("\t")[3]}
+    for ch in sorted(symbols):
+        klass, sonorant, schwa = entries[ch]
+        flags = [f for f, on in (("sonorant", sonorant), ("schwa", schwa)) if on]
+        rows.append(f"{ch}\t{klass}\t{','.join(flags) or '-'}")
+    return "\n".join(rows) + "\n"
+
+
+@functools.cache
+def induced_table():
+    """The pmi_table.tsv that pmi writes for MIXED_6."""
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus, out = Path(tmp) / "corpus.tsv", Path(tmp) / "o"
+        corpus.write_text(MIXED_6, encoding="utf-8")
+        assert main(["pmi", "--corpus", str(corpus), "--out-dir", str(out)]) == 0
+        return (out / "pmi_table.tsv").read_text(encoding="utf-8")
+
+
+ALIGN_COMMANDS = (
+    ("pmi",), ("align", "--mode", "binary"), ("align", "--mode", "pmi"),
+    ("align", "--mode", "load"),
+)
+
+
+@st.composite
+def align_inputs(draw):
+    """A pmi or align command and its input files, one of them mutated; a
+    mutated PMI table is loaded."""
+    texts = {"--corpus": MIXED_6, "--segments": segments_table(MIXED_6)}
+    flag = draw(st.sampled_from(["--corpus", "--pmi-table", "--segments"]))
+    commands = ALIGN_COMMANDS[-1:] if flag == "--pmi-table" else ALIGN_COMMANDS
+    command = draw(st.sampled_from(commands))
+    if "load" in command:
+        texts["--pmi-table"] = induced_table()
+    files = {f: text.encode() for f, text in texts.items()}
+    files[flag] = draw(mutated(texts[flag], "\t", ALIGN_VALUES))
+    return command, files
+
+
+def align_numbers(name, text):
+    """The number fields of a pmi or align output, which must all be finite.
+    Only "\n" ends an output line: a location may hold another separator."""
+    rows = [row for row in text.split("\n") if row]
+    if name == "change_records.csv":
+        return [f for row in rows[1:] for f in row.rsplit(",", 3)[1:]]
+    if name == "pmi_table.tsv":
+        return [row.rsplit("\t", 1)[1] for row in rows]
+    if name == "alignments.txt":
+        head = re.compile(r"# .*\(cost (\S+), length \S+\)$")
+        totals = [head.match(row).group(1) for row in rows if row[:2] == "# "]
+        costs = [row.split("\t")[1:] for row in rows if row.startswith("cost\t")]
+        return totals + [f for row in costs for f in row]
+    if name == "retention.txt":
+        return [re.search(r"\(retention (\S+)\)$", rows[-1]).group(1)]
+    return []
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(align_inputs())
+def test_pmi_and_align_survive_mutated_inputs(case):
+    command, files = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        argv = [*command, "--out-dir", str(tmp / "out"), "--max-iter", "3"]
+        for flag, data in files.items():
+            path = tmp / flag.lstrip("-")
+            path.write_bytes(data)
+            argv += [flag, str(path)]
+        rc = main(argv)
+        assert rc in (0, 1, 2)
+        if rc != 0:
+            assert not (tmp / "out").exists()
+            return
+        for path in sorted((tmp / "out").iterdir()):
+            text = path.read_text(encoding="utf-8")
+            for field in align_numbers(path.name, text):
+                assert math.isfinite(float(field)), (path.name, text)
 
 
 @pytest.mark.parametrize("command", ["align", "report"])
