@@ -53,6 +53,10 @@ class CostModel:
     known symbol and itself: ``cost[u][v]`` is the table's distance,
     FORBIDDEN for a pair the policy bans when constrained, and 0.0 for gap
     against gap. A symbol's class must not depend on where it occurs.
+    ``symbol[u]`` is the symbol numbered u. ``last_fill`` holds the
+    numbered strings, the cost table and the second segment tuple of the
+    last 2D fill that pairwise.align_pair made under the model, whose
+    leading rows the next fill may share; no row of it changes once built.
     """
 
     def __init__(self, distances, constrained: bool = True):
@@ -60,6 +64,8 @@ class CostModel:
         self.constrained = constrained
         self.cost: list[list[float]] = [[0.0]]
         self.number: dict[str, int] = {GAP: 0}  # symbol -> its row of cost
+        self.symbol: list[str] = [GAP]  # number -> its symbol
+        self.last_fill = None  # (ua, ub, cost, sb)
         self._known: list[Segment] = []  # _known[u - 1] has number u
 
     def numbers(self, segments) -> list[int]:
@@ -82,6 +88,7 @@ class CostModel:
             known_row.append(c)
         self.cost.append(row)
         self._known.append(seg)
+        self.symbol.append(symbol)
         u = self.number[symbol] = len(self._known)
         return u
 

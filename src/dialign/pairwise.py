@@ -3,26 +3,35 @@
 The DP minimizes total cost and, among minimal-cost alignments, maximizes
 the column count (the normalization denominator is the length of the
 longest optimal alignment). The fill reads numbered strings and the
-price table, costs only; `longest`, which the 3D traceback shares, counts
-lengths only where the traceback meets a tie. Traceback is deterministic:
-when costs tie, deletion is preferred over insertion over substitution,
-applied right-to-left, among the moves that keep the alignment longest.
+price table, costs only, and can start from rows already built: align_pair
+takes those of the cost model's last fill where the second string is the
+same and the first shares a prefix. Two equal strings whose symbols price
+0 against themselves and above 0 against the gap take the diagonal, with
+no fill. `longest`, which the 3D traceback shares, counts lengths only
+where the traceback meets a tie. Traceback is deterministic: when costs
+tie, deletion is preferred over insertion over substitution, applied
+right-to-left, among the moves that keep the alignment longest.
 """
 
 from __future__ import annotations
 
-from .costs import GAP, Alignment, CostModel
+from .costs import Alignment, CostModel
 
 
-def fill(ua, ub, C):
+def fill(ua, ub, C, head=None):
     """The cost table of the 2D lattice of strings numbered ua and ub in the
-    price table C: cost[i][j] is the least cost of aligning ua[:i] with ub[:j]."""
+    price table C: cost[i][j] is the least cost of aligning ua[:i] with ub[:j].
+    Row i depends only on ua[:i], ub and C, so head, if given, is a list of
+    the table's first rows, already built; they are taken, not copied."""
     gb = [C[0][v] for v in ub]
-    row = [0.0]
-    for h in gb:
-        row.append(row[-1] + h)
-    cost = [row]
-    for u in ua:
+    if head:
+        cost, row = head, head[-1]
+    else:
+        row = [0.0]
+        for h in gb:
+            row.append(row[-1] + h)
+        cost = [row]
+    for u in ua[len(cost) - 1 :]:
         prices = C[u]
         g = prices[0]
         up, left = row, row[0] + g
@@ -60,17 +69,13 @@ def longest(node, starts, memo):
     return memo[node]
 
 
-def align_pair(sa, sb, cm: CostModel) -> Alignment:
-    """Minimal-cost alignment of maximal length among the optima of two
-    segment sequences."""
-    n, m = len(sa), len(sb)
-    C, ua, ub = cm.cost, cm.numbers(sa), cm.numbers(sb)
-    gap = C[0]  # gap[u] is C[u][0]
-    cost = fill(ua, ub, C)
-    w = m + 1  # the length count numbers node (i, j) i * w + j, a fast key
+def tight_starts(cost, ua, ub, C):
+    """The starts function that longest needs on the 2D lattice of strings
+    numbered ua and ub in the price table C, filled as cost; it numbers
+    node (i, j) i * w + j, with w = len(ub) + 1, a fast key."""
+    w, gap = len(ub) + 1, C[0]
 
     def starts(node):
-        """The starts of the tight moves into node i * w + j."""
         i, j = divmod(node, w)
         here, out = cost[i][j], []
         if i and cost[i - 1][j] + gap[ua[i - 1]] == here:
@@ -81,28 +86,65 @@ def align_pair(sa, sb, cm: CostModel) -> Alignment:
             out.append(node - w - 1)
         return out
 
-    # Traceback, right-to-left. Where several moves are tight, take the
-    # first in del > ins > sub order that keeps the alignment longest.
-    columns, costs, memo = [], [], {0: 0}
+    return starts
+
+
+def align_pair(sa, sb, cm: CostModel) -> Alignment:
+    """Minimal-cost alignment of maximal length among the optima of two
+    segment sequences."""
+    n, m = len(sa), len(sb)
+    C, ua, last = cm.cost, cm.numbers(sa), cm.last_fill
+    # A model numbers a segment tuple alike each time it meets it.
+    ub = last[1] if last is not None and last[3] is sb else cm.numbers(sb)
+    gap = C[0]  # gap[u] is C[u][0]
+    if ua == ub and all(C[u][u] == 0.0 and gap[u] > 0.0 for u in ua):
+        # Every other alignment has a gap column, which prices above 0.
+        columns = [(s.symbol, s.symbol) for s in sa]
+        return Alignment(tuple(columns), (0.0,) * n, 0.0)
+    # The rows of the last fill under cm for the same b and a prefix of a
+    # are this fill's rows; callers that sort their pairs share the most.
+    head = None
+    if last is not None and last[1] == ub:
+        shared = 0
+        for u, lu in zip(ua, last[0]):
+            if u != lu:
+                break
+            shared += 1
+        head = last[2][: shared + 1]
+    cost = fill(ua, ub, C, head)
+    cm.last_fill = ua, ub, cost, sb
+    w = m + 1  # node (i, j) of the length count, as tight_starts numbers it
+
+    # Traceback over numbers, right-to-left, to a list of number pairs with
+    # 0 for the gap. Where several moves are tight, take the first in
+    # del > ins > sub order that keeps the alignment longest; the length
+    # counts are made at the first tie.
+    pairs, memo = [], None
     i, j = n, m
     while i and j:
-        here, prices, v, tight = cost[i][j], C[ua[i - 1]], ub[j - 1], []
-        if cost[i - 1][j] + prices[0] == here:
-            tight.append((i - 1, j, prices[0]))
-        if cost[i][j - 1] + gap[v] == here:
-            tight.append((i, j - 1, gap[v]))
-        if cost[i - 1][j - 1] + prices[v] == here:
-            tight.append((i - 1, j - 1, prices[v]))
-        pi, pj, c = tight[0]
-        if len(tight) > 1:
+        up, row, u, v = cost[i - 1], cost[i], ua[i - 1], ub[j - 1]
+        here = row[j]
+        dele = up[j] + C[u][0] == here
+        ins = row[j - 1] + gap[v] == here
+        if dele + ins + (up[j - 1] + C[u][v] == here) > 1:
+            if memo is None:
+                memo, starts = {0: 0}, tight_starts(cost, ua, ub, C)
             want = longest(i * w + j, starts, memo) - 1
-            pi, pj, c = next(t for t in tight if memo[t[0] * w + t[1]] == want)
-        columns.append(
-            (sa[pi].symbol if pi < i else GAP, sb[pj].symbol if pj < j else GAP)
-        )
-        costs.append(c)
-        i, j = pi, pj
+            dele = dele and memo[i * w + j - w] == want
+            ins = ins and memo[i * w + j - 1] == want
+        if dele:
+            v, i = 0, i - 1
+        elif ins:
+            u, j = 0, j - 1
+        else:
+            i, j = i - 1, j - 1
+        pairs.append((u, v))
     # A border node has one predecessor: the rest of a or of b is gapped.
-    head = [(s.symbol, GAP) for s in sa[:i]] + [(GAP, s.symbol) for s in sb[:j]]
-    costs = [gap[u] for u in ua[:i] + ub[:j]] + costs[::-1]
-    return Alignment(tuple(head + columns[::-1]), tuple(costs), cost[n][m])
+    pairs += [(0, v) for v in reversed(ub[:j])] + [(u, 0) for u in reversed(ua[:i])]
+    pairs.reverse()
+    symbol = cm.symbol
+    return Alignment(
+        tuple([(symbol[u], symbol[v]) for u, v in pairs]),
+        tuple([C[u][v] for u, v in pairs]),
+        cost[n][m],
+    )

@@ -15,7 +15,7 @@ import logging
 import math
 import unicodedata
 from collections import Counter, namedtuple
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 
 from .corpus import distinct
 from .costs import GAP, CostModel
@@ -159,8 +159,15 @@ def induce_distances(
         )
 
     # Pairs with equal symbols align alike under any one cost model, so
-    # each iteration aligns only the first of them.
+    # each iteration aligns only the first of them. It aligns them sorted
+    # by (second, first) symbols, so that a pair shares the fill rows of
+    # the prefix its first string has in common with the pair before it
+    # (pairwise.align_pair); the results go back by slot.
     firsts, slots = distinct(pairs)
+    order = sorted(
+        range(len(firsts)),
+        key=lambda k: [[s.symbol for s in x] for x in pairs[firsts[k]][::-1]],
+    )
 
     cm = init
     prev_dist = None
@@ -168,8 +175,10 @@ def induce_distances(
     converged = False
     iterations = 0
     for iterations in range(1, opts.max_iter + 1):
-        aligned = [align_pair(*pairs[i], cm) for i in firsts]
-        counts = Counter(col for slot in slots for col in aligned[slot].columns)
+        aligned = [None] * len(firsts)
+        for k in order:
+            aligned[k] = align_pair(*pairs[firsts[k]], cm)
+        counts = Counter(chain.from_iterable(aligned[slot].columns for slot in slots))
         dist = distances_from_counts(counts, opts.smoothing)
         if dist == prev_dist:  # unchanged alignments give the same table
             converged = True

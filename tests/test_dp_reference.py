@@ -7,6 +7,7 @@ exception both occur. Distance tables are drawn with many ties.
 """
 
 import itertools
+import operator
 import random
 
 import pytest
@@ -209,6 +210,55 @@ def test_align_triple_with_two_equal_strings_matches_loop_reference(a, b, cm):
         assert align_triple(x, y, z, cm) == align_triple_loop(x, y, z, cm)
 
 
+# align_pair returns the diagonal of two equal strings without a fill
+# where each of their symbols prices 0 against itself and above 0 against
+# the gap. Under FREE_GAP a "t" gaps for nothing, and under SELF_PRICED an
+# "a" prices 0.25 against itself, so both take the DP; under the first,
+# two "t"s that do not advance together give a longer optimum.
+SELF_PRICED = CostModel(
+    PmiTable({(GAP, "a"): 0.5, (GAP, "t"): 0.5, ("a", "a"): 0.25, ("a", "t"): 1.0}),
+    constrained=False,
+)
+
+
+@SETTINGS
+@given(words(8), st.one_of(ANY_COSTS, DYADIC_COSTS))
+@example(*tok("tat"), FREE_GAP)
+@example(*tok("ata"), SELF_PRICED)
+def test_align_pair_of_equal_strings_matches_loop_reference(a, cm):
+    assert align_pair(a, a, cm) == align_pair_loop(a, a, cm)
+
+
+# Under one cost model align_pair takes the leading rows of its fill from
+# the model's last fill where b is the same and a shares a prefix. The run
+# repeats a pair, gives an a that is a prefix of the one before, changes
+# b, and numbers "s" first while the kept table has rows without it. Each
+# word is one tuple, as corpus.pair gives it, so a b met again keeps its
+# numbers. The run is aligned in both directions, each under a new model.
+def test_shared_fill_rows_leave_every_alignment_as_the_loop_reference_gives_it():
+    rng = random.Random(3)
+    table = PmiTable({p: rng.choice((0.25, 0.5, 0.75, 1.0)) for p in PAIRS})
+    run = [
+        ("tanə", "tano"),
+        ("tanə", "tano"),
+        ("ta", "tano"),
+        ("tas", "tano"),
+        ("tasro", "tano"),
+        ("ro", "rosa"),
+        ("rosə", "rosa"),
+        ("tanə", "rosa"),
+    ]
+    word = {raw: tokenize(raw, TABLE) for p in run for raw in p}
+    for pairs in (run, run[::-1]):
+        cm, shared = CostModel(table), 0
+        for a, b in ((word[x], word[y]) for x, y in pairs):
+            last = cm.last_fill
+            assert align_pair(a, b, cm) == align_pair_loop(a, b, cm)
+            if last is not None:  # the rows after row 0 taken from it
+                shared += sum(map(operator.is_, last[2][1:], cm.last_fill[2][1:]))
+        assert shared > 0
+
+
 # words(5) leave the tight subgraph small; over two symbols nearly every
 # cell ties, so the traceback counts lengths deep into a 3D lattice, or,
 # for two equal words, into the 2D lattice of the third with them.
@@ -264,6 +314,22 @@ def test_induce_distances_matches_loop_reference_on_the_mixed_corpus(
     init, opts = binary_cost_model(constrained), InductionOptions(max_iter=max_iter)
     got = induce_distances(pairs, init, opts)
     want = induce_distances_loop(pairs, init, opts)
+    assert got.dist == want.dist
+    assert got.iterations_run == want.iterations_run
+    assert got.converged == want.converged
+
+
+# Induction sorts its distinct pairs so that neighbours share fill rows,
+# and puts the results back by slot; the order of the pairs it is given
+# changes neither the table nor when it stops.
+@pytest.mark.parametrize("constrained", [True, False], ids=["constrained", "free"])
+def test_induce_distances_ignores_the_order_of_its_pairs(tmp_path, constrained):
+    _, pairs = mixed_corpus(tmp_path)
+    shuffled = pairs[:]
+    random.Random(5).shuffle(shuffled)
+    got, want = (
+        induce_distances(p, binary_cost_model(constrained)) for p in (shuffled, pairs)
+    )
     assert got.dist == want.dist
     assert got.iterations_run == want.iterations_run
     assert got.converged == want.converged
