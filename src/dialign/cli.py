@@ -57,11 +57,7 @@ def _check_out_dir(path) -> None:
 
 
 def _write_manifest(args, inputs: list[str]) -> None:
-    config = {
-        k: str(v) if isinstance(v, Path) else v
-        for k, v in sorted(vars(args).items())
-        if k != "func"
-    }
+    config = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     manifest = {
         "config": config,
         "inputs": {p: _sha256(p) for p in sorted({p for p in inputs if p})},

@@ -7,10 +7,10 @@ price table, costs only, and can start from rows already built: align_pair
 takes those of the cost model's last fill where the second string is the
 same and the first shares a prefix. Two equal strings whose symbols price
 0 against themselves and above 0 against the gap take the diagonal, with
-no fill. `longest`, which the 3D traceback shares, counts lengths only
-where the traceback meets a tie. Traceback is deterministic: when costs
-tie, deletion is preferred over insertion over substitution, applied
-right-to-left, among the moves that keep the alignment longest.
+no fill. `trace` is the one 2D traceback, shared with triple's star bound;
+like the 3D traceback, it counts lengths with `longest` only at a tie.
+When costs tie, deletion is preferred over insertion over substitution,
+applied right-to-left, among the moves that keep the alignment longest.
 """
 
 from __future__ import annotations
@@ -89,36 +89,14 @@ def tight_starts(cost, ua, ub, C):
     return starts
 
 
-def align_pair(sa, sb, cm: CostModel) -> Alignment:
-    """Minimal-cost alignment of maximal length among the optima of two
-    segment sequences."""
-    n, m = len(sa), len(sb)
-    C, ua, last = cm.cost, cm.numbers(sa), cm.last_fill
-    # A model numbers a segment tuple alike each time it meets it.
-    ub = last[1] if last is not None and last[3] is sb else cm.numbers(sb)
-    gap = C[0]  # gap[u] is C[u][0]
-    if ua == ub and all(C[u][u] == 0.0 and gap[u] > 0.0 for u in ua):
-        # Every other alignment has a gap column, which prices above 0.
-        columns = [(s.symbol, s.symbol) for s in sa]
-        return Alignment(tuple(columns), (0.0,) * n, 0.0)
-    # The rows of the last fill under cm for the same b and a prefix of a
-    # are this fill's rows; callers that sort their pairs share the most.
-    head = None
-    if last is not None and last[1] == ub:
-        shared = 0
-        for u, lu in zip(ua, last[0]):
-            if u != lu:
-                break
-            shared += 1
-        head = last[2][: shared + 1]
-    cost = fill(ua, ub, C, head)
-    cm.last_fill = ua, ub, cost, sb
+def trace(cost, ua, ub, C):
+    """An optimal alignment of the strings numbered ua and ub in the price
+    table C, traced back through their fill's cost table: its columns, left
+    to right, as number pairs with 0 for the gap. Where several moves are
+    tight, it takes the first in del > ins > sub order that keeps the
+    alignment longest; the length counts are made at the first tie."""
+    n, m, gap = len(ua), len(ub), C[0]  # gap[u] is C[u][0]
     w = m + 1  # node (i, j) of the length count, as tight_starts numbers it
-
-    # Traceback over numbers, right-to-left, to a list of number pairs with
-    # 0 for the gap. Where several moves are tight, take the first in
-    # del > ins > sub order that keeps the alignment longest; the length
-    # counts are made at the first tie.
     pairs, memo = [], None
     i, j = n, m
     while i and j:
@@ -142,6 +120,33 @@ def align_pair(sa, sb, cm: CostModel) -> Alignment:
     # A border node has one predecessor: the rest of a or of b is gapped.
     pairs += [(0, v) for v in reversed(ub[:j])] + [(u, 0) for u in reversed(ua[:i])]
     pairs.reverse()
+    return pairs
+
+
+def align_pair(sa, sb, cm: CostModel) -> Alignment:
+    """Minimal-cost alignment of maximal length among the optima of two
+    segment sequences."""
+    n, m = len(sa), len(sb)
+    C, ua, last = cm.cost, cm.numbers(sa), cm.last_fill
+    # A model numbers a segment tuple alike each time it meets it.
+    ub = last[1] if last is not None and last[3] is sb else cm.numbers(sb)
+    if ua == ub and all(C[u][u] == 0.0 and C[u][0] > 0.0 for u in ua):
+        # Every other alignment has a gap column, which prices above 0.
+        columns = [(s.symbol, s.symbol) for s in sa]
+        return Alignment(tuple(columns), (0.0,) * n, 0.0)
+    # The rows of the last fill under cm for the same b and a prefix of a
+    # are this fill's rows; callers that sort their pairs share the most.
+    head = None
+    if last is not None and last[1] == ub:
+        shared = 0
+        for u, lu in zip(ua, last[0]):
+            if u != lu:
+                break
+            shared += 1
+        head = last[2][: shared + 1]
+    cost = fill(ua, ub, C, head)
+    cm.last_fill = ua, ub, cost, sb
+    pairs = trace(cost, ua, ub, C)
     symbol = cm.symbol
     return Alignment(
         tuple([(symbol[u], symbol[v]) for u, v in pairs]),

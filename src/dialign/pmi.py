@@ -184,6 +184,6 @@ def induce_distances(
             converged = True
             break
         prev_dist = dist
-        cm = CostModel(PmiTable(dict(dist)), constrained=init.constrained)
+        cm = CostModel(PmiTable(dist), constrained=init.constrained)
 
-    return PmiTable(dict(dist), iterations_run=iterations, converged=converged)
+    return PmiTable(dist, iterations_run=iterations, converged=converged)

@@ -25,7 +25,7 @@ from itertools import zip_longest
 from operator import add
 
 from .costs import GAP, Alignment, CostModel
-from .pairwise import align_pair, fill, longest
+from .pairwise import align_pair, fill, longest, trace
 
 # Moves as (dx, dy, dz) in frozen traceback preference order: single-string
 # advances first (x, then y, then z), then pairs, then all three.
@@ -57,56 +57,45 @@ def through(ua, ub, C):
     return fwd, [list(map(add, f, reversed(b))) for f, b in zip(fwd, reversed(bwd))]
 
 
-def trace(fwd, ua, ub, C):
-    """An optimal alignment of strings a and b, numbered ua and ub in the
-    price table C, traced back through their fill's cost table fwd. For
-    each k in 0..len(b) it gives the a segments aligned to gaps right
-    after b's segment k, and the a segment aligned with b's segment k, 0
-    for a gap; segments count from 1."""
-    runs, partner = [[] for _ in range(len(ub) + 1)], [0] * (len(ub) + 1)
-    i, k = len(ua), len(ub)
-    while i or k:
-        here = fwd[i][k]
-        if i and fwd[i - 1][k] + C[ua[i - 1]][0] == here:
-            runs[k].append(i)
-            i -= 1
-        elif k and fwd[i][k - 1] + C[ub[k - 1]][0] == here:
-            k -= 1
-        else:
-            partner[k] = i
-            i, k = i - 1, k - 1
-    return [r[::-1] for r in runs], partner
-
-
 def star(ux, uy, uz, C, fxz, fyz):
     """The star alignment of strings x and y through the standard z, from
     their numbers in the price table C and the fill tables fxz and fyz of
-    the (x, z) and (y, z) lattices: its columns (i, j, k), each the
-    segment of x, y and z it holds counting from 1, 0 for a gap, and its
-    sum-of-pairs cost. It joins optimal (x, z) and (y, z) alignments
-    through z; x and y segments aligned to gaps between the same two z
-    segments share columns. A column that holds an x and a y segment is
-    split in two, x's part and y's, where that costs less, as it does
-    where the pair is forbidden. It is a feasible alignment, so its cost
-    is at least the optimum."""
-    rx, px = trace(fxz, ux, uz, C)
-    ry, py = trace(fyz, uy, uz, C)
-    vx, vy, vz = [0] + ux, [0] + uy, [0] + uz
+    the (x, z) and (y, z) lattices: its columns (u, v, w) of x, y and z
+    numbers, 0 for a gap, and its sum-of-pairs cost. It joins through z
+    the (x, z) and (y, z) alignments that pairwise.trace takes; x and y
+    segments aligned to gaps between the same two z segments share
+    columns. A column that holds an x and a y segment is split in two, x's
+    part and y's, where that costs less, as it does where the pair is
+    forbidden. It is a feasible alignment, so its cost is at least the
+    optimum."""
 
-    def price(i, j, k):
-        return (C[vx[i]][vy[j]] + C[vx[i]][vz[k]]) + C[vy[j]][vz[k]]
+    def by_z(pairs):
+        """For slot 0 and each z segment: 0 or the number aligned with the
+        segment, then the numbers aligned to gaps right after it."""
+        slots = [[0]]
+        for u, w in pairs:
+            if w:
+                slots.append([u])
+            else:
+                slots[-1].append(u)
+        return slots
 
+    def price(u, v, w):
+        return (C[u][v] + C[u][w]) + C[v][w]
+
+    sx = by_z(trace(fxz, ux, uz, C))
+    sy = by_z(trace(fyz, uy, uz, C))
     joined = []
-    for k in range(len(uz) + 1):
-        if k:
-            joined.append((px[k], py[k], k))
-        joined += ((i, j, 0) for i, j in zip_longest(rx[k], ry[k], fillvalue=0))
+    for (u, *run_x), (v, *run_y), w in zip(sx, sy, [0, *uz]):
+        if w:
+            joined.append((u, v, w))
+        joined += ((a, b, 0) for a, b in zip_longest(run_x, run_y, fillvalue=0))
     columns = []
-    for i, j, k in joined:
-        if i and j and price(i, 0, k) + price(0, j, 0) < price(i, j, k):
-            columns += ((i, 0, k), (0, j, 0))
+    for u, v, w in joined:
+        if u and v and price(u, 0, w) + price(0, v, 0) < price(u, v, w):
+            columns += ((u, 0, w), (0, v, 0))
         else:
-            columns.append((i, j, k))
+            columns.append((u, v, w))
     return columns, sum(price(*col) for col in columns)
 
 
