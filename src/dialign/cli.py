@@ -12,10 +12,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import logging
 import math
+import os
 import sys
-from pathlib import Path
 
 from . import pmi as pmi_mod
 from .corpus import distinct, ingest, pair, read_groups, retention_report
@@ -25,8 +24,6 @@ from .pmi import InductionOptions, PmiTable
 from .phonetics import SegmentTable
 from .triple import ChangeRecord, align_triple, decompose, directions
 
-log = logging.getLogger(__name__)
-
 EXIT_OK = 0
 EXIT_DATA_ERROR = 1
 EXIT_CONFIG_ERROR = 2
@@ -35,24 +32,25 @@ _RECORDS_HEADER = "location,word,conv,div,alignment_length"
 
 
 def _sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
 
 
 def _write(args, name: str, text: str) -> None:
     """Write one output file as UTF-8, creating --out-dir on first use, so
     a run that fails before its first output leaves no directory behind."""
-    outdir = Path(args.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / name).write_text(text, encoding="utf-8")
+    os.makedirs(args.out_dir or ".", exist_ok=True)  # "" is the working directory
+    with open(os.path.join(args.out_dir, name), "w", encoding="utf-8") as f:
+        f.write(text)
 
 
 def _check_out_dir(path) -> None:
     """Fail before any input is read if --out-dir cannot be made: its
     nearest existing ancestor must be a directory."""
-    ancestor = Path(path)
-    while not ancestor.exists() and ancestor != ancestor.parent:
-        ancestor = ancestor.parent
-    if not ancestor.is_dir():
+    ancestor = path
+    while ancestor and not os.path.exists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if not os.path.isdir(ancestor or "."):
         raise DialignError(f"--out-dir {path}: {ancestor} is not a directory")
 
 
@@ -85,6 +83,12 @@ def _induce(args, triples) -> PmiTable:
     for t in triples:
         pairs.append((t.older, t.standard))
         pairs.append((t.newer, t.standard))
+    if len(pairs) < pmi_mod.MIN_PAIRS:
+        print(
+            f"WARNING: PMI induction corpus has only {len(pairs)} pairs (recommended"
+            f" minimum {pmi_mod.MIN_PAIRS}); distances may be unreliable",
+            file=sys.stderr,
+        )
     opts = InductionOptions(max_iter=args.max_iter, smoothing=args.smoothing)
     init = binary_cost_model(constrained=not args.unconstrained)
     table = pmi_mod.induce_distances(pairs, init, opts)
@@ -317,7 +321,6 @@ def _validate(args) -> None:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=logging.WARNING, format="%(levelname)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -2,8 +2,6 @@
 line-oriented input tables and their duplicate-key check, which raise
 them."""
 
-from pathlib import Path
-
 
 class DialignError(Exception):
     """Base class for all toolkit errors."""
@@ -37,7 +35,8 @@ def read_lines(path) -> list[str]:
     or a line's trailing "\\r"; only "\\n" ends a line, so a line number
     counts the "\\n" before it. A byte that is not UTF-8 is a ParseError
     naming its line."""
-    data = Path(path).read_bytes()
+    with open(path, "rb") as f:
+        data = f.read()
     if data.startswith(b"\xef\xbb\xbf"):  # stripped here, not by utf-8-sig,
         data = data[3:]  # so that error offsets index this data
     try:

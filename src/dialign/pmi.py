@@ -11,7 +11,6 @@ co-occurring sounds thus get costs close to 0.
 
 from __future__ import annotations
 
-import logging
 import math
 import unicodedata
 from collections import Counter, namedtuple
@@ -22,9 +21,7 @@ from .costs import GAP, CostModel
 from .errors import DialignError, EmptyCorpus, FirstLines, ParseError, read_table
 from .pairwise import align_pair
 
-log = logging.getLogger(__name__)
-
-MIN_PAIRS = 50  # induction from fewer pairs logs a warning
+MIN_PAIRS = 50  # the CLI warns when it induces from fewer pairs
 
 
 class PmiTable(namedtuple("PmiTable", "dist iterations_run converged")):
@@ -150,13 +147,6 @@ def induce_distances(
     """
     if not pairs:
         raise EmptyCorpus("no transcription pairs for PMI induction")
-    if len(pairs) < MIN_PAIRS:
-        log.warning(
-            "PMI induction corpus has only %d pairs (recommended minimum %d); "
-            "distances may be unreliable",
-            len(pairs),
-            MIN_PAIRS,
-        )
 
     # Pairs with equal symbols align alike under any one cost model, so
     # each iteration aligns only the first of them. It aligns them sorted

@@ -118,6 +118,26 @@ def test_out_dir_that_is_a_file_exit_code(tmp_path, capsys):
     assert file.read_text(encoding="utf-8") == ""
 
 
+def test_relative_out_dir_under_a_file_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f").write_text("", encoding="utf-8")
+    corpus = worked_example_corpus(tmp_path)
+    for out in ("f", "f/sub", "f/sub/deeper/"):
+        argv = ["align", "--corpus", str(corpus), "--mode", "binary", "--out-dir", out]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: --out-dir {out}: f is not a directory\n"
+
+
+def test_relative_nested_out_dir_is_made_on_first_write(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    corpus = worked_example_corpus(tmp_path)
+    argv = ["align", "--corpus", str(corpus), "--mode", "binary", "--out-dir", "a/b/c"]
+    assert main(argv) == 0
+    assert sorted(os.listdir(tmp_path / "a" / "b" / "c")) == [
+        "alignments.txt", "change_records.csv", "retention.txt", "run_manifest.json",
+    ]
+
+
 @pytest.mark.parametrize(
     "command", [["align", "--mode", "binary"], ["pmi"]], ids=["align", "pmi"]
 )
@@ -177,6 +197,29 @@ def test_pmi_subcommand_and_load_mode(tmp_path, corpus_path):
     )
     assert rc == 0
     assert (out2 / "change_records.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["pmi"], ["align", "--mode", "pmi"], ["align", "--mode", "binary"]],
+    ids=["pmi", "align-pmi", "align-binary"],
+)
+def test_small_corpus_warning_is_written_by_the_cli(tmp_path, capsys, command):
+    # 24 words at one location give 48 pairs, below MIN_PAIRS = 50; 25 give 50
+    for words in (24, 25):
+        corpus = tmp_path / f"corpus{words}.tsv"
+        corpus.write_text(make_mixed_corpus(7, 1, words), encoding="utf-8")
+        out = tmp_path / f"o{words}"
+        argv = [*command, "--corpus", str(corpus), "--out-dir", str(out)]
+        assert main(argv + ["--max-iter", "2"]) == 0
+        err = capsys.readouterr().err
+        if words == 24 and "binary" not in command:
+            assert err == (
+                "WARNING: PMI induction corpus has only 48 pairs (recommended "
+                "minimum 50); distances may be unreliable\n"
+            )
+        else:
+            assert err == ""
 
 
 def test_pmi_max_iter_one_logs_nonconvergence(tmp_path, corpus_path):
@@ -290,8 +333,8 @@ def test_cli_starts_without_dataclasses():
     src = str(Path(dialign.__file__).parents[1])
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import dialign.cli; "
-        "print(' '.join(m for m in ('dataclasses', 'typing', 'inspect', 'numpy')"
-        " if m in sys.modules))"
+        "print(' '.join(m for m in ('dataclasses', 'typing', 'inspect', 'numpy',"
+        " 'logging', 'pathlib') if m in sys.modules))"
     )
     run = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True

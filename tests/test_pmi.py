@@ -1,4 +1,3 @@
-import logging
 import math
 import random
 import unicodedata
@@ -74,13 +73,6 @@ def test_max_iter_one_reports_nonconvergence(table):
     result = induce_distances(corpus, binary_cost_model(), InductionOptions(max_iter=1))
     assert not result.converged
     assert result.iterations_run == 1
-
-
-def test_small_corpus_warns(table, caplog):
-    corpus = corpus_from_strings(table, [("pat", "pas")] * 3)
-    with caplog.at_level(logging.WARNING, logger="dialign.pmi"):
-        induce_distances(corpus, binary_cost_model())
-    assert any("pairs" in rec.message for rec in caplog.records)
 
 
 def test_determinism(table):
