@@ -18,7 +18,7 @@ import sys
 
 from . import pmi as pmi_mod
 from .corpus import distinct, ingest, pair, read_groups, retention_report
-from .costs import GAP, BinaryDistanceTable, CostModel, binary_cost_model
+from .costs import BinaryDistanceTable, CostModel, binary_cost_model
 from .errors import DialignError, EmptyCorpus, FirstLines, ParseError, read_table
 from .pmi import InductionOptions, PmiTable
 from .phonetics import SegmentTable
@@ -39,7 +39,7 @@ def _sha256(path) -> str:
 def _write(args, name: str, text: str) -> None:
     """Write one output file as UTF-8, creating --out-dir on first use, so
     a run that fails before its first output leaves no directory behind."""
-    os.makedirs(args.out_dir or ".", exist_ok=True)  # "" is the working directory
+    os.makedirs(args.out_dir, exist_ok=True)
     with open(os.path.join(args.out_dir, name), "w", encoding="utf-8") as f:
         f.write(text)
 
@@ -107,8 +107,8 @@ def _dump_alignment(t, al, cm) -> str:
         return label + "\t" + "\t".join(cells)
 
     tags = []
-    for (x, y, z), d in zip(al.columns, directions(al, cm)):
-        if x == y == z != GAP:
+    for (u, v, w), d in zip(al.columns, directions(al, cm)):
+        if u == v == w != 0:
             tags.append("stable")
         elif d < 0:
             tags.append("conv.")
@@ -118,9 +118,9 @@ def _dump_alignment(t, al, cm) -> str:
             tags.append("neutr.")
     lines = [
         f"# {t.location} / {t.word} (cost {al.total_cost:.6f}, length {al.length})",
-        row("older", [x for x, _, _ in al.columns]),
-        row("newer", [y for _, y, _ in al.columns]),
-        row("standard", [z for _, _, z in al.columns]),
+        row("older", [cm.symbol[u] for u, _, _ in al.columns]),
+        row("newer", [cm.symbol[v] for _, v, _ in al.columns]),
+        row("standard", [cm.symbol[w] for _, _, w in al.columns]),
         row("cost", [f"{c:.4g}" for c in al.costs]),
         row("direction", tags),
     ]
@@ -310,6 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(args) -> None:
+    if not args.out_dir:  # an unset shell variable would write into the cwd
+        raise ValueError("--out-dir must not be empty")
     if args.command in ("pmi", "align"):  # InductionOptions checks the values
         InductionOptions(max_iter=args.max_iter, smoothing=args.smoothing)
     if args.command == "align" and (args.mode == "load") != bool(args.pmi_table):

@@ -4,9 +4,9 @@ A cost model combines a symmetric distance table over segment symbols
 with the linguistic constraint policy: vowels may not substitute with
 consonants, except that schwa may align with the sonorant consonants.
 Forbidden substitutions get infinite cost, so an indel path always wins.
-The cost model is the only code that prices a pair of segments; the 2D
-and 3D DPs and the change decomposition all read its table, and both DPs
-return an Alignment.
+The cost model is the only code that prices a pair of segments or names
+a number's symbol; the 2D and 3D DPs and the change decomposition read
+its table, and both DPs return an Alignment of its numbers.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ FORBIDDEN = math.inf
 
 
 class Alignment(namedtuple("Alignment", "columns costs total_cost")):
-    """Columns of the aligned strings' symbols, GAP for a gap, with
+    """Columns of the aligning cost model's numbers, 0 for a gap, with
     costs[i] the price of column i and total_cost the DP's optimum."""
 
     __slots__ = ()

@@ -2,15 +2,16 @@
 
 The DP minimizes total cost and, among minimal-cost alignments, maximizes
 the column count (the normalization denominator is the length of the
-longest optimal alignment). The fill reads numbered strings and the
-price table, costs only, and can start from rows already built: align_pair
-takes those of the cost model's last fill where the second string is the
-same and the first shares a prefix. Two equal strings whose symbols price
-0 against themselves and above 0 against the gap take the diagonal, with
-no fill. `trace` is the one 2D traceback, shared with triple's star bound;
-like the 3D traceback, it counts lengths with `longest` only at a tie.
-When costs tie, deletion is preferred over insertion over substitution,
-applied right-to-left, among the moves that keep the alignment longest.
+longest optimal alignment). The fill and traceback read numbered strings
+and the price table, never a symbol, and the fill can start from rows
+already built: align_pair takes those of the cost model's last fill where
+the second string is the same and the first shares a prefix. Two equal
+strings whose symbols price 0 against themselves and above 0 against the
+gap take the diagonal, with no fill. `trace` is the one 2D traceback,
+shared with triple's star bound; like the 3D traceback, it counts lengths
+with `longest` only at a tie. When costs tie, deletion is preferred over
+insertion over substitution, applied right-to-left, among the moves that
+keep the alignment longest.
 """
 
 from __future__ import annotations
@@ -125,15 +126,14 @@ def trace(cost, ua, ub, C):
 
 def align_pair(sa, sb, cm: CostModel) -> Alignment:
     """Minimal-cost alignment of maximal length among the optima of two
-    segment sequences."""
+    segment sequences, as pairs of their numbers in cm, 0 for the gap."""
     n, m = len(sa), len(sb)
     C, ua, last = cm.cost, cm.numbers(sa), cm.last_fill
     # A model numbers a segment tuple alike each time it meets it.
     ub = last[1] if last is not None and last[3] is sb else cm.numbers(sb)
     if ua == ub and all(C[u][u] == 0.0 and C[u][0] > 0.0 for u in ua):
         # Every other alignment has a gap column, which prices above 0.
-        columns = [(s.symbol, s.symbol) for s in sa]
-        return Alignment(tuple(columns), (0.0,) * n, 0.0)
+        return Alignment(tuple(zip(ua, ua)), (0.0,) * n, 0.0)
     # The rows of the last fill under cm for the same b and a prefix of a
     # are this fill's rows; callers that sort their pairs share the most.
     head = None
@@ -147,9 +147,4 @@ def align_pair(sa, sb, cm: CostModel) -> Alignment:
     cost = fill(ua, ub, C, head)
     cm.last_fill = ua, ub, cost, sb
     pairs = trace(cost, ua, ub, C)
-    symbol = cm.symbol
-    return Alignment(
-        tuple([(symbol[u], symbol[v]) for u, v in pairs]),
-        tuple([C[u][v] for u, v in pairs]),
-        cost[n][m],
-    )
+    return Alignment(tuple(pairs), tuple([C[u][v] for u, v in pairs]), cost[n][m])

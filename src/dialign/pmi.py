@@ -169,7 +169,9 @@ def induce_distances(
         for k in order:
             aligned[k] = align_pair(*pairs[firsts[k]], cm)
         counts = Counter(chain.from_iterable(aligned[slot].columns for slot in slots))
-        dist = distances_from_counts(counts, opts.smoothing)
+        symbol = cm.symbol  # the columns hold cm's numbers
+        by_symbol = {(symbol[u], symbol[v]): c for (u, v), c in counts.items()}
+        dist = distances_from_counts(by_symbol, opts.smoothing)
         if dist == prev_dist:  # unchanged alignments give the same table
             converged = True
             break

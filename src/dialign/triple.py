@@ -11,10 +11,10 @@ traceback counts lengths with pairwise.longest. Where two strings are
 equal and their symbols price 0 against themselves and more than EPS
 against the gap, the bound is met exactly with the two in lockstep, so
 one 2D alignment of the third string with them, each price doubled, is
-the triple's, and no 3D lattice is filled. Per-column direction of
-change is distance(newer, standard) - distance(older, standard):
-positive means divergence from the standard, negative convergence
-towards it.
+the triple's, and no 3D lattice is filled. Columns hold the cost
+model's numbers, 0 for a gap. Per-column direction of change is
+distance(newer, standard) - distance(older, standard): positive means
+divergence from the standard, negative convergence towards it.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from collections import namedtuple
 from itertools import zip_longest
 from operator import add
 
-from .costs import GAP, Alignment, CostModel
+from .costs import Alignment, CostModel
 from .pairwise import align_pair, fill, longest, trace
 
 # Moves as (dx, dy, dz) in frozen traceback preference order: single-string
@@ -103,7 +103,8 @@ def lockstep(sx, sy, sz, ux, uy, uz, cm: CostModel):
     """The alignment of a triple of which two strings are equal, by one 2D
     alignment of the third string with them, or None if no two strings are
     equal or some symbol of theirs does not price 0 against itself and
-    more than EPS against the gap. ux, uy and uz number sx, sy and sz."""
+    more than EPS against the gap. ux, uy and uz number sx, sy and sz; roles
+    puts each 2D column's numbers, the third's and the equal two's, in place."""
     if ux == uy:
         third, same, us, roles = sz, sx, ux, lambda a, b: (b, b, a)
     elif ux == uz:
@@ -276,8 +277,8 @@ def align_triple(sx, sy, sz, cm: CostModel) -> Alignment:
         if len(starts) > 1:
             want = longest(node, lambda cell: tight(cell)[0], memo) - 1
             t = [memo[start] for start in starts].index(want)
-        strings = zip((sx, sy, sz), starts[t], node)
-        columns.append(tuple(s[p].symbol if p < q else GAP for s, p, q in strings))
+        strings = zip((ux, uy, uz), starts[t], node)
+        columns.append(tuple(us[p] if p < q else 0 for us, p, q in strings))
         costs.append(prices[t])
         node = starts[t]
     return Alignment(tuple(columns[::-1]), tuple(costs[::-1]), cost[nx][ny][nz])
@@ -285,11 +286,10 @@ def align_triple(sx, sy, sz, cm: CostModel) -> Alignment:
 
 def directions(al: Alignment, cm: CostModel) -> list[float]:
     """price(newer, standard) - price(older, standard) for each column of a
-    triple alignment. cm must have numbered the alignment's symbols, as the
-    model that aligned it has. No optimal alignment holds a FORBIDDEN
-    pair: all-indel paths cost less."""
-    n, C = cm.number, cm.cost
-    return [C[n[y]][n[z]] - C[n[x]][n[z]] for x, y, z in al.columns]
+    triple alignment made under cm, whose numbers its columns hold. No
+    optimal alignment holds a FORBIDDEN pair: all-indel paths cost less."""
+    C = cm.cost
+    return [C[v][w] - C[u][w] for u, v, w in al.columns]
 
 
 def decompose(al: Alignment, cm: CostModel) -> tuple[float, float]:

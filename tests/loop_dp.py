@@ -6,7 +6,8 @@ distance tables: they price every move of every lattice cell with
 _pair_cost (via column_cost in 3D). _pair_cost prices a pair itself, from
 substitution_allowed and the cost model's distance table, and never reads
 the cost model's own price table. The arithmetic is the same, so the
-package's align_pair and align_triple must return equal results;
+package's align_pair and align_triple must return equal results once
+as_symbols maps their number columns to the references' symbol columns;
 tests/test_dp_reference.py checks that. induce_distances_loop is PMI
 induction over these references, aligning every pair on every iteration.
 enumerate_optimal and brute_force_min_cost are exhaustive oracles for
@@ -53,6 +54,14 @@ def column_cost(cm: CostModel, x, y, z) -> float:
 def _symbols(*segments) -> tuple[str, ...]:
     """An alignment column of segments, None for a gap, as symbols."""
     return tuple(GAP if s is None else s.symbol for s in segments)
+
+
+def as_symbols(al: Alignment, cm: CostModel) -> Alignment:
+    """al, whose columns hold cm's numbers, with each number replaced by
+    the symbol it stands for in cm, GAP for 0, as the references give it."""
+    symbol = cm.symbol
+    columns = tuple(tuple(symbol[u] for u in col) for col in al.columns)
+    return al._replace(columns=columns)
 
 
 def _alignment(pairs, total_cost: float) -> Alignment:

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from loop_dp import (
+    as_symbols,
     brute_force_min_cost,
     double_pairwise_delta,
     enumerate_optimal,
@@ -98,7 +99,7 @@ def test_criterion_03_triple_worked_example(tok, acceptance_report):
     )
     conv, div = decompose(al, cm)
     ok = (
-        al.columns == expected_layout
+        as_symbols(al, cm).columns == expected_layout
         and directions(al, cm) == [0, 0, 0, 0, 1, -1, -1]
         and conv == pytest.approx(2 / 7)
         and div == pytest.approx(1 / 7)

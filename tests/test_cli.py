@@ -138,6 +138,34 @@ def test_relative_nested_out_dir_is_made_on_first_write(tmp_path, monkeypatch):
     ]
 
 
+# An empty --out-dir, as an unset shell variable gives, would write every
+# output into the working directory, over files of the same names.
+@pytest.mark.parametrize("command", ["pmi", "align", "report"])
+def test_empty_out_dir_is_a_config_error(
+    tmp_path, corpus_path, capsys, monkeypatch, command
+):
+    groups = tmp_path / "groups.tsv"
+    groups.write_text(GROUPS_6, encoding="utf-8")
+    records = tmp_path / "a" / "change_records.csv"
+    argv = {
+        "pmi": ["pmi", "--corpus", str(corpus_path)],
+        "align": ["align", "--corpus", str(corpus_path), "--mode", "binary"],
+        "report": [
+            "report", "--records", str(records), "--groups", str(groups),
+            "--n-perm", "999",
+        ],
+    }[command]
+    if command == "report":
+        align = ["align", "--corpus", str(corpus_path), "--mode", "binary"]
+        assert main([*align, "--out-dir", str(records.parent)]) == 0
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert main([*argv, "--out-dir", ""]) == 2
+    assert capsys.readouterr().err == "config error: --out-dir must not be empty\n"
+    assert os.listdir(cwd) == []
+
+
 @pytest.mark.parametrize(
     "command", [["align", "--mode", "binary"], ["pmi"]], ids=["align", "pmi"]
 )

@@ -16,6 +16,7 @@ from loop_dp import (
     _pair_cost,
     align_pair_loop,
     align_triple_loop,
+    as_symbols,
     column_cost,
     enumerate_optimal,
     induce_distances_loop,
@@ -92,12 +93,27 @@ FACE_TIES = CostModel(
 )
 
 
+def numbered_in_reverse(cm: CostModel) -> CostModel:
+    """cm, after it has numbered the alphabet's symbols in reverse order,
+    so that number order and symbol order disagree."""
+    for symbol in reversed(ALPHABET):
+        cm.numbers(tokenize(symbol, TABLE))
+    return cm
+
+
+# The DPs fill and trace numbers; under this model a choice that followed
+# number order rather than the strings' own order would differ from the
+# loop references, which never number a symbol.
+UNIT_REVERSED = numbered_in_reverse(binary_cost_model(False))
+
+
 @SETTINGS
 @given(words(8), words(8), ANY_COSTS)
 @example(*tok("aaə", "ət"), UNIT)
 @example(*tok("aəa", "ttaa"), UNIT)
+@example(*tok("aəa", "ttaa"), UNIT_REVERSED)
 def test_align_pair_matches_loop_reference(a, b, cm):
-    got, want = align_pair(a, b, cm), align_pair_loop(a, b, cm)
+    got, want = as_symbols(align_pair(a, b, cm), cm), align_pair_loop(a, b, cm)
     assert got.total_cost == want.total_cost
     assert got.length == want.length
     assert got.columns == want.columns
@@ -109,7 +125,7 @@ def test_align_pair_matches_loop_reference(a, b, cm):
 def test_align_pair_matches_loop_reference_on_long_tie_heavy_words(cm):
     rng = random.Random(17)
     a, b = (tokenize("".join(rng.choices("ta", k=300)), TABLE) for _ in range(2))
-    assert align_pair(a, b, cm) == align_pair_loop(a, b, cm)
+    assert as_symbols(align_pair(a, b, cm), cm) == align_pair_loop(a, b, cm)
 
 
 def pair_prices(cm, a, b):
@@ -181,8 +197,10 @@ def test_star_alignment_is_an_alignment_that_bounds_the_optimum(x, y, z, cm):
 @example(*tok("aaə"), (), *tok("ət"), UNIT)
 @example(*tok("aaə", "ət"), (), UNIT)
 @example((), (), *tok("atə"), UNIT)
+@example(*tok("taat", "tta", "ət"), UNIT_REVERSED)
 def test_align_triple_matches_loop_reference(x, y, z, cm):
-    got, want = align_triple(x, y, z, cm), align_triple_loop(x, y, z, cm)
+    got = as_symbols(align_triple(x, y, z, cm), cm)
+    want = align_triple_loop(x, y, z, cm)
     assert got.total_cost == want.total_cost
     assert got.length == want.length
     assert got.columns == want.columns
@@ -212,7 +230,8 @@ FREE_GAP = CostModel(
 @example(*tok("t", "a"), FREE_GAP)
 def test_align_triple_with_two_equal_strings_matches_loop_reference(a, b, cm):
     for x, y, z in with_two_equal(a, b):
-        assert align_triple(x, y, z, cm) == align_triple_loop(x, y, z, cm)
+        got = as_symbols(align_triple(x, y, z, cm), cm)
+        assert got == align_triple_loop(x, y, z, cm)
 
 
 # align_pair returns the diagonal of two equal strings without a fill
@@ -231,7 +250,7 @@ SELF_PRICED = CostModel(
 @example(*tok("tat"), FREE_GAP)
 @example(*tok("ata"), SELF_PRICED)
 def test_align_pair_of_equal_strings_matches_loop_reference(a, cm):
-    assert align_pair(a, a, cm) == align_pair_loop(a, a, cm)
+    assert as_symbols(align_pair(a, a, cm), cm) == align_pair_loop(a, a, cm)
 
 
 # Under one cost model align_pair takes the leading rows of its fill from
@@ -258,7 +277,8 @@ def test_shared_fill_rows_leave_every_alignment_as_the_loop_reference_gives_it()
         cm, shared = CostModel(table), 0
         for a, b in ((word[x], word[y]) for x, y in pairs):
             last = cm.last_fill
-            assert align_pair(a, b, cm) == align_pair_loop(a, b, cm)
+            got = as_symbols(align_pair(a, b, cm), cm)
+            assert got == align_pair_loop(a, b, cm)
             if last is not None:  # the rows after row 0 taken from it
                 shared += sum(map(operator.is_, last[2][1:], cm.last_fill[2][1:]))
         assert shared > 0
@@ -278,7 +298,8 @@ def test_align_triple_matches_loop_reference_on_long_tie_heavy_words(cm):
     for a, b in ((x, z), (y, x), (z, y)):
         triples += with_two_equal(a, b)
     for triple in triples:
-        assert align_triple(*triple, cm) == align_triple_loop(*triple, cm)
+        got = as_symbols(align_triple(*triple, cm), cm)
+        assert got == align_triple_loop(*triple, cm)
 
 
 def mixed_corpus(tmp_path):
@@ -302,7 +323,8 @@ def test_align_triple_matches_loop_reference_on_the_mixed_corpus(tmp_path, costs
     distinct = {(t.older, t.newer, t.standard) for t in triples}
     assert max(len(w) for triple in distinct for w in triple) >= 12
     for x, y, z in distinct:
-        assert align_triple(x, y, z, cm) == align_triple_loop(x, y, z, cm)
+        got = as_symbols(align_triple(x, y, z, cm), cm)
+        assert got == align_triple_loop(x, y, z, cm)
 
 
 # Induction aligns each distinct pair once an iteration with the
@@ -367,7 +389,7 @@ def test_align_pair_is_a_longest_optimum_of_its_column_costs(a, b, cm):
     al = align_pair(a, b, cm)
     assert al.total_cost == sum(al.costs)
     seg = segment_of(a, b)
-    for (left, right), c in zip(al.columns, al.costs):
+    for (left, right), c in zip(as_symbols(al, cm).columns, al.costs):
         assert c == _pair_cost(cm, seg.get(left), seg.get(right))
     optima = enumerate_optimal(a, b, cm)
     assert al.total_cost == min(o.total_cost for o in optima)
@@ -380,8 +402,24 @@ def test_align_triple_total_is_the_sum_of_its_column_costs(x, y, z, cm):
     al = align_triple(x, y, z, cm)
     assert al.total_cost == sum(al.costs)
     seg = segment_of(x, y, z)
-    for col, c in zip(al.columns, al.costs):
+    for col, c in zip(as_symbols(al, cm).columns, al.costs):
         assert c == column_cost(cm, *(seg.get(s) for s in col))
+
+
+# directions reads the cost model's price table at the rows and columns
+# that the alignment's numbers name; loop_dp prices the segments that
+# those numbers stand for itself, from the distance table.
+@SETTINGS
+@given(words(5), words(5), words(5), DYADIC_COSTS)
+@example(*tok("taat", "tta", "ət"), UNIT_REVERSED)
+def test_directions_are_the_loop_prices_of_the_columns_segments(x, y, z, cm):
+    al = align_triple(x, y, z, cm)
+    seg = segment_of(x, y, z)
+    want = []
+    for older, newer, standard in as_symbols(al, cm).columns:
+        older, newer, standard = seg.get(older), seg.get(newer), seg.get(standard)
+        want.append(_pair_cost(cm, newer, standard) - _pair_cost(cm, older, standard))
+    assert directions(al, cm) == want
 
 
 @SETTINGS

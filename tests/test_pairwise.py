@@ -3,7 +3,13 @@ import math
 import random
 
 import pytest
-from loop_dp import CapExceeded, ZeroLength, enumerate_optimal, normalized_distance
+from loop_dp import (
+    CapExceeded,
+    ZeroLength,
+    as_symbols,
+    enumerate_optimal,
+    normalized_distance,
+)
 
 from dialign.costs import FORBIDDEN, GAP, binary_cost_model
 from dialign.pairwise import align_pair
@@ -60,7 +66,7 @@ def test_constraint_never_pairs_vowel_with_obstruent(tok):
         b = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 6)))
         al = align_pair(tok(a), tok(b), cm)
         seg = {s.symbol: s for s in tok(a) + tok(b)}
-        for col in al.columns:
+        for col in as_symbols(al, cm).columns:
             if GAP in col:
                 continue
             left, right = (seg[s] for s in col)
@@ -74,7 +80,7 @@ def test_identity_alignment(tok):
     al = align_pair(tok("strat"), tok("strat"), cm)
     assert al.total_cost == 0
     assert al.length == 5
-    assert all(op(c) == "match" for c in al.columns)
+    assert all(op(c) == "match" for c in as_symbols(al, cm).columns)
     assert normalized_distance(al) == 0.0
 
 
@@ -83,7 +89,7 @@ def test_align_against_empty(tok):
     al = align_pair(tok("strat"), (), cm)
     assert al.total_cost == 5
     assert al.length == 5
-    assert all(op(c) == "del" for c in al.columns)
+    assert all(op(c) == "del" for c in as_symbols(al, cm).columns)
     assert normalized_distance(al) == 1.0
 
 

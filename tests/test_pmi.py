@@ -3,7 +3,7 @@ import random
 import unicodedata
 
 import pytest
-from loop_dp import make_vowel_shift_pairs
+from loop_dp import as_symbols, make_vowel_shift_pairs
 
 from dialign.costs import FORBIDDEN, GAP, CostModel, binary_cost_model
 from dialign.errors import DialignError, EmptyCorpus, ParseError
@@ -225,8 +225,9 @@ def test_induction_respects_constraint(table):
     corpus = corpus_from_strings(table, [("pat", "tap"), ("ip", "pi")] * 30)
     result = induce_distances(corpus, binary_cost_model())
     a, b = tokenize("ip", table), tokenize("pi", table)
-    al = align_pair(a, b, CostModel(result))
+    cm = CostModel(result)
+    al = align_pair(a, b, cm)
     klass = {s.symbol: s.klass for s in a + b}
-    for left, right in al.columns:
+    for left, right in as_symbols(al, cm).columns:
         if GAP not in (left, right):
             assert klass[left] == klass[right]
