@@ -22,7 +22,7 @@ from .costs import BinaryDistanceTable, CostModel, binary_cost_model
 from .errors import DialignError, EmptyCorpus, FirstLines, ParseError, read_table
 from .pmi import InductionOptions, PmiTable
 from .phonetics import SegmentTable
-from .triple import ChangeRecord, align_triple, decompose, directions
+from .triple import ChangeRecord, align_triple, decompose
 
 EXIT_OK = 0
 EXIT_DATA_ERROR = 1
@@ -102,12 +102,19 @@ def _induce(args, triples) -> PmiTable:
     return table
 
 
-def _dump_alignment(t, al, cm) -> str:
+def _dump_alignment(al, cm) -> str:
+    """An alignment's block of alignments.txt after the location and word
+    that start it: its cost and length, the symbols of each role, each
+    column's price, and its direction tag."""
+
     def row(label, cells):
         return label + "\t" + "\t".join(cells)
 
-    tags = []
-    for (u, v, w), d in zip(al.columns, directions(al, cm)):
+    C, prices, tags = cm.cost, [], []
+    for u, v, w in al.columns:
+        # The pair sum in the float order of every 3D move's price.
+        prices.append(f"{(C[u][v] + C[u][w]) + C[v][w]:.4g}")
+        d = C[v][w] - C[u][w]  # as triple.directions gives it
         if u == v == w != 0:
             tags.append("stable")
         elif d < 0:
@@ -117,11 +124,11 @@ def _dump_alignment(t, al, cm) -> str:
         else:
             tags.append("neutr.")
     lines = [
-        f"# {t.location} / {t.word} (cost {al.total_cost:.6f}, length {al.length})",
+        f" (cost {al.total_cost:.6f}, length {al.length})",
         row("older", [cm.symbol[u] for u, _, _ in al.columns]),
         row("newer", [cm.symbol[v] for _, v, _ in al.columns]),
         row("standard", [cm.symbol[w] for _, _, w in al.columns]),
-        row("cost", [f"{c:.4g}" for c in al.costs]),
+        row("cost", prices),
         row("direction", tags),
     ]
     return "\n".join(lines) + "\n"
@@ -149,12 +156,17 @@ def cmd_align(args) -> int:
                 f"location {t.location!r}, word {t.word!r}: {exc}"
             ) from None
 
+    # Each distinct alignment's record fields and dump block are made
+    # once; a record adds its location and word to them.
+    done = []
+    for al in aligned:
+        conv, div = decompose(al, cm)
+        done.append((f"{conv:.6f},{div:.6f},{al.length}", _dump_alignment(al, cm)))
     lines, dumps = [_RECORDS_HEADER], []
     for t, slot in zip(triples, slots):
-        al = aligned[slot]
-        conv, div = decompose(al, cm)
-        lines.append(f"{t.location},{t.word},{conv:.6f},{div:.6f},{al.length}")
-        dumps.append(_dump_alignment(t, al, cm))
+        fields, block = done[slot]
+        lines.append(f"{t.location},{t.word},{fields}")
+        dumps.append(f"# {t.location} / {t.word}{block}")
     _write(args, "change_records.csv", "\n".join(lines) + "\n")
     _write(args, "alignments.txt", "\n".join(dumps))
     _write(args, "retention.txt", retention_report(triples, excluded))

@@ -45,14 +45,14 @@ class PairedTriple(namedtuple("PairedTriple", "location word older newer standar
 
 
 def distinct(items) -> tuple[list[int], list[int]]:
-    """The same-work map of tuples of transcriptions, keyed on their symbols:
-    the index of the first item of each key, in first-seen order, and for
-    each item its key's slot in that list. Equal keys give equal work."""
+    """The same-work map of tuples of transcriptions, keyed on their
+    segments, of which a segment table gives one per symbol: the index of
+    the first item of each key, in first-seen order, and for each item its
+    key's slot in that list. Equal keys give equal work."""
     slot_of: dict = {}
     firsts, slots = [], []
     for i, item in enumerate(items):
-        key = tuple(tuple(s.symbol for s in x) for x in item)
-        slot = slot_of.setdefault(key, len(firsts))
+        slot = slot_of.setdefault(tuple(map(tuple, item)), len(firsts))
         if slot == len(firsts):  # the key's first item
             firsts.append(i)
         slots.append(slot)

@@ -19,9 +19,10 @@ from .phonetics import GAP, Segment
 FORBIDDEN = math.inf
 
 
-class Alignment(namedtuple("Alignment", "columns costs total_cost")):
-    """Columns of the aligning cost model's numbers, 0 for a gap, with
-    costs[i] the price of column i and total_cost the DP's optimum."""
+class Alignment(namedtuple("Alignment", "columns total_cost")):
+    """Columns of the aligning cost model's numbers, 0 for a gap, and
+    total_cost, the DP's optimum. A column's price is not kept: the cost
+    model's table gives it, as the sum of the column's pair prices."""
 
     __slots__ = ()
 
@@ -53,10 +54,12 @@ class CostModel:
     known symbol and itself: ``cost[u][v]`` is the table's distance,
     FORBIDDEN for a pair the policy bans when constrained, and 0.0 for gap
     against gap. A symbol's class must not depend on where it occurs.
-    ``symbol[u]`` is the symbol numbered u. ``last_fill`` holds the
-    numbered strings, the cost table and the second segment tuple of the
-    last 2D fill that pairwise.align_pair made under the model, whose
-    leading rows the next fill may share; no row of it changes once built.
+    ``symbol[u]`` is the symbol numbered u. A segment tuple is numbered
+    once; ``repriced`` gives a model of another table with the same
+    numbering, and the tuples numbered so far. ``last_fill`` holds the
+    numbered strings and the cost table of the last 2D fill that
+    pairwise.align_numbers made under the model, whose leading rows the
+    next fill may share; no row of it changes once built.
     """
 
     def __init__(self, distances, constrained: bool = True):
@@ -65,13 +68,31 @@ class CostModel:
         self.cost: list[list[float]] = [[0.0]]
         self.number: dict[str, int] = {GAP: 0}  # symbol -> its row of cost
         self.symbol: list[str] = [GAP]  # number -> its symbol
-        self.last_fill = None  # (ua, ub, cost, sb)
+        self.last_fill = None  # (ua, ub, cost)
         self._known: list[Segment] = []  # _known[u - 1] has number u
+        self._numbered: dict[tuple, list[int]] = {}  # segment tuple -> numbers
 
     def numbers(self, segments) -> list[int]:
-        """The number of each segment."""
-        number = self.number
-        return [number.get(s.symbol) or self._add(s) for s in segments]
+        """The number of each segment: one list for all equal sequences of
+        segments, which no caller may change."""
+        segments = tuple(segments)  # the same tuple if it is one
+        got = self._numbered.get(segments)
+        if got is None:
+            number = self.number
+            got = [number.get(s.symbol) or self._add(s) for s in segments]
+            self._numbered[segments] = got
+        return got
+
+    def repriced(self, distances) -> "CostModel":
+        """A model of the distance table distances, under the same policy,
+        that numbers each symbol and segment tuple as this one does. It
+        prices the symbols in number order, as a new model meeting them in
+        that order would."""
+        cm = CostModel(distances, self.constrained)
+        for seg in self._known:
+            cm._add(seg)
+        cm._numbered = dict(self._numbered)
+        return cm
 
     def _add(self, seg: Segment) -> int:
         symbol, distance = seg.symbol, self.distances.distance

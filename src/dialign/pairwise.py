@@ -4,12 +4,13 @@ The DP minimizes total cost and, among minimal-cost alignments, maximizes
 the column count (the normalization denominator is the length of the
 longest optimal alignment). The fill and traceback read numbered strings
 and the price table, never a symbol, and the fill can start from rows
-already built: align_pair takes those of the cost model's last fill where
-the second string is the same and the first shares a prefix. Two equal
-strings whose symbols price 0 against themselves and above 0 against the
-gap take the diagonal, with no fill. `trace` is the one 2D traceback,
-shared with triple's star bound; like the 3D traceback, it counts lengths
-with `longest` only at a tie. When costs tie, deletion is preferred over
+already built: align_numbers takes those of the cost model's last fill
+where the second string is the same and the first shares a prefix.
+align_pair numbers two segment tuples and aligns their numbers with it.
+Two equal strings whose symbols price 0 against themselves and above 0
+against the gap take the diagonal, with no fill. `trace` is the one 2D
+traceback, shared with triple's star bound; like the 3D traceback, it
+counts lengths with `longest` only at a tie. When costs tie, deletion is preferred over
 insertion over substitution, applied right-to-left, among the moves that
 keep the alignment longest.
 """
@@ -24,29 +25,34 @@ def fill(ua, ub, C, head=None):
     price table C: cost[i][j] is the least cost of aligning ua[:i] with ub[:j].
     Row i depends only on ua[:i], ub and C, so head, if given, is a list of
     the table's first rows, already built; they are taken, not copied."""
-    gb = [C[0][v] for v in ub]
+    gap = C[0]
+    vb = [0, *ub]  # 1-based: vb[j] and its gap price hb[j]; hb[0] is unread
+    hb = [gap[v] for v in vb]
     if head:
         cost, row = head, head[-1]
     else:
         row = [0.0]
-        for h in gb:
+        for h in hb[1:]:
             row.append(row[-1] + h)
         cost = [row]
+    js = range(1, len(vb))
     for u in ua[len(cost) - 1 :]:
         prices = C[u]
         g = prices[0]
-        up, left = row, row[0] + g
-        row = [left]
-        for j, h in enumerate(gb):  # deletion, insertion, substitution
-            best = up[j + 1] + g
-            c = left + h
+        up, row = row, row[:]  # row[j] is written once up[j] is read
+        diag = up[0]
+        left = row[0] = diag + g
+        for j in js:  # deletion, insertion, substitution
+            above = up[j]
+            best = above + g
+            c = left + hb[j]
             if c < best:
                 best = c
-            c = up[j] + prices[ub[j]]
+            c = diag + prices[vb[j]]
             if c < best:
                 best = c
-            row.append(best)
-            left = best
+            row[j] = left = best
+            diag = above
         cost.append(row)
     return cost
 
@@ -99,41 +105,42 @@ def trace(cost, ua, ub, C):
     n, m, gap = len(ua), len(ub), C[0]  # gap[u] is C[u][0]
     w = m + 1  # node (i, j) of the length count, as tight_starts numbers it
     pairs, memo = [], None
-    i, j = n, m
+    i, j, row = n, m, cost[n]
     while i and j:
-        up, row, u, v = cost[i - 1], cost[i], ua[i - 1], ub[j - 1]
+        up, u, v = cost[i - 1], ua[i - 1], ub[j - 1]
         here = row[j]
-        dele = up[j] + C[u][0] == here
+        dele = up[j] + gap[u] == here
         ins = row[j - 1] + gap[v] == here
-        if dele + ins + (up[j - 1] + C[u][v] == here) > 1:
+        # Some move is tight; a tie needs two.
+        if (dele or ins) and dele + ins + (up[j - 1] + C[u][v] == here) > 1:
             if memo is None:
                 memo, starts = {0: 0}, tight_starts(cost, ua, ub, C)
             want = longest(i * w + j, starts, memo) - 1
             dele = dele and memo[i * w + j - w] == want
             ins = ins and memo[i * w + j - 1] == want
         if dele:
-            v, i = 0, i - 1
+            pairs.append((u, 0))
+            i, row = i - 1, up
         elif ins:
-            u, j = 0, j - 1
+            pairs.append((0, v))
+            j -= 1
         else:
-            i, j = i - 1, j - 1
-        pairs.append((u, v))
+            pairs.append((u, v))
+            i, j, row = i - 1, j - 1, up
     # A border node has one predecessor: the rest of a or of b is gapped.
     pairs += [(0, v) for v in reversed(ub[:j])] + [(u, 0) for u in reversed(ua[:i])]
     pairs.reverse()
     return pairs
 
 
-def align_pair(sa, sb, cm: CostModel) -> Alignment:
+def align_numbers(ua, ub, cm: CostModel) -> Alignment:
     """Minimal-cost alignment of maximal length among the optima of two
-    segment sequences, as pairs of their numbers in cm, 0 for the gap."""
-    n, m = len(sa), len(sb)
-    C, ua, last = cm.cost, cm.numbers(sa), cm.last_fill
-    # A model numbers a segment tuple alike each time it meets it.
-    ub = last[1] if last is not None and last[3] is sb else cm.numbers(sb)
+    strings numbered ua and ub in cm, as pairs of their numbers, 0 for
+    the gap."""
+    C, last = cm.cost, cm.last_fill
     if ua == ub and all(C[u][u] == 0.0 and C[u][0] > 0.0 for u in ua):
         # Every other alignment has a gap column, which prices above 0.
-        return Alignment(tuple(zip(ua, ua)), (0.0,) * n, 0.0)
+        return Alignment(tuple(zip(ua, ua)), 0.0)
     # The rows of the last fill under cm for the same b and a prefix of a
     # are this fill's rows; callers that sort their pairs share the most.
     head = None
@@ -145,6 +152,11 @@ def align_pair(sa, sb, cm: CostModel) -> Alignment:
             shared += 1
         head = last[2][: shared + 1]
     cost = fill(ua, ub, C, head)
-    cm.last_fill = ua, ub, cost, sb
-    pairs = trace(cost, ua, ub, C)
-    return Alignment(tuple(pairs), tuple([C[u][v] for u, v in pairs]), cost[n][m])
+    cm.last_fill = ua, ub, cost
+    return Alignment(tuple(trace(cost, ua, ub, C)), cost[-1][-1])
+
+
+def align_pair(sa, sb, cm: CostModel) -> Alignment:
+    """Minimal-cost alignment of maximal length among the optima of two
+    segment sequences, as pairs of their numbers in cm, 0 for the gap."""
+    return align_numbers(cm.numbers(sa), cm.numbers(sb), cm)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import unicodedata
 from collections import namedtuple
+from functools import cache
 
 from .errors import EmptyInput, FirstLines, ParseError, UnknownSymbol, read_table
 
@@ -37,6 +38,7 @@ _CONSONANTS = (
 )
 
 
+@cache  # a corpus holds few distinct characters
 def _is_modifier(ch: str) -> bool:
     return ch in MODIFIER_CHARS or unicodedata.category(ch) == "Mn"
 
@@ -142,20 +144,14 @@ def tokenize(raw: str, table: SegmentTable) -> tuple[Segment, ...]:
     if raw == "":
         raise EmptyInput("empty transcription")
     raw = unicodedata.normalize("NFC", raw)
+    # A segment starts at each character that is not a modifier.
+    starts = [i for i, mod in enumerate(map(_is_modifier, raw)) if not mod]
+    if not starts or starts[0]:  # a modifier with no preceding base symbol
+        raise UnknownSymbol(0, raw[0])
     segments = []
-    i = 0
-    while i < len(raw):
-        ch = raw[i]
-        if _is_modifier(ch):
-            # modifier with no preceding base symbol
-            raise UnknownSymbol(i, ch)
-        j = i + 1
-        while j < len(raw) and _is_modifier(raw[j]):
-            j += 1
+    for i, j in zip(starts, starts[1:] + [len(raw)]):
         try:  # the table knows the segment or its base symbol
             segments.append(table.segment(raw[i:j]))
         except UnknownSymbol:
-            raise UnknownSymbol(i, ch) from None
-        i = j
+            raise UnknownSymbol(i, raw[i]) from None
     return tuple(segments)
-

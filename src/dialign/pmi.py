@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import unicodedata
 from collections import Counter, namedtuple
-from itertools import chain, combinations_with_replacement
+from itertools import combinations_with_replacement
 
 from .corpus import distinct
 from .costs import GAP, CostModel
@@ -149,26 +149,27 @@ def induce_distances(
         raise EmptyCorpus("no transcription pairs for PMI induction")
 
     # Pairs with equal symbols align alike under any one cost model, so
-    # each iteration aligns only the first of them. It aligns them sorted
-    # by (second, first) symbols, so that a pair shares the fill rows of
-    # the prefix its first string has in common with the pair before it
-    # (pairwise.align_pair); the results go back by slot.
+    # each iteration aligns only the first of them, and counts its columns
+    # once for each pair it stands for. Their transcriptions are numbered
+    # once, and every iteration's model reprices the same numbering. They
+    # are aligned sorted by (second, first) numbers, so that a pair shares
+    # the fill rows of the prefix its first string has in common with the
+    # pair before it (pairwise.align_numbers).
     firsts, slots = distinct(pairs)
-    order = sorted(
-        range(len(firsts)),
-        key=lambda k: [[s.symbol for s in x] for x in pairs[firsts[k]][::-1]],
-    )
-
+    weight = Counter(slots)  # the pairs each first stands for
     cm = init
+    jobs = sorted(
+        (cm.numbers(b), cm.numbers(a), k, a, b)
+        for k, (a, b) in enumerate(pairs[i] for i in firsts)
+    )
     prev_dist = None
     dist = {}
     converged = False
     iterations = 0
     for iterations in range(1, opts.max_iter + 1):
-        aligned = [None] * len(firsts)
-        for k in order:
-            aligned[k] = align_pair(*pairs[firsts[k]], cm)
-        counts = Counter(chain.from_iterable(aligned[slot].columns for slot in slots))
+        counts = Counter()
+        for _, _, k, a, b in jobs:
+            counts.update(align_pair(a, b, cm).columns * weight[k])
         symbol = cm.symbol  # the columns hold cm's numbers
         by_symbol = {(symbol[u], symbol[v]): c for (u, v), c in counts.items()}
         dist = distances_from_counts(by_symbol, opts.smoothing)
@@ -176,6 +177,6 @@ def induce_distances(
             converged = True
             break
         prev_dist = dist
-        cm = CostModel(PmiTable(dist), constrained=init.constrained)
+        cm = cm.repriced(PmiTable(dist))
 
     return PmiTable(dist, iterations_run=iterations, converged=converged)

@@ -25,7 +25,7 @@ from itertools import zip_longest
 from operator import add
 
 from .costs import Alignment, CostModel
-from .pairwise import align_pair, fill, longest, trace
+from .pairwise import align_numbers, fill, longest, trace
 
 # Moves as (dx, dy, dz) in frozen traceback preference order: single-string
 # advances first (x, then y, then z), then pairs, then all three.
@@ -99,28 +99,27 @@ def star(ux, uy, uz, C, fxz, fyz):
     return columns, sum(price(*col) for col in columns)
 
 
-def lockstep(sx, sy, sz, ux, uy, uz, cm: CostModel):
-    """The alignment of a triple of which two strings are equal, by one 2D
-    alignment of the third string with them, or None if no two strings are
-    equal or some symbol of theirs does not price 0 against itself and
-    more than EPS against the gap. ux, uy and uz number sx, sy and sz; roles
-    puts each 2D column's numbers, the third's and the equal two's, in place."""
+def lockstep(ux, uy, uz, cm: CostModel):
+    """The alignment of a triple of strings numbered ux, uy and uz in cm,
+    of which two are equal, by one 2D alignment of the third string with
+    them, or None if no two strings are equal or some symbol of theirs
+    does not price 0 against itself and more than EPS against the gap.
+    roles puts each 2D column's numbers, the third's and the equal two's,
+    in place."""
     if ux == uy:
-        third, same, us, roles = sz, sx, ux, lambda a, b: (b, b, a)
+        third, same, roles = uz, ux, lambda a, b: (b, b, a)
     elif ux == uz:
-        third, same, us, roles = sy, sx, ux, lambda a, b: (b, a, b)
+        third, same, roles = uy, ux, lambda a, b: (b, a, b)
     elif uy == uz:
-        third, same, us, roles = sx, sy, uy, lambda a, b: (a, b, b)
+        third, same, roles = ux, uy, lambda a, b: (a, b, b)
     else:
         return None
     C = cm.cost
-    if not all(C[u][u] == 0.0 and C[u][0] > EPS for u in us):
+    if not all(C[u][u] == 0.0 and C[u][0] > EPS for u in same):
         return None
-    al = align_pair(third, same, cm)
+    al = align_numbers(third, same, cm)
     return Alignment(
-        tuple(roles(a, b) for a, b in al.columns),
-        tuple(c + c for c in al.costs),
-        al.total_cost + al.total_cost,
+        tuple(roles(a, b) for a, b in al.columns), al.total_cost + al.total_cost
     )
 
 
@@ -144,7 +143,7 @@ def align_triple(sx, sy, sz, cm: CostModel) -> Alignment:
     # lockstep move costs p + p (and a 0.0), exactly twice its 2D price p;
     # with the third string first, 2D del > ins > sub is MOVES order. So
     # the sweep would trace the lockstep image of the 2D alignment.
-    paired = lockstep(sx, sy, sz, ux, uy, uz, cm)
+    paired = lockstep(ux, uy, uz, cm)
     if paired is not None:
         return paired
 
@@ -250,8 +249,8 @@ def align_triple(sx, sy, sz, cm: CostModel) -> Alignment:
         cost = sweep(found + EPS)  # inf + EPS is inf
 
     def tight(node):
-        """The starts and prices of the tight moves into a cell, in MOVES
-        order; a move from a pruned or outside cell is never tight."""
+        """The starts of the tight moves into a cell, in MOVES order; a
+        move from a pruned or outside cell is never tight."""
         i, j, k = node
         a, b, h = i - 1, j - 1, k - 1
         r_x, r_y, r_xy, r_z = cost[a][j], cost[i][b], cost[a][b], cost[i][j]
@@ -260,28 +259,27 @@ def align_triple(sx, sy, sz, cm: CostModel) -> Alignment:
             c_x[a], c_y[b], c_z[h], c_xy[a][b], c_xz[a][h], c_yz[b][h],
             (dxy[a][b] + dxz[a][h]) + dyz[b][h],
         )
-        here, starts, paid = r_z[k], [], []
-        for (dx, dy, dz), before, c in zip(MOVES, befores, prices):
-            if before + c == here:
-                starts.append((i - dx, j - dy, k - dz))
-                paid.append(c)
-        return starts, paid
+        here = r_z[k]
+        return [
+            (i - dx, j - dy, k - dz)
+            for (dx, dy, dz), before, c in zip(MOVES, befores, prices)
+            if before + c == here
+        ]
 
     # Traceback. Where several moves are tight, take the first in MOVES
     # order that keeps the alignment longest.
-    columns, costs, memo = [], [], {(0, 0, 0): 0}
+    columns, memo = [], {(0, 0, 0): 0}
     node = (nx, ny, nz)
     while any(node):
-        starts, prices = tight(node)
-        t = 0  # the index of the move taken
+        starts = tight(node)
+        start = starts[0]
         if len(starts) > 1:
-            want = longest(node, lambda cell: tight(cell)[0], memo) - 1
-            t = [memo[start] for start in starts].index(want)
-        strings = zip((ux, uy, uz), starts[t], node)
+            want = longest(node, tight, memo) - 1
+            start = next(s for s in starts if memo[s] == want)
+        strings = zip((ux, uy, uz), start, node)
         columns.append(tuple(us[p] if p < q else 0 for us, p, q in strings))
-        costs.append(prices[t])
-        node = starts[t]
-    return Alignment(tuple(columns[::-1]), tuple(costs[::-1]), cost[nx][ny][nz])
+        node = start
+    return Alignment(tuple(columns[::-1]), cost[nx][ny][nz])
 
 
 def directions(al: Alignment, cm: CostModel) -> list[float]:

@@ -7,8 +7,9 @@ _pair_cost (via column_cost in 3D). _pair_cost prices a pair itself, from
 substitution_allowed and the cost model's distance table, and never reads
 the cost model's own price table. The arithmetic is the same, so the
 package's align_pair and align_triple must return equal results once
-as_symbols maps their number columns to the references' symbol columns;
-tests/test_dp_reference.py checks that. induce_distances_loop is PMI
+as_symbols maps their number columns to the references' symbol columns
+and prices each column from the cost model's table; the references price
+it with _pair_cost. tests/test_dp_reference.py checks that. induce_distances_loop is PMI
 induction over these references, aligning every pair on every iteration.
 enumerate_optimal and brute_force_min_cost are exhaustive oracles for
 short strings.
@@ -16,7 +17,7 @@ short strings.
 
 import math
 import random
-from collections import Counter
+from collections import Counter, namedtuple
 
 from dialign.costs import FORBIDDEN, GAP, Alignment, CostModel, substitution_allowed
 from dialign.errors import DialignError
@@ -56,22 +57,48 @@ def _symbols(*segments) -> tuple[str, ...]:
     return tuple(GAP if s is None else s.symbol for s in segments)
 
 
-def as_symbols(al: Alignment, cm: CostModel) -> Alignment:
+class Priced(namedtuple("Priced", "columns costs total_cost")):
+    """An alignment of symbol columns, GAP for a gap, with costs[i] the
+    price of column i, as the references give it."""
+
+    __slots__ = ()
+
+    @property
+    def length(self) -> int:
+        return len(self.columns)
+
+
+def table_prices(al: Alignment, cm: CostModel) -> tuple[float, ...]:
+    """The price of each column of al, whose columns hold cm's numbers,
+    read from cm's price table: C[u][v] for a pair column and the pair sum
+    (C[u][v] + C[u][w]) + C[v][w] for a triple column, in the float order
+    of the DPs' move prices."""
+    C = cm.cost
+    return tuple(
+        C[col[0]][col[1]]
+        if len(col) == 2
+        else (C[col[0]][col[1]] + C[col[0]][col[2]]) + C[col[1]][col[2]]
+        for col in al.columns
+    )
+
+
+def as_symbols(al: Alignment, cm: CostModel) -> Priced:
     """al, whose columns hold cm's numbers, with each number replaced by
-    the symbol it stands for in cm, GAP for 0, as the references give it."""
+    the symbol it stands for in cm, GAP for 0, and each column priced by
+    table_prices, as the references give it."""
     symbol = cm.symbol
     columns = tuple(tuple(symbol[u] for u in col) for col in al.columns)
-    return al._replace(columns=columns)
+    return Priced(columns, table_prices(al, cm), al.total_cost)
 
 
-def _alignment(pairs, total_cost: float) -> Alignment:
-    """The Alignment of (column, cost) pairs."""
-    return Alignment(
+def _alignment(pairs, total_cost: float) -> Priced:
+    """The Priced alignment of (column, cost) pairs."""
+    return Priced(
         tuple(col for col, _ in pairs), tuple(c for _, c in pairs), total_cost
     )
 
 
-def align_pair_loop(sa, sb, cm) -> Alignment:
+def align_pair_loop(sa, sb, cm) -> Priced:
     """Minimal-cost alignment of maximal length among the optima."""
     n, m = len(sa), len(sb)
 
@@ -150,7 +177,7 @@ def induce_distances_loop(
     return PmiTable(dict(dist), iterations_run=iterations, converged=converged)
 
 
-def align_triple_loop(sx, sy, sz, cm) -> Alignment:
+def align_triple_loop(sx, sy, sz, cm) -> Priced:
     """Minimal-cost three-string alignment, longest among the optima.
 
     The segment sequences are the older, newer and standard
@@ -213,7 +240,7 @@ def align_triple_loop(sx, sy, sz, cm) -> Alignment:
     return _alignment(columns, cost[nx][ny][nz])
 
 
-def enumerate_optimal(sa, sb, cm: CostModel, cap: int = 100_000) -> list[Alignment]:
+def enumerate_optimal(sa, sb, cm: CostModel, cap: int = 100_000) -> list[Priced]:
     """All minimal-cost alignments, by exhaustive enumeration.
 
     Test oracle for the longest-optimal-alignment rule; exponential, only
@@ -285,7 +312,7 @@ def brute_force_min_cost(sx, sy, sz, cm: CostModel) -> float:
     return rec(0, 0, 0)
 
 
-def normalized_distance(al: Alignment) -> float:
+def normalized_distance(al) -> float:
     """Total cost divided by the alignment length (longest optimal)."""
     if al.length == 0:
         raise ZeroLength("cannot normalize an empty alignment")

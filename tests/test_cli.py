@@ -15,12 +15,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dialign
+import dialign.triple
 from dialign.cli import main
 from dialign.corpus import ingest, pair
 from dialign.costs import binary_cost_model
 from dialign.phonetics import SegmentTable
 from dialign.synth import make_benchmark_corpus, make_coords, make_mixed_corpus
-from dialign.triple import align_triple, decompose
+from dialign.triple import align_triple, decompose, directions
 
 DATA_DIR = Path(__file__).parents[1] / "data" / "synthetic"
 
@@ -754,8 +755,9 @@ def test_align_unknown_symbol_names_the_record(tmp_path, capsys):
     )
 
 
-def test_align_repeated_triples_match_fresh_alignments(tmp_path):
-    # loc01 and loc02 hold identical triples, aligned once per run
+def test_align_repeated_triples_match_fresh_alignments(tmp_path, monkeypatch):
+    # loc01 and loc02 hold identical triples, aligned once per run, and
+    # each distinct alignment's columns get their directions once
     rows = [HEADER]
     for word, std, older, newer in [
         ("straat", "strat", "strodə", "strɔət"),
@@ -768,8 +770,17 @@ def test_align_repeated_triples_match_fresh_alignments(tmp_path):
     corpus = tmp_path / "corpus.tsv"
     corpus.write_text("\n".join(rows) + "\n", encoding="utf-8")
     out = tmp_path / "o"
+    directed = []
+
+    def counted(al, cm):
+        directed.append(al)
+        return directions(al, cm)
+
+    monkeypatch.setattr(dialign.triple, "directions", counted)
     rc = main(["align", "--corpus", str(corpus), "--out-dir", str(out), "--mode", "binary"])
     assert rc == 0
+    assert len(directed) == len(set(directed)) == 2
+    monkeypatch.undo()
 
     dump = (out / "alignments.txt").read_text(encoding="utf-8")
     blocks = dump.rstrip("\n").split("\n\n")

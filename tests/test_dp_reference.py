@@ -20,6 +20,7 @@ from loop_dp import (
     column_cost,
     enumerate_optimal,
     induce_distances_loop,
+    table_prices,
 )
 
 from dialign.corpus import ingest, pair
@@ -362,6 +363,41 @@ def test_induce_distances_ignores_the_order_of_its_pairs(tmp_path, constrained):
     assert got.converged == want.converged
 
 
+# Induction numbers each distinct transcription once and reprices that
+# numbering every iteration. A model whose numbering was primed in reverse
+# order numbers the symbols, and so sorts the pairs, otherwise.
+@pytest.mark.parametrize("constrained", [True, False], ids=["constrained", "free"])
+def test_induce_distances_ignores_the_numbering_of_its_model(tmp_path, constrained):
+    _, pairs = mixed_corpus(tmp_path)
+    init = numbered_in_reverse(binary_cost_model(constrained))
+    got = induce_distances(pairs, init)
+    want = induce_distances(pairs, binary_cost_model(constrained))
+    assert init.symbol[1 : len(ALPHABET) + 1] == list(reversed(ALPHABET))
+    assert got.dist == want.dist
+    assert got.iterations_run == want.iterations_run
+    assert got.converged == want.converged
+
+
+# A repriced model numbers every symbol and transcription as its source,
+# and prices each pair of symbols as a new model of its table does.
+@pytest.mark.parametrize("constrained", [True, False], ids=["constrained", "free"])
+def test_a_repriced_model_keeps_its_sources_numbering(tmp_path, constrained):
+    _, pairs = mixed_corpus(tmp_path)
+    source = numbered_in_reverse(binary_cost_model(constrained))
+    words = [w for p in pairs for w in p]
+    numbered = [list(source.numbers(w)) for w in words]
+    table = induce_distances(pairs, binary_cost_model(constrained), InductionOptions(2))
+    cm, fresh = source.repriced(table), CostModel(table, constrained)
+    assert cm.symbol == source.symbol
+    assert cm.constrained == constrained
+    assert [cm.numbers(w) for w in words] == numbered
+    for w in words:
+        fresh.numbers(w)
+    for u, a in enumerate(cm.symbol):
+        for v, b in enumerate(cm.symbol):
+            assert cm.cost[u][v] == fresh.cost[fresh.number[a]][fresh.number[b]]
+
+
 @SETTINGS
 @given(words(5), words(5), words(5), DYADIC_COSTS)
 def test_swapping_older_and_newer_swaps_conv_and_div(x, y, z, cm):
@@ -379,17 +415,19 @@ def test_swapping_older_and_newer_swaps_conv_and_div(x, y, z, cm):
 
 
 # Under dyadic tables every sum is exact, so the properties below hold
-# with ==, and the column prices come from loop_dp, not from the cost
-# model's table.
+# with ==. An alignment keeps no column prices: each column is priced from
+# the cost model's table by its numbers (table_prices), and each such
+# price is checked against loop_dp's own pricing of the column's segments.
 @SETTINGS
 @given(words(5), words(5), DYADIC_COSTS)
 @example(*tok("aaə", "ət"), UNIT)
 @example(*tok("aəa", "ttaa"), UNIT)
 def test_align_pair_is_a_longest_optimum_of_its_column_costs(a, b, cm):
     al = align_pair(a, b, cm)
-    assert al.total_cost == sum(al.costs)
+    prices = table_prices(al, cm)
+    assert al.total_cost == sum(prices)
     seg = segment_of(a, b)
-    for (left, right), c in zip(as_symbols(al, cm).columns, al.costs):
+    for (left, right), c in zip(as_symbols(al, cm).columns, prices):
         assert c == _pair_cost(cm, seg.get(left), seg.get(right))
     optima = enumerate_optimal(a, b, cm)
     assert al.total_cost == min(o.total_cost for o in optima)
@@ -400,9 +438,10 @@ def test_align_pair_is_a_longest_optimum_of_its_column_costs(a, b, cm):
 @given(words(5), words(5), words(5), DYADIC_COSTS)
 def test_align_triple_total_is_the_sum_of_its_column_costs(x, y, z, cm):
     al = align_triple(x, y, z, cm)
-    assert al.total_cost == sum(al.costs)
+    prices = table_prices(al, cm)
+    assert al.total_cost == sum(prices)
     seg = segment_of(x, y, z)
-    for col, c in zip(as_symbols(al, cm).columns, al.costs):
+    for col, c in zip(as_symbols(al, cm).columns, prices):
         assert c == column_cost(cm, *(seg.get(s) for s in col))
 
 

@@ -9,6 +9,7 @@ from loop_dp import (
     as_symbols,
     enumerate_optimal,
     normalized_distance,
+    table_prices,
 )
 
 from dialign.costs import FORBIDDEN, GAP, binary_cost_model
@@ -104,7 +105,7 @@ def test_both_empty_normalize_raises():
 def test_total_cost_is_column_sum(tok):
     cm = binary_cost_model()
     al = align_pair(tok(OLDER), tok(NEWER), cm)
-    assert al.total_cost == sum(al.costs)
+    assert al.total_cost == sum(table_prices(al, cm))
 
 
 def test_symmetry(tok):

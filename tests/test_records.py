@@ -15,7 +15,7 @@ from dialign.triple import ChangeRecord
 SEG = Segment("a", "V", False, False)
 
 RECORDS = [
-    (Alignment(((1, 0),), (1.0,), 1.0), "columns costs total_cost"),
+    (Alignment(((1, 0),), 1.0), "columns total_cost"),
     (SEG, "symbol klass is_sonorant_consonant is_schwa"),
     (
         CorpusRecord("loc", "w", "older", "a", None, None, "c.tsv", 2),
@@ -74,8 +74,8 @@ def test_segment_rejects_a_flag_of_the_other_class(args, message):
 def test_segment_str_and_alignment_length():
     assert str(Segment("oː", "V", False, False)) == "oː"
     assert f"{Segment('n', 'C', True, False)}" == "n"
-    assert Alignment((), (), 0.0).length == 0
-    assert Alignment(((1, 1, 0),) * 3, (0.0,) * 3, 0.0).length == 3
+    assert Alignment((), 0.0).length == 0
+    assert Alignment(((1, 1, 0),) * 3, 0.0).length == 3
 
 
 def test_pmi_table_normalizes_pair_order():

@@ -103,7 +103,7 @@ def test_matches_brute_force_on_random_triples(tok):
 def test_directions_binary(tok, x, y, z, expected):
     cm = binary_cost_model()
     column = tuple(0 if s == GAP else cm.numbers(tok(s))[0] for s in (x, y, z))
-    al = Alignment((column,), (0.0,), 0.0)
+    al = Alignment((column,), 0.0)
     assert directions(al, cm) == [expected]
 
 
@@ -112,7 +112,7 @@ def test_decompose_single_column_weighted(tok):
     cm = CostModel(dist, constrained=False)
     a, b = cm.numbers(tok("ab"))
     # direction = dist(b,b) - dist(a,b) = -0.4 -> convergence magnitude 0.4
-    al = Alignment(((a, b, b),), (0.0,), 0.0)
+    al = Alignment(((a, b, b),), 0.0)
     conv, div = decompose(al, cm)
     assert conv == pytest.approx(0.4)
     assert div == 0.0
