@@ -22,7 +22,7 @@ from .costs import BinaryDistanceTable, CostModel, binary_cost_model
 from .errors import DialignError, EmptyCorpus, FirstLines, ParseError, read_table
 from .pmi import InductionOptions, PmiTable
 from .phonetics import SegmentTable
-from .triple import ChangeRecord, align_triple, decompose
+from .triple import ChangeRecord, align_triple, decompose, directions, price
 
 EXIT_OK = 0
 EXIT_DATA_ERROR = 1
@@ -105,16 +105,13 @@ def _induce(args, triples) -> PmiTable:
 def _dump_alignment(al, cm) -> str:
     """An alignment's block of alignments.txt after the location and word
     that start it: its cost and length, the symbols of each role, each
-    column's price, and its direction tag."""
+    column's triple.price, and its tag: stable, or triple.directions' sign."""
 
     def row(label, cells):
         return label + "\t" + "\t".join(cells)
 
-    C, prices, tags = cm.cost, [], []
-    for u, v, w in al.columns:
-        # The pair sum in the float order of every 3D move's price.
-        prices.append(f"{(C[u][v] + C[u][w]) + C[v][w]:.4g}")
-        d = C[v][w] - C[u][w]  # as triple.directions gives it
+    C, tags = cm.cost, []
+    for (u, v, w), d in zip(al.columns, directions(al, cm)):
         if u == v == w != 0:
             tags.append("stable")
         elif d < 0:
@@ -128,7 +125,7 @@ def _dump_alignment(al, cm) -> str:
         row("older", [cm.symbol[u] for u, _, _ in al.columns]),
         row("newer", [cm.symbol[v] for _, v, _ in al.columns]),
         row("standard", [cm.symbol[w] for _, _, w in al.columns]),
-        row("cost", prices),
+        row("cost", [f"{price(C, u, v, w):.4g}" for u, v, w in al.columns]),
         row("direction", tags),
     ]
     return "\n".join(lines) + "\n"
@@ -145,21 +142,18 @@ def cmd_align(args) -> int:
     cm = CostModel(dist_table, constrained=not args.unconstrained)
 
     # Triples with equal symbols align alike, so each distinct one is
-    # aligned once; the first that fails is the first in (location, word).
+    # aligned once, and its record fields and dump block are made once; a
+    # record adds its location and word to them. The first triple that
+    # fails is the first in (location, word) order.
     firsts, slots = distinct([(t.older, t.newer, t.standard) for t in triples])
-    aligned = []
+    done = []
     for t in (triples[i] for i in firsts):
         try:
-            aligned.append(align_triple(t.older, t.newer, t.standard, cm))
+            al = align_triple(t.older, t.newer, t.standard, cm)
         except DialignError as exc:  # a pair missing from a loaded table
             raise DialignError(
                 f"location {t.location!r}, word {t.word!r}: {exc}"
             ) from None
-
-    # Each distinct alignment's record fields and dump block are made
-    # once; a record adds its location and word to them.
-    done = []
-    for al in aligned:
         conv, div = decompose(al, cm)
         done.append((f"{conv:.6f},{div:.6f},{al.length}", _dump_alignment(al, cm)))
     lines, dumps = [_RECORDS_HEADER], []

@@ -22,7 +22,7 @@ SOURCES = ("older", "newer", "standard")
 EXCLUSIONS = ("missing", "lex", "morph", "reduction")
 GROUPS = ("FR", "DU-FR", "GR", "LS")
 
-_HEADER = "location\tword\tsource\ttranscription\tcognate_id\texclusion"
+HEADER = "location\tword\tsource\ttranscription\tcognate_id\texclusion"
 
 
 class CorpusRecord(
@@ -31,8 +31,9 @@ class CorpusRecord(
     )
 ):
     """A corpus row: its source in SOURCES, its transcription raw, its
-    cognate_id and exclusion tag (in EXCLUSIONS), each None for "-", and
-    the corpus file path and line it was read from."""
+    cognate_id and exclusion tag (in EXCLUSIONS), each None for "-" (a
+    cognate_id also for an empty field), and the corpus file path and
+    line it was read from."""
 
     __slots__ = ()
 
@@ -71,12 +72,14 @@ def ingest(path) -> list[CorpusRecord]:
     records = []
     rows, standards = FirstLines(path), FirstLines(path)
     usage = "6 tab-separated fields"
-    for lineno, fields in read_table(path, usage, 6, header=_HEADER):
+    for lineno, fields in read_table(path, usage, 6, header=HEADER):
         location, word, source, raw, cognate_id, exclusion = fields
         if not location or not word:
             raise ParseError(path, lineno, "location and word must be non-empty")
         if "," in location or "," in word:
             raise ParseError(path, lineno, "location and word may not contain ','")
+        if location[0] == "#" or location[0].isspace():  # groups.tsv could not map it
+            raise ParseError(path, lineno, "location starts with '#' or whitespace")
         if source not in SOURCES:
             raise ParseError(path, lineno, f"unknown source {source!r}")
         if exclusion == "-":
@@ -97,7 +100,8 @@ def ingest(path) -> list[CorpusRecord]:
             standards.add(word, lineno, "second standard transcription for word %r")
         records.append(
             CorpusRecord(
-                location, word, source, raw, cognate_id or None, exclusion,
+                location, word, source, raw,
+                None if cognate_id in ("", "-") else cognate_id, exclusion,
                 str(path), lineno,
             )
         )

@@ -15,14 +15,14 @@ import random
 import sys
 from pathlib import Path
 
+from .corpus import HEADER
+
 CONSONANTS = "ptkbdgszfvmnlrx"
 VOWELS = "aeiouɪʊɛɔə"
 
-_HEADER = "location\tword\tsource\ttranscription\tcognate_id\texclusion"
-
 
 def _corpus_tsv(rows) -> str:
-    lines = [_HEADER]
+    lines = [HEADER]
     for location, word, source, raw in rows:
         lines.append(f"{location}\t{word}\t{source}\t{raw}\t{word}\t-")
     return "\n".join(lines) + "\n"

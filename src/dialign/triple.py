@@ -57,6 +57,12 @@ def through(ua, ub, C):
     return fwd, [list(map(add, f, reversed(b))) for f, b in zip(fwd, reversed(bwd))]
 
 
+def price(C, u, v, w) -> float:
+    """A column's sum-of-pairs price in C, 0 for a gap, in the float order
+    of every 3D move's price and of a lockstep column's doubled 2D price."""
+    return (C[u][v] + C[u][w]) + C[v][w]
+
+
 def star(ux, uy, uz, C, fxz, fyz):
     """The star alignment of strings x and y through the standard z, from
     their numbers in the price table C and the fill tables fxz and fyz of
@@ -66,8 +72,8 @@ def star(ux, uy, uz, C, fxz, fyz):
     segments aligned to gaps between the same two z segments share
     columns. A column that holds an x and a y segment is split in two, x's
     part and y's, where that costs less, as it does where the pair is
-    forbidden. It is a feasible alignment, so its cost is at least the
-    optimum."""
+    forbidden. Each column is priced by price. It is a feasible alignment,
+    so its cost is at least the optimum."""
 
     def by_z(pairs):
         """For slot 0 and each z segment: 0 or the number aligned with the
@@ -80,9 +86,6 @@ def star(ux, uy, uz, C, fxz, fyz):
                 slots[-1].append(u)
         return slots
 
-    def price(u, v, w):
-        return (C[u][v] + C[u][w]) + C[v][w]
-
     sx = by_z(trace(fxz, ux, uz, C))
     sy = by_z(trace(fyz, uy, uz, C))
     joined = []
@@ -92,11 +95,11 @@ def star(ux, uy, uz, C, fxz, fyz):
         joined += ((a, b, 0) for a, b in zip_longest(run_x, run_y, fillvalue=0))
     columns = []
     for u, v, w in joined:
-        if u and v and price(u, 0, w) + price(0, v, 0) < price(u, v, w):
+        if u and v and price(C, u, 0, w) + price(C, 0, v, 0) < price(C, u, v, w):
             columns += ((u, 0, w), (0, v, 0))
         else:
             columns.append((u, v, w))
-    return columns, sum(price(*col) for col in columns)
+    return columns, sum(price(C, *col) for col in columns)
 
 
 def lockstep(ux, uy, uz, cm: CostModel):

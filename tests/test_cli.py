@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dialign
+import dialign.cli
 import dialign.triple
 from dialign.cli import main
 from dialign.corpus import ingest, pair
@@ -757,7 +758,8 @@ def test_align_unknown_symbol_names_the_record(tmp_path, capsys):
 
 def test_align_repeated_triples_match_fresh_alignments(tmp_path, monkeypatch):
     # loc01 and loc02 hold identical triples, aligned once per run, and
-    # each distinct alignment's columns get their directions once
+    # each distinct alignment's columns get their directions once for
+    # decompose and once for the dump
     rows = [HEADER]
     for word, std, older, newer in [
         ("straat", "strat", "strodə", "strɔət"),
@@ -777,9 +779,11 @@ def test_align_repeated_triples_match_fresh_alignments(tmp_path, monkeypatch):
         return directions(al, cm)
 
     monkeypatch.setattr(dialign.triple, "directions", counted)
+    monkeypatch.setattr(dialign.cli, "directions", counted)
     rc = main(["align", "--corpus", str(corpus), "--out-dir", str(out), "--mode", "binary"])
     assert rc == 0
-    assert len(directed) == len(set(directed)) == 2
+    assert len(directed) == 4 and len(set(directed)) == 2
+    assert all(directed.count(al) == 2 for al in directed)
     monkeypatch.undo()
 
     dump = (out / "alignments.txt").read_text(encoding="utf-8")
@@ -797,6 +801,41 @@ def test_align_repeated_triples_match_fresh_alignments(tmp_path, monkeypatch):
         al = align_triple(t.older, t.newer, t.standard, cm)
         conv, div = decompose(al, cm)
         assert row == f"{t.location},{t.word},{conv:.6f},{div:.6f},{al.length}"
+
+
+@pytest.mark.parametrize("mode", ["binary", "pmi"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_align_dump_agrees_with_change_records(tmp_path, mode, seed):
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text(make_mixed_corpus(seed, 6, 5), encoding="utf-8")
+    out = tmp_path / "o"
+    rc = main(["align", "--corpus", str(corpus), "--out-dir", str(out), "--mode", mode])
+    assert rc == 0
+    rows = (out / "change_records.csv").read_text(encoding="utf-8").splitlines()[1:]
+    dump = (out / "alignments.txt").read_text(encoding="utf-8")
+    blocks = dump.rstrip("\n").split("\n\n")
+    assert len(blocks) == len(rows) > 0
+    for row, block in zip(rows, blocks):
+        location, word, conv, div, length = row.split(",")
+        head, *lines = block.split("\n")
+        assert head.startswith(f"# {location} / {word} (cost ")
+        assert head.endswith(f", length {length})")
+        cells = {}
+        for line in lines:
+            label, *cells[label] = line.split("\t")
+        assert list(cells) == ["older", "newer", "standard", "cost", "direction"]
+        assert {len(c) for c in cells.values()} == {int(length)}
+        tags = cells["direction"]
+        assert (tags.count("conv.") > 0) == (float(conv) > 0)
+        assert (tags.count("div.") > 0) == (float(div) > 0)
+        columns = list(zip(cells["older"], cells["newer"], cells["standard"]))
+        for (a, b, c), tag in zip(columns, tags):
+            assert (tag == "stable") == (a == b == c != "-")
+        if mode == "binary":
+            for (a, b, c), cost in zip(columns, cells["cost"]):
+                assert float(cost) == (a != b) + (a != c) + (b != c)
+            assert conv == f"{tags.count('conv.') / int(length):.6f}"
+            assert div == f"{tags.count('div.') / int(length):.6f}"
 
 
 def test_align_load_names_a_pair_missing_from_the_table(tmp_path, capsys):

@@ -84,6 +84,14 @@ PARSE_ERRORS = {
     "kampen\tstraat\tolder\tstrat\tstraat\t-\t-": (
         "expected 6 tab-separated fields, got 7 field(s)"
     ),
+    # groups.tsv and coords.tsv strip each line and skip '#' comments, so
+    # no group could be given to these
+    "#kampen\tstraat\tolder\tstrat\tstraat\t-": (
+        "location starts with '#' or whitespace"
+    ),
+    " kampen\tstraat\tolder\tstrat\tstraat\t-": (
+        "location starts with '#' or whitespace"
+    ),
 }
 
 
@@ -140,6 +148,18 @@ def test_pair_lexical_mismatch(tmp_path, table):
     triples, excluded = pair(ingest(write_corpus(tmp_path, rows)), table)
     assert not triples
     assert excluded[0].reason == "lex"
+
+
+def test_pair_dash_and_empty_cognate_ids_both_mean_none(tmp_path, table):
+    rows = [
+        "loc\tsteen\tolder\tsten\t-\t-",
+        "loc\tsteen\tnewer\tstɛn\t\t-",
+        "standard\tsteen\tstandard\tsten\tsteen\t-",
+    ]
+    records = ingest(write_corpus(tmp_path, rows))
+    assert [r.cognate_id for r in records] == [None, None, "steen"]
+    triples, excluded = pair(records, table)
+    assert len(triples) == 1 and not excluded
 
 
 def test_pair_missing_source_beats_other_reasons(tmp_path, table):
