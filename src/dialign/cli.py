@@ -2,14 +2,16 @@
 
 All outputs are plain CSV/TSV written in a fixed order, plus a run
 manifest recording the configuration and input digests, so identical
-configurations produce byte-identical results. Bad input data or a path
-that cannot be read or written ends with exit 1, a bad option value with
-exit 2, each with one line on stderr and no traceback.
+configurations produce byte-identical results. Bad input data, a path
+that cannot be read or written, or running out of memory ends with exit
+1, a bad option value with exit 2, an interrupt with 130, each with one
+line on stderr and no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import math
@@ -27,6 +29,7 @@ from .triple import ChangeRecord, align_triple, decompose, directions, price
 EXIT_OK = 0
 EXIT_DATA_ERROR = 1
 EXIT_CONFIG_ERROR = 2
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as shells report it
 
 _RECORDS_HEADER = "location,word,conv,div,alignment_length"
 
@@ -150,7 +153,9 @@ def cmd_align(args) -> int:
     for t in (triples[i] for i in firsts):
         try:
             al = align_triple(t.older, t.newer, t.standard, cm)
-        except DialignError as exc:  # a pair missing from a loaded table
+        except (DialignError, MemoryError) as exc:  # a pair missing from a loaded table
+            if isinstance(exc, MemoryError):
+                exc = "out of memory at lengths %d, %d, %d" % tuple(map(len, t[2:]))
             raise DialignError(
                 f"location {t.location!r}, word {t.word!r}: {exc}"
             ) from None
@@ -202,6 +207,8 @@ def _read_change_records(path) -> list[ChangeRecord]:
 
 def cmd_report(args) -> int:
     from . import analysis  # numpy is imported by report alone
+
+    gc.freeze()  # as main does, so numpy's modules are not walked either
 
     records = _read_change_records(args.records)
     groups = read_groups(args.groups)
@@ -329,19 +336,25 @@ def _validate(args) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; returns its exit code. It first freezes the
+    collector's heap (gc.freeze), so that no collection, the interpreter's
+    exit included, walks the imported modules; the heap stays frozen."""
+    gc.freeze()
     try:
-        _validate(args)
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    try:
+        args = build_parser().parse_args(argv)
+        try:
+            _validate(args)
+        except ValueError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG_ERROR
         _check_out_dir(args.out_dir)
         return args.func(args)
-    except (OSError, DialignError) as exc:  # OSError: an unreadable input or out-dir
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, DialignError, MemoryError) as exc:  # OSError: an unreadable path
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_DATA_ERROR
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -756,6 +756,64 @@ def test_align_unknown_symbol_names_the_record(tmp_path, capsys):
     )
 
 
+def test_align_out_of_memory_names_the_record(tmp_path, capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(dialign.cli, "align_triple", exhausted)
+    corpus, out = worked_example_corpus(tmp_path), tmp_path / "o"
+    argv = ["align", "--corpus", str(corpus), "--out-dir", str(out), "--mode", "binary"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: location 'kampen', word 'straat': out of memory at lengths 6, 6, 5\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "raised, code, message",
+    [
+        (MemoryError, 1, "error: out of memory\n"),
+        (KeyboardInterrupt, 130, "interrupted\n"),
+    ],
+)
+def test_memory_error_and_interrupt_end_without_traceback(
+    tmp_path, capsys, monkeypatch, raised, code, message
+):
+    def stopped(path):
+        raise raised
+
+    monkeypatch.setattr(dialign.cli, "ingest", stopped)
+    corpus, out = worked_example_corpus(tmp_path), tmp_path / "o"
+    assert main(["pmi", "--corpus", str(corpus), "--out-dir", str(out)]) == code
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["align", "report"])
+def test_main_leaves_the_import_time_heap_frozen(tmp_path, command):
+    # main freezes the heap, and report again after importing numpy, so
+    # that the interpreter's exit collection has little left to walk.
+    records = tmp_path / "a" / "change_records.csv"
+    argv = ["align", "--corpus", str(DATA_DIR / "corpus.tsv"), "--mode", "binary"]
+    if command == "report":
+        assert main([*argv, "--out-dir", str(records.parent)]) == 0
+        argv = ["report", "--records", str(records), "--n-perm", "999"]
+        argv += ["--groups", str(DATA_DIR / "groups.tsv")]
+    argv += ["--out-dir", str(tmp_path / "o")]
+    src = str(Path(dialign.__file__).parents[1])
+    code = (
+        f"import gc, sys; sys.path.insert(0, {src!r}); from dialign.cli import main; "
+        f"assert main({argv!r}) == 0; "
+        "print(len(gc.get_objects()), gc.get_freeze_count())"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    tracked, frozen = map(int, run.stdout.split())
+    assert tracked < frozen / 10, (tracked, frozen)
+
+
 def test_align_repeated_triples_match_fresh_alignments(tmp_path, monkeypatch):
     # loc01 and loc02 hold identical triples, aligned once per run, and
     # each distinct alignment's columns get their directions once for
