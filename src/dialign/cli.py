@@ -1,8 +1,10 @@
 """Command-line front end: pmi, align, and report subcommands.
 
-All outputs are plain CSV/TSV written in a fixed order, plus a run
-manifest recording the configuration and input digests, so identical
-configurations produce byte-identical results. Bad input data, a path
+Each command returns its outputs, CSV/TSV texts by file name, and its
+input paths. Once it has succeeded, ``main`` writes the outputs in a
+fixed order, then a run manifest of the configuration and the input and
+output digests. So identical configurations give byte-identical
+results, and a run that fails writes nothing. Bad input data, a path
 that cannot be read or written, or running out of memory ends with exit
 1, a bad option value with exit 2, an interrupt with 130, each with one
 line on stderr and no traceback.
@@ -39,14 +41,6 @@ def _sha256(path) -> str:
         return hashlib.sha256(f.read()).hexdigest()
 
 
-def _write(args, name: str, text: str) -> None:
-    """Write one output file as UTF-8, creating --out-dir on first use, so
-    a run that fails before its first output leaves no directory behind."""
-    os.makedirs(args.out_dir, exist_ok=True)
-    with open(os.path.join(args.out_dir, name), "w", encoding="utf-8") as f:
-        f.write(text)
-
-
 def _check_out_dir(path) -> None:
     """Fail before any input is read if --out-dir cannot be made: its
     nearest existing ancestor must be a directory."""
@@ -55,16 +49,6 @@ def _check_out_dir(path) -> None:
         ancestor = os.path.dirname(ancestor)
     if not os.path.isdir(ancestor or "."):
         raise DialignError(f"--out-dir {path}: {ancestor} is not a directory")
-
-
-def _write_manifest(args, inputs: list[str]) -> None:
-    config = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-    manifest = {
-        "config": config,
-        "inputs": {p: _sha256(p) for p in sorted({p for p in inputs if p})},
-    }
-    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    _write(args, "run_manifest.json", text)
 
 
 def _load_triples(args):
@@ -79,9 +63,10 @@ def _load_triples(args):
     return triples, excluded
 
 
-def _induce(args, triples) -> PmiTable:
+def _induce(args, triples) -> tuple[PmiTable, dict[str, str]]:
     """Induce PMI distances from the triples' (older, standard) and
-    (newer, standard) pairs; writes pmi_table.tsv and pmi_log.txt."""
+    (newer, standard) pairs; returns the table and the texts of
+    pmi_table.tsv and pmi_log.txt."""
     pairs = []
     for t in triples:
         pairs.append((t.older, t.standard))
@@ -95,14 +80,9 @@ def _induce(args, triples) -> PmiTable:
     opts = InductionOptions(max_iter=args.max_iter, smoothing=args.smoothing)
     init = binary_cost_model(constrained=not args.unconstrained)
     table = pmi_mod.induce_distances(pairs, init, opts)
-    _write(args, "pmi_table.tsv", table.to_tsv())
-    _write(
-        args,
-        "pmi_log.txt",
-        f"iterations_run\t{table.iterations_run}\n"
-        f"converged\t{str(table.converged).lower()}\n",
-    )
-    return table
+    log = f"iterations_run\t{table.iterations_run}\n"
+    log += f"converged\t{str(table.converged).lower()}\n"
+    return table, {"pmi_table.tsv": table.to_tsv(), "pmi_log.txt": log}
 
 
 def _dump_alignment(al, cm) -> str:
@@ -134,14 +114,15 @@ def _dump_alignment(al, cm) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_align(args) -> int:
+def cmd_align(args):
     triples, excluded = _load_triples(args)
+    outputs = {}
     if args.mode == "binary":
         dist_table = BinaryDistanceTable()
     elif args.mode == "load":
         dist_table = PmiTable.read(args.pmi_table)
     else:
-        dist_table = _induce(args, triples)
+        dist_table, outputs = _induce(args, triples)
     cm = CostModel(dist_table, constrained=not args.unconstrained)
 
     # Triples with equal symbols align alike, so each distinct one is
@@ -166,18 +147,15 @@ def cmd_align(args) -> int:
         fields, block = done[slot]
         lines.append(f"{t.location},{t.word},{fields}")
         dumps.append(f"# {t.location} / {t.word}{block}")
-    _write(args, "change_records.csv", "\n".join(lines) + "\n")
-    _write(args, "alignments.txt", "\n".join(dumps))
-    _write(args, "retention.txt", retention_report(triples, excluded))
-    _write_manifest(args, [args.corpus, args.segments, args.pmi_table])
-    return EXIT_OK
+    outputs["change_records.csv"] = "\n".join(lines) + "\n"
+    outputs["alignments.txt"] = "\n".join(dumps)
+    outputs["retention.txt"] = retention_report(triples, excluded)
+    return outputs, [args.corpus, args.segments, args.pmi_table]
 
 
-def cmd_pmi(args) -> int:
+def cmd_pmi(args):
     triples, _ = _load_triples(args)
-    _induce(args, triples)
-    _write_manifest(args, [args.corpus, args.segments])
-    return EXIT_OK
+    return _induce(args, triples)[1], [args.corpus, args.segments]
 
 
 def _read_change_records(path) -> list[ChangeRecord]:
@@ -205,15 +183,16 @@ def _read_change_records(path) -> list[ChangeRecord]:
     return records
 
 
-def cmd_report(args) -> int:
+def cmd_report(args):
+    first = "dialign.analysis" not in sys.modules
     from . import analysis  # numpy is imported by report alone
 
-    gc.freeze()  # as main does, so numpy's modules are not walked either
+    if first:  # numpy's heap is frozen once, as cli's import froze its own
+        gc.freeze()
 
     records = _read_change_records(args.records)
     groups = read_groups(args.groups)
     by_loc = analysis.by_location(records, groups)
-    inputs = [args.records, args.groups]
     geo = None
     if args.coords:  # a bad coords file fails before the permutation test
         coords, seen = {}, FirstLines(args.coords)
@@ -229,9 +208,7 @@ def cmd_report(args) -> int:
                     args.coords, lineno, f"coordinates {lon}, {lat} not finite"
                 )
         geo = analysis.export_geo(by_loc, coords)
-        inputs.append(args.coords)
 
-    # Both steps can raise, so they run before any report file is written.
     summaries = analysis.summarize(by_loc, groups)
     contrasts = analysis.permutation_contrast(
         by_loc, groups, n_perm=args.n_perm, seed=args.seed
@@ -245,7 +222,7 @@ def cmd_report(args) -> int:
                 f"{s.group}\t{s.n_records}\t{s.mean_conv:.6f}\t{s.mean_div:.6f}"
                 f"\t{s.mean_conv + s.mean_div:.6f}"
             )
-    _write(args, "summary.txt", "\n".join(lines) + "\n")
+    outputs = {"summary.txt": "\n".join(lines) + "\n"}
 
     contrast_lines = ["measure,statistic,p_value,n_permutations,direction"]
     for result in contrasts:
@@ -253,11 +230,10 @@ def cmd_report(args) -> int:
             f"{result.measure},{result.statistic:.6f},{result.p_value:.6f},"
             f"{result.n_permutations},{result.direction}"
         )
-    _write(args, "contrasts.csv", "\n".join(contrast_lines) + "\n")
+    outputs["contrasts.csv"] = "\n".join(contrast_lines) + "\n"
     if geo is not None:
-        _write(args, "geo.csv", geo)
-    _write_manifest(args, inputs)
-    return EXIT_OK
+        outputs["geo.csv"] = geo
+    return outputs, [args.records, args.groups, args.coords]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -336,10 +312,9 @@ def _validate(args) -> None:
 
 
 def main(argv=None) -> int:
-    """Run one command; returns its exit code. It first freezes the
-    collector's heap (gc.freeze), so that no collection, the interpreter's
-    exit included, walks the imported modules; the heap stays frozen."""
-    gc.freeze()
+    """Run one command and write its outputs, the manifest last; returns
+    the exit code. Nothing is written unless the command succeeds and no
+    output's path is a directory; --out-dir is made only then."""
     try:
         args = build_parser().parse_args(argv)
         try:
@@ -348,14 +323,33 @@ def main(argv=None) -> int:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG_ERROR
         _check_out_dir(args.out_dir)
-        return args.func(args)
-    except (OSError, DialignError, MemoryError) as exc:  # OSError: an unreadable path
+        outputs, inputs = args.func(args)
+        config = {k: v for k, v in vars(args).items() if k != "func"}
+        inputs = {p: _sha256(p) for p in inputs if p}
+        digests = {n: hashlib.sha256(t.encode()).hexdigest() for n, t in outputs.items()}
+        manifest = {"config": config, "inputs": inputs, "outputs": digests}
+        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"  # sorts all maps
+        outputs["run_manifest.json"] = text
+        paths = [os.path.join(args.out_dir, name) for name in outputs]
+        for path in paths:
+            if os.path.isdir(path):
+                raise DialignError(f"--out-dir {args.out_dir}: {path} is a directory")
+        os.makedirs(args.out_dir, exist_ok=True)
+        for path, text in zip(paths, outputs.values()):
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(text)
+        return EXIT_OK
+    except (OSError, DialignError, MemoryError) as exc:  # OSError: an unusable path
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_DATA_ERROR
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
 
+
+# The heap of start-up and the imports is frozen once a process, so that
+# no collection, the interpreter's exit included, walks it.
+gc.freeze()
 
 if __name__ == "__main__":
     sys.exit(main())

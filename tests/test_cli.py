@@ -335,7 +335,8 @@ def test_report_outputs(tmp_path, corpus_path):
     assert contrasts[0] == "measure,statistic,p_value,n_permutations,direction"
     assert len(contrasts) == 3
     manifest = json.loads((rep / "run_manifest.json").read_text(encoding="utf-8"))
-    assert "config" in manifest and "inputs" in manifest
+    assert sorted(manifest) == ["config", "inputs", "outputs"]
+    assert sorted(manifest["outputs"]) == ["contrasts.csv", "summary.txt"]
 
 
 def test_report_missing_group_map(tmp_path, corpus_path):
@@ -790,10 +791,59 @@ def test_memory_error_and_interrupt_end_without_traceback(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("raised, code", [(MemoryError, 1), (KeyboardInterrupt, 130)])
+def test_align_stopped_after_induction_writes_no_out_dir(
+    tmp_path, corpus_path, capsys, monkeypatch, raised, code
+):
+    # pmi_table.tsv and pmi_log.txt are ready before the first triple is
+    # aligned, but they are written only with the records
+    def stopped(*args):
+        raise raised
+
+    monkeypatch.setattr(dialign.cli, "align_triple", stopped)
+    out = tmp_path / "o"
+    argv = ["align", "--corpus", str(corpus_path), "--out-dir", str(out), "--mode", "pmi"]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_directory_in_place_of_an_output_changes_no_file(tmp_path, corpus_path, capsys):
+    out = tmp_path / "o"
+    argv = ["align", "--out-dir", str(out), "--mode", "binary", "--corpus"]
+    assert main([*argv, str(corpus_path)]) == 0
+    (out / "alignments.txt").unlink()
+    (out / "alignments.txt").mkdir()
+    before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+    # another corpus, whose records would replace the first run's
+    assert main([*argv, str(worked_example_corpus(tmp_path))]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --out-dir {out}: {out / 'alignments.txt'} is a directory\n"
+    )
+    assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
+    assert (out / "alignments.txt").is_dir()
+
+
+def test_manifest_names_the_outputs_of_its_run(tmp_path, corpus_path):
+    out = tmp_path / "o"
+    argv = ["align", "--corpus", str(corpus_path), "--out-dir", str(out), "--mode"]
+    assert main([*argv, "pmi"]) == 0
+    assert main([*argv, "binary"]) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text(encoding="utf-8"))
+    assert (out / "pmi_table.tsv").exists()  # the pmi run's, which binary did not write
+    assert sorted(manifest["outputs"]) == [
+        "alignments.txt", "change_records.csv", "retention.txt",
+    ]
+    for name, digest in manifest["outputs"].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("command", ["align", "report"])
 def test_main_leaves_the_import_time_heap_frozen(tmp_path, command):
-    # main freezes the heap, and report again after importing numpy, so
-    # that the interpreter's exit collection has little left to walk.
+    # cli's import freezes the heap, and report's first call again after
+    # importing numpy, so that the interpreter's exit collection has little
+    # left to walk; later calls freeze nothing, so their garbage is freed.
     records = tmp_path / "a" / "change_records.csv"
     argv = ["align", "--corpus", str(DATA_DIR / "corpus.tsv"), "--mode", "binary"]
     if command == "report":
@@ -803,15 +853,18 @@ def test_main_leaves_the_import_time_heap_frozen(tmp_path, command):
     argv += ["--out-dir", str(tmp_path / "o")]
     src = str(Path(dialign.__file__).parents[1])
     code = (
-        f"import gc, sys; sys.path.insert(0, {src!r}); from dialign.cli import main; "
-        f"assert main({argv!r}) == 0; "
-        "print(len(gc.get_objects()), gc.get_freeze_count())"
+        f"import gc, sys; sys.path.insert(0, {src!r}); from dialign.cli import main\n"
+        "for _ in range(3):\n"
+        f"    assert main({argv!r}) == 0\n"
+        "    print(gc.get_freeze_count())\n"
+        "print(len(gc.get_objects()))"
     )
     run = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
-    tracked, frozen = map(int, run.stdout.split())
-    assert tracked < frozen / 10, (tracked, frozen)
+    *frozen, tracked = map(int, run.stdout.split())
+    assert frozen == frozen[:1] * 3, frozen
+    assert tracked < frozen[0] / 10, (tracked, frozen)
 
 
 def test_align_repeated_triples_match_fresh_alignments(tmp_path, monkeypatch):
