@@ -1,13 +1,14 @@
 """Command-line front end: pmi, align, and report subcommands.
 
 Each command returns its outputs, CSV/TSV texts by file name, and its
-input paths. Once it has succeeded, ``main`` writes the outputs in a
-fixed order, then a run manifest of the configuration and the input and
-output digests. So identical configurations give byte-identical
-results, and a run that fails writes nothing. Bad input data, a path
-that cannot be read or written, or running out of memory ends with exit
-1, a bad option value with exit 2, an interrupt with 130, each with one
-line on stderr and no traceback.
+input paths. Once it has succeeded, ``main`` writes the outputs, then a
+run manifest of the version, the configuration and the input and output
+digests, each to a temporary file, and renames them into place in that
+order. So identical configurations give byte-identical results, and a
+run that fails changes no file, unless a rename fails midway. Bad input
+data, a path that cannot be read or written, or running out of memory
+ends with exit 1, a bad option value with exit 2, an interrupt with 130,
+each with one line on stderr and no traceback.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 import os
 import sys
 
-from . import pmi as pmi_mod
+from . import __version__, pmi as pmi_mod
 from .corpus import distinct, ingest, pair, read_groups, retention_report
 from .costs import BinaryDistanceTable, CostModel, binary_cost_model
 from .errors import DialignError, EmptyCorpus, FirstLines, ParseError, read_table
@@ -41,14 +42,17 @@ def _sha256(path) -> str:
         return hashlib.sha256(f.read()).hexdigest()
 
 
-def _check_out_dir(path) -> None:
-    """Fail before any input is read if --out-dir cannot be made: its
-    nearest existing ancestor must be a directory."""
-    ancestor = path
+def _missing_dirs(path) -> list[str]:
+    """The directories that making --out-dir path makes, deepest first.
+    Its nearest existing ancestor must be a directory, so that main fails
+    before any input is read if --out-dir cannot be made."""
+    missing, ancestor = [], os.path.normpath(path)
     while ancestor and not os.path.exists(ancestor):
+        missing.append(ancestor)
         ancestor = os.path.dirname(ancestor)
     if not os.path.isdir(ancestor or "."):
         raise DialignError(f"--out-dir {path}: {ancestor} is not a directory")
+    return missing
 
 
 def _load_triples(args):
@@ -311,10 +315,40 @@ def _validate(args) -> None:
         raise ValueError("--seed must be >= 0")
 
 
+def _write_outputs(out_dir, outputs) -> None:
+    """Write each output to a temporary file in out_dir, then rename each
+    into place, in order. A failure removes the temporary files and an
+    out_dir that this call made, with all in it; a rename that fails
+    midway leaves the renames before it in a directory that existed."""
+    paths = [os.path.join(out_dir, name) for name in outputs]
+    for path in paths:
+        if os.path.isdir(path):
+            raise DialignError(f"--out-dir {out_dir}: {path} is a directory")
+    made, temps = _missing_dirs(out_dir), []
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        for path, text in zip(paths, outputs.values()):
+            temp = f"{path}.{os.getpid()}.tmp"
+            with open(temp, "x", encoding="utf-8") as f:  # never over another file
+                temps.append(temp)
+                f.write(text)
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+    except BaseException:
+        for path in temps + (paths if made else []):
+            if os.path.isfile(path):
+                os.remove(path)
+        for directory in made:
+            if os.path.isdir(directory):
+                os.rmdir(directory)
+        raise
+
+
 def main(argv=None) -> int:
     """Run one command and write its outputs, the manifest last; returns
     the exit code. Nothing is written unless the command succeeds and no
-    output's path is a directory; --out-dir is made only then."""
+    output's path is a directory; --out-dir is made only then, and a
+    failed write leaves it as it was (_write_outputs)."""
     try:
         args = build_parser().parse_args(argv)
         try:
@@ -322,22 +356,16 @@ def main(argv=None) -> int:
         except ValueError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG_ERROR
-        _check_out_dir(args.out_dir)
+        _missing_dirs(args.out_dir)
         outputs, inputs = args.func(args)
         config = {k: v for k, v in vars(args).items() if k != "func"}
         inputs = {p: _sha256(p) for p in inputs if p}
         digests = {n: hashlib.sha256(t.encode()).hexdigest() for n, t in outputs.items()}
         manifest = {"config": config, "inputs": inputs, "outputs": digests}
+        manifest["version"] = __version__
         text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"  # sorts all maps
         outputs["run_manifest.json"] = text
-        paths = [os.path.join(args.out_dir, name) for name in outputs]
-        for path in paths:
-            if os.path.isdir(path):
-                raise DialignError(f"--out-dir {args.out_dir}: {path} is a directory")
-        os.makedirs(args.out_dir, exist_ok=True)
-        for path, text in zip(paths, outputs.values()):
-            with open(path, "w", encoding="utf-8") as f:
-                f.write(text)
+        _write_outputs(args.out_dir, outputs)
         return EXIT_OK
     except (OSError, DialignError, MemoryError) as exc:  # OSError: an unusable path
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)

@@ -55,7 +55,7 @@ class CostModel:
     FORBIDDEN for a pair the policy bans when constrained, and 0.0 for gap
     against gap. A symbol's class must not depend on where it occurs.
     ``symbol[u]`` is the symbol numbered u. A segment tuple is numbered
-    once; ``repriced`` gives a model of another table with the same
+    once; ``repriced`` gives a model of other prices with the same
     numbering, and the tuples numbered so far. ``last_fill`` holds the
     numbered strings and the cost table of the last 2D fill that
     pairwise.align_numbers made under the model, whose leading rows the
@@ -63,7 +63,7 @@ class CostModel:
     """
 
     def __init__(self, distances, constrained: bool = True):
-        self.distances = distances  # anything with .distance(symbol, symbol)
+        self.distances = distances  # .distance(symbol, symbol), None if repriced
         self.constrained = constrained
         self.cost: list[list[float]] = [[0.0]]
         self.number: dict[str, int] = {GAP: 0}  # symbol -> its row of cost
@@ -83,15 +83,18 @@ class CostModel:
             self._numbered[segments] = got
         return got
 
-    def repriced(self, distances) -> "CostModel":
-        """A model of the distance table distances, under the same policy,
-        that numbers each symbol and segment tuple as this one does. It
-        prices the symbols in number order, as a new model meeting them in
-        that order would."""
-        cm = CostModel(distances, self.constrained)
-        for seg in self._known:
-            cm._add(seg)
-        cm._numbered = dict(self._numbered)
+    def repriced(self, dist) -> "CostModel":
+        """A model of this one's policy and numbering that prices each pair
+        of numbers in dist, either way round, at its distance, unless this
+        one forbids it, and keeps every other price; it has no distance
+        table, so it must number no new symbol."""
+        cm = CostModel(None, self.constrained)
+        cm.cost = cost = [row[:] for row in self.cost]
+        for (u, v), d in dist.items():
+            if cost[u][v] != FORBIDDEN:
+                cost[u][v] = cost[v][u] = d
+        cm.number, cm.symbol = dict(self.number), self.symbol[:]
+        cm._known, cm._numbered = self._known[:], dict(self._numbered)
         return cm
 
     def _add(self, seg: Segment) -> int:

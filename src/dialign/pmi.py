@@ -87,24 +87,24 @@ class InductionOptions(namedtuple("InductionOptions", "max_iter smoothing")):
 
 
 def distances_from_counts(
-    counts: dict[tuple[str, str], float], smoothing: float
-) -> dict[tuple[str, str], float]:
+    counts: dict[tuple[int, int], float], smoothing: float, symbol: list[str]
+) -> dict[tuple[int, int], float]:
     """PMI distances from co-occurrence counts (induction steps 3 and 4).
 
-    Counts are over unordered symbol pairs: the counts of (a, b) and
-    (b, a) are summed. The pair universe is every unordered pair over the
-    observed alphabet (gap included, gap-gap excluded), each receiving
-    additive smoothing.
+    Counts are over unordered pairs of numbers, 0 for the gap, that
+    symbol names: the counts of (u, v) and (v, u) are summed. The pair
+    universe is every unordered pair over the observed numbers (gap
+    included, gap-gap excluded), each receiving additive smoothing, in
+    the order of their symbols, which keys each pair (u, v) with
+    symbol[u] <= symbol[v] and fixes the order of every sum.
     """
-    ordered: dict[tuple[str, str], float] = {}
-    for (a, b), c in counts.items():
-        key = (a, b) if a <= b else (b, a)
+    ordered: dict[tuple[int, int], float] = {}
+    for (u, v), c in counts.items():
+        key = (u, v) if symbol[u] <= symbol[v] else (v, u)
         ordered[key] = ordered.get(key, 0) + c
-    alphabet = sorted({s for pair in ordered for s in pair} | {GAP})
-    # Pairs over the sorted alphabet come out as (a, b) with a <= b.
-    universe = [
-        p for p in combinations_with_replacement(alphabet, 2) if p != (GAP, GAP)
-    ]
+    alphabet = sorted({u for p in ordered for u in p} | {0}, key=symbol.__getitem__)
+    # Pairs over the sorted alphabet come out in the keys' order.
+    universe = [p for p in combinations_with_replacement(alphabet, 2) if p != (0, 0)]
     smoothed = {key: ordered.get(key, 0.0) + smoothing for key in universe}
     total = sum(smoothed.values())
     if not math.isfinite(2.0 * total):  # each symbol's share divides by it
@@ -116,23 +116,20 @@ def distances_from_counts(
         occurrence[b] += c  # (a,a) counted twice: two slots in the column pair
 
     raw = {}
-    for key, c in smoothed.items():
-        a, b = key
+    for (a, b), c in smoothed.items():
         p_joint = c / total
         p_a = occurrence[a] / (2.0 * total)
         p_b = occurrence[b] / (2.0 * total)
         if p_joint == 0.0 or p_a * p_b == 0.0:  # a share underflowed
             raise DialignError(f"smoothing {smoothing!r} underflows a pair's share")
-        raw[key] = -math.log2(p_joint / (p_a * p_b))
+        raw[(a, b)] = -math.log2(p_joint / (p_a * p_b))
 
     lo, hi = min(raw.values()), max(raw.values())
     span = hi - lo
-    dist = {}
-    for key, v in raw.items():
-        dist[key] = 0.0 if span == 0.0 else (v - lo) / span
-    for s in alphabet:
-        if s != GAP:
-            dist[(s, s)] = 0.0
+    dist = {key: 0.0 if span == 0.0 else (v - lo) / span for key, v in raw.items()}
+    for u in alphabet:
+        if u:
+            dist[(u, u)] = 0.0
     return dist
 
 
@@ -162,21 +159,19 @@ def induce_distances(
         (cm.numbers(b), cm.numbers(a), k, a, b)
         for k, (a, b) in enumerate(pairs[i] for i in firsts)
     )
-    prev_dist = None
-    dist = {}
+    dist = None
     converged = False
-    iterations = 0
     for iterations in range(1, opts.max_iter + 1):
+        if dist is not None:  # the last iteration's distances, by cm's numbers
+            cm = cm.repriced(dist)
         counts = Counter()
         for _, _, k, a, b in jobs:
             counts.update(align_pair(a, b, cm).columns * weight[k])
-        symbol = cm.symbol  # the columns hold cm's numbers
-        by_symbol = {(symbol[u], symbol[v]): c for (u, v), c in counts.items()}
-        dist = distances_from_counts(by_symbol, opts.smoothing)
+        prev_dist, dist = dist, distances_from_counts(counts, opts.smoothing, cm.symbol)
         if dist == prev_dist:  # unchanged alignments give the same table
             converged = True
             break
-        prev_dist = dist
-        cm = cm.repriced(PmiTable(dist))
 
+    symbol = cm.symbol  # the one mapping of numbers to symbols, on return
+    dist = {(symbol[u], symbol[v]): d for (u, v), d in dist.items()}
     return PmiTable(dist, iterations_run=iterations, converged=converged)

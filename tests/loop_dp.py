@@ -10,7 +10,8 @@ package's align_pair and align_triple must return equal results once
 as_symbols maps their number columns to the references' symbol columns
 and prices each column from the cost model's table; the references price
 it with _pair_cost. tests/test_dp_reference.py checks that. induce_distances_loop is PMI
-induction over these references, aligning every pair on every iteration.
+induction over these references, aligning every pair on every iteration,
+and symbol_distances_from_counts its count step over symbol pairs.
 enumerate_optimal and brute_force_min_cost are exhaustive oracles for
 short strings.
 """
@@ -158,6 +159,16 @@ def align_pair_loop(sa, sb, cm) -> Priced:
     return _alignment(columns, cost[n][m])
 
 
+def symbol_distances_from_counts(counts, smoothing: float) -> dict:
+    """distances_from_counts over symbol pairs: it numbers the counts'
+    symbols, 0 for the gap, and keys the distances by symbol again."""
+    symbol = [GAP] + sorted({s for pair in counts for s in pair} - {GAP})
+    number = {s: u for u, s in enumerate(symbol)}
+    numbered = {(number[a], number[b]): c for (a, b), c in counts.items()}
+    dist = distances_from_counts(numbered, smoothing, symbol)
+    return {(symbol[u], symbol[v]): d for (u, v), d in dist.items()}
+
+
 def induce_distances_loop(
     pairs, init: CostModel, opts: InductionOptions = InductionOptions()
 ) -> PmiTable:
@@ -168,7 +179,7 @@ def induce_distances_loop(
     for iterations in range(1, opts.max_iter + 1):
         aligned = [align_pair_loop(a, b, cm) for a, b in pairs]
         counts = Counter(col for al in aligned for col in al.columns)
-        dist = distances_from_counts(counts, opts.smoothing)
+        dist = symbol_distances_from_counts(counts, opts.smoothing)
         if dist == prev:
             converged = True
             break

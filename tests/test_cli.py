@@ -1,3 +1,4 @@
+import errno
 import functools
 import hashlib
 import json
@@ -335,7 +336,8 @@ def test_report_outputs(tmp_path, corpus_path):
     assert contrasts[0] == "measure,statistic,p_value,n_permutations,direction"
     assert len(contrasts) == 3
     manifest = json.loads((rep / "run_manifest.json").read_text(encoding="utf-8"))
-    assert sorted(manifest) == ["config", "inputs", "outputs"]
+    assert sorted(manifest) == ["config", "inputs", "outputs", "version"]
+    assert manifest["version"] == dialign.__version__
     assert sorted(manifest["outputs"]) == ["contrasts.csv", "summary.txt"]
 
 
@@ -825,6 +827,74 @@ def test_directory_in_place_of_an_output_changes_no_file(tmp_path, corpus_path, 
     assert (out / "alignments.txt").is_dir()
 
 
+# main writes every output to a temporary file before it renames any into
+# place; a write that fails, at any output, removes the temporary files
+# and leaves --out-dir as it was, or unmade if the run would have made it.
+@pytest.mark.parametrize("held", [True, False], ids=["held", "new"])
+def test_a_failed_write_changes_no_file(
+    tmp_path, corpus_path, capsys, monkeypatch, held
+):
+    out = tmp_path / "o" / "p"
+    argv = ["align", "--out-dir", str(out), "--corpus", str(corpus_path), "--mode"]
+    if held:
+        assert main([*argv, "binary"]) == 0  # no pmi_table.tsv or pmi_log.txt
+
+    def files():  # every file's bytes and every directory, by path
+        paths = tmp_path.rglob("*")
+        return {p: p.read_bytes() if p.is_file() else None for p in paths}
+
+    before, real_open, writes = files(), open, []
+
+    def open_failing_at(k):
+        def failing_open(path, mode="r", *args, **kwargs):
+            f = real_open(path, mode, *args, **kwargs)
+            if "r" not in mode:
+                writes.append(path)
+                if len(writes) == k:  # the disk fills up partway through
+                    write = f.write
+
+                    def write_partly(text):
+                        write(text[:7])
+                        raise OSError(errno.ENOSPC, "No space left on device", path)
+
+                    f.write = write_partly
+            return f
+
+        return failing_open
+
+    for k in range(1, 7):
+        writes.clear()
+        monkeypatch.setattr(dialign.cli, "open", open_failing_at(k), raising=False)
+        assert main([*argv, "pmi"]) == 1
+        assert "No space left on device" in capsys.readouterr().err
+        assert len(writes) == k
+        assert files() == before  # --out-dir unmade too, unless held
+    # A rename that fails midway removes the renamed outputs too, in an
+    # --out-dir that the run made; in a held one they stay.
+    replace = os.replace
+
+    def failing_replace(src, dst):
+        if dst.endswith("retention.txt"):
+            raise OSError(errno.EIO, "Input/output error", dst)
+        replace(src, dst)
+
+    if not held:
+        with monkeypatch.context() as m:
+            m.setattr(dialign.cli, "open", real_open, raising=False)
+            m.setattr(os, "replace", failing_replace)
+            assert main([*argv, "pmi"]) == 1
+        assert "Input/output error" in capsys.readouterr().err
+        assert files() == before
+    writes.clear()
+    monkeypatch.setattr(dialign.cli, "open", open_failing_at(0), raising=False)
+    assert main([*argv, "pmi"]) == 0
+    assert len(writes) == 6  # so each write failed once above, the manifest's last
+    assert sorted(os.listdir(out)) == [
+        "alignments.txt", "change_records.csv", "pmi_log.txt", "pmi_table.tsv",
+        "retention.txt", "run_manifest.json",
+    ]
+
+
 def test_manifest_names_the_outputs_of_its_run(tmp_path, corpus_path):
     out = tmp_path / "o"
     argv = ["align", "--corpus", str(corpus_path), "--out-dir", str(out), "--mode"]
@@ -832,6 +902,7 @@ def test_manifest_names_the_outputs_of_its_run(tmp_path, corpus_path):
     assert main([*argv, "binary"]) == 0
     manifest = json.loads((out / "run_manifest.json").read_text(encoding="utf-8"))
     assert (out / "pmi_table.tsv").exists()  # the pmi run's, which binary did not write
+    assert manifest["version"] == dialign.__version__
     assert sorted(manifest["outputs"]) == [
         "alignments.txt", "change_records.csv", "retention.txt",
     ]

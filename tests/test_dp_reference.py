@@ -6,6 +6,7 @@ obstruent consonants, so the vowel-consonant ban and its schwa-sonorant
 exception both occur. Distance tables are drawn with many ties.
 """
 
+import collections
 import itertools
 import operator
 import random
@@ -23,6 +24,7 @@ from loop_dp import (
     table_prices,
 )
 
+from dialign import costs
 from dialign.corpus import ingest, pair
 from dialign.costs import GAP, BinaryDistanceTable, CostModel, binary_cost_model
 from dialign.pairwise import align_pair
@@ -347,6 +349,63 @@ def test_induce_distances_matches_loop_reference_on_the_mixed_corpus(
     assert got.converged == want.converged
 
 
+def large_alphabet_pairs(first: str = "!", seed: int = 11):
+    """Seeded (variant, standard) pairs over 104 symbols: 12 vowel bases,
+    bare or long, and 16 consonant bases, bare, long, aspirated,
+    palatalised or both. The consonant bases start with first, by default
+    "!", a consonant added to the segment table that sorts before the gap
+    symbol. A variant keeps, drops, remarks or replaces each segment of
+    its standard, and now and then inserts one."""
+    table = SegmentTable({**TABLE.entries, first: ("C", False, False)})
+    marks = {"V": ("", "ː"), "C": ("", "ː", "ʰ", "ʲ", "ʰʲ")}
+    bases = {"V": "aeiouɛɔəɪʊyø", "C": first + "ptkbdgmnlrszfvx"}
+    by_class = {k: [b + m for b in bases[k] for m in marks[k]] for k in "VC"}
+    symbols = by_class["V"] + by_class["C"]
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(120):
+        standard = [rng.choice(by_class["CV"[i % 2]]) for i in range(rng.randint(2, 6))]
+        for _ in range(4):
+            variant = []
+            for s in standard:
+                r = rng.random()
+                if r < 0.3:
+                    s = s[0] + rng.choice(marks["V" if s[0] in bases["V"] else "C"])
+                elif r < 0.35:
+                    s = rng.choice(symbols)
+                if r >= 0.08:  # else the segment is dropped
+                    variant.append(s)
+                if rng.random() < 0.05:
+                    variant.append(rng.choice(symbols))
+            words = (variant or standard, standard)
+            pairs.append(tuple(tokenize("".join(w), table) for w in words))
+    return pairs
+
+
+# Induction sums over the observed symbols in symbol order, as the loop
+# reference does; on a large alphabet holding "!", the gap's number 0 is
+# not first in that order. The smoothed counts are multiples of 0.5, so
+# every sum is exact whatever its order, and the table is the same, up to
+# the name, with "q", which sorts after the gap, in the place of "!".
+@pytest.mark.parametrize("constrained", [True, False], ids=["constrained", "free"])
+def test_induce_distances_matches_loop_reference_on_a_large_alphabet(constrained):
+    pairs = large_alphabet_pairs()
+    symbols = {s.symbol for p in pairs for w in p for s in w}
+    assert len(symbols) >= 100 and min(symbols) == "!" < GAP
+    init = binary_cost_model(constrained)
+    got = induce_distances(pairs, init)
+    want = induce_distances_loop(pairs, init)
+    assert got.dist == want.dist
+    assert got.iterations_run == want.iterations_run
+    assert got.converged == want.converged
+    init = binary_cost_model(constrained)
+    renamed = induce_distances(large_alphabet_pairs("q"), init)
+    assert renamed.dist == {
+        tuple(sorted(s.replace("!", "q") for s in key)): d
+        for key, d in got.dist.items()
+    }
+
+
 # Induction sorts its distinct pairs so that neighbours share fill rows,
 # and puts the results back by slot; the order of the pairs it is given
 # changes neither the table nor when it stops.
@@ -378,6 +437,36 @@ def test_induce_distances_ignores_the_numbering_of_its_model(tmp_path, constrain
     assert got.converged == want.converged
 
 
+# Induction counts, prices and compares number pairs: it builds the one
+# symbol-keyed table on return, and no iteration asks a table or the
+# policy for a price, so more iterations make no more of these calls.
+@pytest.mark.parametrize("constrained", [True, False], ids=["constrained", "free"])
+def test_induction_iterations_make_no_symbol_calls(tmp_path, monkeypatch, constrained):
+    _, pairs = mixed_corpus(tmp_path)
+    calls = collections.Counter()
+
+    def counted(name, f):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+
+        return call
+
+    allowed = costs.substitution_allowed
+    monkeypatch.setattr(PmiTable, "__new__", counted("__new__", PmiTable.__new__))
+    monkeypatch.setattr(PmiTable, "distance", counted("distance", PmiTable.distance))
+    monkeypatch.setattr(costs, "substitution_allowed", counted("allowed", allowed))
+    seen = []
+    for max_iter in (1, 4):
+        calls.clear()
+        init = binary_cost_model(constrained)
+        table = induce_distances(pairs, init, InductionOptions(max_iter))
+        seen.append(dict(calls))
+    assert table.iterations_run >= 3
+    assert seen[0]["__new__"] == 1
+    assert seen[0] == seen[1]
+
+
 # A repriced model numbers every symbol and transcription as its source,
 # and prices each pair of symbols as a new model of its table does.
 @pytest.mark.parametrize("constrained", [True, False], ids=["constrained", "free"])
@@ -387,7 +476,9 @@ def test_a_repriced_model_keeps_its_sources_numbering(tmp_path, constrained):
     words = [w for p in pairs for w in p]
     numbered = [list(source.numbers(w)) for w in words]
     table = induce_distances(pairs, binary_cost_model(constrained), InductionOptions(2))
-    cm, fresh = source.repriced(table), CostModel(table, constrained)
+    n = source.number
+    cm = source.repriced({(n[a], n[b]): d for (a, b), d in table.dist.items()})
+    fresh = CostModel(table, constrained)
     assert cm.symbol == source.symbol
     assert cm.constrained == constrained
     assert [cm.numbers(w) for w in words] == numbered

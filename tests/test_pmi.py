@@ -3,7 +3,11 @@ import random
 import unicodedata
 
 import pytest
-from loop_dp import as_symbols, make_vowel_shift_pairs
+from loop_dp import (
+    as_symbols,
+    make_vowel_shift_pairs,
+    symbol_distances_from_counts as distances_from_counts,
+)
 
 from dialign.costs import FORBIDDEN, GAP, CostModel, binary_cost_model
 from dialign.errors import DialignError, EmptyCorpus, ParseError
@@ -12,7 +16,6 @@ from dialign.phonetics import tokenize
 from dialign.pmi import (
     InductionOptions,
     PmiTable,
-    distances_from_counts,
     induce_distances,
 )
 
@@ -81,6 +84,20 @@ def test_determinism(table):
     r2 = induce_distances(corpus, binary_cost_model())
     assert r1.dist == r2.dist
     assert r1.iterations_run == r2.iterations_run
+
+
+def test_a_model_that_numbered_a_symbol_no_pair_holds_induces_as_a_fresh_one(table):
+    corpus = corpus_from_strings(table, [("pat", "pit")] * 60)
+    used = binary_cost_model()
+    (x,) = used.numbers(tokenize("x", table))
+    got = induce_distances(corpus, used)
+    assert got.iterations_run >= 2  # the model was repriced
+    assert got == induce_distances(corpus, binary_cost_model())
+    # no pair holds x, so repricing leaves its row as it was
+    n = used.number
+    repriced = used.repriced({(n[a], n[b]): d for (a, b), d in got.dist.items()})
+    assert repriced.cost[x] == used.cost[x]
+    assert repriced.cost[n["p"]] != used.cost[n["p"]]
 
 
 def test_distances_from_counts_range_and_diagonal():
