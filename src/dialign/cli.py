@@ -189,6 +189,10 @@ def _read_change_records(path) -> list[ChangeRecord]:
 
 def cmd_report(args):
     first = "dialign.analysis" not in sys.modules
+    # Set before numpy's import: the permutation test's matmuls have two
+    # columns, too small for OpenBLAS's threads to repay their start-up.
+    # A count the user set is kept.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from . import analysis  # numpy is imported by report alone
 
     if first:  # numpy's heap is frozen once, as cli's import froze its own

@@ -7,7 +7,11 @@ gap-gap pairs costing 0 and segment-gap pairs priced at the segment's
 gap distance; so bounds from the three pairwise lattices (Carrillo and
 Lipman 1988) show which cells an optimal alignment can pass through,
 and the DP fills only those, with costs only; where moves tie, the
-traceback counts lengths with pairwise.longest. Where two strings are
+traceback counts lengths with pairwise.longest. Each pair's lattice is
+filled forward once. The first sweep's bounds mark the nodes of each
+pair's alignments within EPS of its optimum (near_optimal); only if it
+misses the sum of the pairwise optima are the reversed lattices filled
+for the true bounds (through) of a second. Where two strings are
 equal and their symbols price 0 against themselves and more than EPS
 against the gap, the bound is met exactly with the two in lockstep, so
 one 2D alignment of the third string with them, each price doubled, is
@@ -47,14 +51,42 @@ EPS = 1e-9
 ChangeRecord = namedtuple("ChangeRecord", "location word conv div alignment_length")
 
 
-def through(ua, ub, C):
-    """The fill's cost table of the 2D lattice of strings numbered ua and
-    ub in the price table C, and the least cost of an alignment of them
-    through each node (i, j): the fill's cost to the node plus the
-    reversed strings' fill's cost from it."""
-    fwd = fill(ua, ub, C)
+def through(ua, ub, C, fwd=None):
+    """The fill's cost table fwd of the 2D lattice of strings numbered ua
+    and ub in the price table C, filled here unless given, and the least
+    cost of an alignment of them through each node (i, j): the fill's cost
+    to the node plus the reversed strings' fill's cost from it."""
+    if fwd is None:
+        fwd = fill(ua, ub, C)
     bwd = fill(ua[::-1], ub[::-1], C)
     return fwd, [list(map(add, f, reversed(b))) for f, b in zip(fwd, reversed(bwd))]
+
+
+def near_optimal(cost, ua, ub, C):
+    """A bound table of the 2D lattice of strings numbered ua and ub in the
+    price table C, from their fill's cost table: the optimum at each node
+    that a walk back from the end node reaches over moves tight within
+    EPS, whose start's cost plus price is at most the end's cost plus EPS,
+    and inf at every other node. The moves of an alignment that costs at
+    most EPS more than the optimum miss by at most EPS in all, so the walk
+    reaches each of its nodes."""
+    n, m, gap, inf = len(ua), len(ub), C[0], math.inf
+    table = [[inf] * (m + 1) for _ in range(n + 1)]
+    table[n][m] = opt = cost[n][m]
+    stack = [(n, m)]
+    while stack:
+        i, j = stack.pop()
+        most, a, b = cost[i][j] + EPS, i - 1, j - 1
+        if i and table[a][j] == inf and cost[a][j] + gap[ua[a]] <= most:
+            table[a][j] = opt
+            stack.append((a, j))
+        if j and table[i][b] == inf and cost[i][b] + gap[ub[b]] <= most:
+            table[i][b] = opt
+            stack.append((i, b))
+        if i and j and table[a][b] == inf and cost[a][b] + C[ua[a]][ub[b]] <= most:
+            table[a][b] = opt
+            stack.append((a, b))
+    return table
 
 
 def price(C, u, v, w) -> float:
@@ -156,14 +188,10 @@ def align_triple(sx, sy, sz, cm: CostModel) -> Alignment:
     pyz = [[C[v][w] for w in uz] for v in uy]
     gx, gy, gz = ([C[u][0] for u in us] for us in (ux, uy, uz))
 
-    # A column costs the sum of its three pair prices, gap-gap at 0, so an
-    # alignment through cell (i, j, k) costs at least its bound
-    # bxy[i][j] + bxz[i][k] + byz[j][k], from each pair's through costs.
-    (_, bxy), (fxz, bxz), (fyz, byz) = (
-        through(ux, uy, C), through(ux, uz, C), through(uy, uz, C)
-    )
-    # No cell (i, j, k) has a bound below bxy[i][j] + mxz[i] + myz[j].
-    mxz, myz = [min(r) for r in bxz], [min(r) for r in byz]
+    # Each pair's lattice is filled forward once; the bound tables of both
+    # sweeps and the star alignment read these fills.
+    fxy, fxz, fyz = fill(ux, uy, C), fill(ux, uz, C), fill(uy, uz, C)
+    pairs = ((ux, uy, fxy), (ux, uz, fxz), (uy, uz, fyz))
 
     def padded(rows, m):
         """The rows, each and the list of them with a trailing inf."""
@@ -182,9 +210,12 @@ def align_triple(sx, sy, sz, cm: CostModel) -> Alignment:
     dxy, dxz, dyz = padded(pxy, ny), padded(pxz, nz), padded(pyz, nz)
     all_k = range(nz + 1)
 
-    def sweep(limit):
-        """The cost table of the lattice, filled at the cells whose bound
-        is at most limit; every other cell holds inf."""
+    def sweep(limit, bxy, bxz, byz):
+        """The cost table of the lattice, filled at the cells (i, j, k)
+        whose bound bxy[i][j] + bxz[i][k] + byz[j][k] is at most limit;
+        every other cell holds inf."""
+        # No cell (i, j, k) has a bound below bxy[i][j] + mxz[i] + myz[j].
+        mxz, myz = [min(r) for r in bxz], [min(r) for r in byz]
         inf_row = [inf] * (nz + 2)  # never written
         cost = [[inf_row] * (ny + 2) for _ in range(nx + 2)]
         cost[0][0] = [0.0] + [inf] * (nz + 1)
@@ -233,41 +264,53 @@ def align_triple(sx, sy, sz, cm: CostModel) -> Alignment:
         return cost
 
     # Every cell of an optimal alignment, and of every optimal prefix of
-    # one, has a bound at most the optimum. A sweep whose limit is at least
-    # the optimum therefore gives those cells their full-lattice cost, so
-    # the tight moves into them, which start at such cells too, are those
-    # of the full lattice: the traceback and the length count take the
-    # same moves and never step into a pruned cell, which holds inf. The
-    # first limit is the sum of the pairwise optima, at most the optimum.
-    # If the cost found exceeds it, the second limit is that cost, or, if
-    # no path survived, the cost of the star alignment; each is the cost
+    # one, is filled by the sweep that is kept, which therefore gives those
+    # cells their full-lattice cost; so the tight moves into them, which
+    # start at such cells too, are those of the full lattice: the traceback
+    # and the length count take the same moves and never step into a
+    # pruned cell, which holds inf. Extra cells change nothing. The first
+    # sweep's bounds are near_optimal's tables, and its limit is the sum of
+    # the pairwise optima, at most the optimum. If the cost found is within
+    # EPS / 2 of that sum, so is the optimum, and each pair's projection of
+    # an optimal alignment costs at most EPS / 2 more than its optimum: the
+    # walk reached its nodes, and the sweep filled the alignment's cells.
+    # Otherwise the bounds are the through costs, at most the cost of any
+    # alignment through a cell, and the second limit is the cost found, or,
+    # if no path survived, the cost of the star alignment; each is the cost
     # of a feasible alignment, so at least the optimum. EPS covers the
-    # bounds' other float summation order; extra cells change nothing.
-    limit = bxy[0][0] + bxz[0][0] + byz[0][0] + EPS
-    cost = sweep(limit)
+    # bounds' other float summation order.
+    limit = fxy[nx][ny] + fxz[nx][nz] + fyz[ny][nz] + EPS
+    cost = sweep(limit, *(near_optimal(f, ua, ub, C) for ua, ub, f in pairs))
     found = cost[nx][ny][nz]
     if found + EPS / 2 > limit:  # half of EPS is left for the bounds' rounding
         if found == inf:
             found = star(ux, uy, uz, C, fxz, fyz)[1]
-        cost = sweep(found + EPS)  # inf + EPS is inf
+        bounds = (through(ua, ub, C, f)[1] for ua, ub, f in pairs)
+        cost = sweep(found + EPS, *bounds)  # inf + EPS is inf
 
     def tight(node):
         """The starts of the tight moves into a cell, in MOVES order; a
-        move from a pruned or outside cell is never tight."""
+        move from a pruned or outside cell is never tight. Each start's
+        cost plus price is summed as the sweep sums it."""
         i, j, k = node
         a, b, h = i - 1, j - 1, k - 1
         r_x, r_y, r_xy, r_z = cost[a][j], cost[i][b], cost[a][b], cost[i][j]
-        befores = (r_x[k], r_y[k], r_z[h], r_xy[k], r_x[h], r_y[h], r_xy[h])
-        prices = (
-            c_x[a], c_y[b], c_z[h], c_xy[a][b], c_xz[a][h], c_yz[b][h],
-            (dxy[a][b] + dxz[a][h]) + dyz[b][h],
-        )
-        here = r_z[k]
-        return [
-            (i - dx, j - dy, k - dz)
-            for (dx, dy, dz), before, c in zip(MOVES, befores, prices)
-            if before + c == here
-        ]
+        here, out = r_z[k], []
+        if r_x[k] + c_x[a] == here:
+            out.append((a, j, k))
+        if r_y[k] + c_y[b] == here:
+            out.append((i, b, k))
+        if r_z[h] + c_z[h] == here:
+            out.append((i, j, h))
+        if r_xy[k] + c_xy[a][b] == here:
+            out.append((a, b, k))
+        if r_x[h] + c_xz[a][h] == here:
+            out.append((a, j, h))
+        if r_y[h] + c_yz[b][h] == here:
+            out.append((i, b, h))
+        if r_xy[h] + ((dxy[a][b] + dxz[a][h]) + dyz[b][h]) == here:
+            out.append((a, b, h))
+        return out
 
     # Traceback. Where several moves are tight, take the first in MOVES
     # order that keeps the alignment longest.

@@ -414,6 +414,18 @@ def run_report(
     return main(argv)
 
 
+# report's permutation test is too small for OpenBLAS's threads, so it
+# caps them at one before numpy's import; a count the user set is kept.
+@pytest.mark.parametrize("preset,want", [(None, "1"), ("2", "2")], ids=["unset", "set"])
+def test_report_caps_openblas_threads_unless_set(tmp_path, monkeypatch, preset, want):
+    if preset is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+    assert run_report(tmp_path) == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == want
+
+
 @pytest.mark.parametrize(
     "field,value",
     [pytest.param(field, "x", id=str(field)) for field in (2, 3, 4)]

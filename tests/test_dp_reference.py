@@ -27,11 +27,13 @@ from loop_dp import (
 from dialign import costs
 from dialign.corpus import ingest, pair
 from dialign.costs import GAP, BinaryDistanceTable, CostModel, binary_cost_model
-from dialign.pairwise import align_pair
+from dialign.pairwise import align_pair, fill
 from dialign.phonetics import SegmentTable, tokenize
 from dialign.pmi import InductionOptions, PmiTable, induce_distances
 from dialign.synth import make_mixed_corpus
-from dialign.triple import EPS, align_triple, decompose, directions, star, through
+from dialign.triple import (
+    EPS, align_triple, decompose, directions, near_optimal, star, through
+)
 
 TABLE = SegmentTable.default()
 ALPHABET = ("a", "o", "ə", "n", "r", "t", "s")
@@ -207,6 +209,67 @@ def test_align_triple_matches_loop_reference(x, y, z, cm):
     assert got.total_cost == want.total_cost
     assert got.length == want.length
     assert got.columns == want.columns
+
+
+# The first sweep's bound tables mark the nodes that a walk back over
+# moves tight within EPS reaches. Under EDGE a gap costs "a" 0.1 and "t"
+# 0.2, and "a" against "t" costs 0.3; in floats 0.1 + 0.2 is above 0.3, so
+# in the lattice of "a" and "t" each path of two gap moves misses the
+# optimum by float error alone. The triple of (), "a" and "t" has two
+# optima: one column, (0.1 + 0.2) + 0.3, and two gap columns, 0.4 + 0.2,
+# which the longest rule takes. Its projection on ("a", "t") passes a node
+# that is tight only within EPS, so a walk over moves tight by == would
+# leave it out of the first sweep, which would trace the shorter optimum.
+EDGE = CostModel(
+    PmiTable({(GAP, "a"): 0.1, (GAP, "t"): 0.2, ("a", "t"): 0.3}), constrained=False
+)
+
+
+def test_a_node_tight_only_within_eps_is_in_the_first_sweep(monkeypatch):
+    def through(*args):
+        raise AssertionError("the first sweep missed its limit")
+
+    monkeypatch.setattr("dialign.triple.through", through)
+    y, z = tok("a", "t")
+    ua, ub, C = pair_prices(EDGE, y, z)
+    cost = fill(ua, ub, C)
+    assert cost[1][0] + C[ub[0]][0] != cost[1][1]
+    assert cost[1][0] + C[ub[0]][0] <= cost[1][1] + EPS
+    assert near_optimal(cost, ua, ub, C)[1][0] == cost[1][1]
+    got = as_symbols(align_triple((), y, z, EDGE), EDGE)
+    assert got == align_triple_loop((), y, z, EDGE)
+    assert got.columns == ((GAP, GAP, "t"), (GAP, "a", GAP))
+
+
+# Tenths are not dyadic: their sums tie only within float error, as
+# 0.1 + 0.2 and 0.3 do, so nodes of optimal alignments are often tight only
+# within EPS. The examples hold triples whose first sweep is kept, with
+# three 2D fills, and triples that take the second, with six.
+TENTHS = st.integers(1, 7).map(lambda n: n / 10)
+
+
+def test_align_triple_matches_loop_reference_under_tenths(monkeypatch):
+    calls, passes = [], collections.Counter()
+
+    def counted(*args):
+        calls.append(args)
+        return fill(*args)
+
+    monkeypatch.setattr("dialign.triple.fill", counted)
+
+    @SETTINGS
+    @given(
+        words(5), words(5), words(5),
+        st.builds(CostModel, pmi_tables(TENTHS), st.booleans()),
+    )
+    def check(x, y, z, cm):
+        calls.clear()
+        got = as_symbols(align_triple(x, y, z, cm), cm)
+        passes[len(calls)] += 1
+        assert got == align_triple_loop(x, y, z, cm)
+
+    check()
+    assert passes[3] and passes[6]
 
 
 def with_two_equal(a, b):

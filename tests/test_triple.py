@@ -1,9 +1,11 @@
+import collections
 import itertools
 import random
 
 import pytest
 from loop_dp import as_symbols, brute_force_min_cost, double_pairwise_delta
 
+from dialign import triple
 from dialign.costs import GAP, Alignment, CostModel, binary_cost_model
 from dialign.pmi import PmiTable, induce_distances
 from dialign.triple import MOVES, align_triple, decompose, directions
@@ -60,6 +62,39 @@ def test_two_equal_strings_need_no_bound_tables(tok, monkeypatch):
     )
     with pytest.raises(Filled):
         align_triple(tok("ta"), tok("ta"), tok("at"), CostModel(costly_self))
+
+
+# A 3D triple fills each pair's lattice forward once. Only where the first
+# sweep misses the sum of the pairwise optima are the reversed lattices
+# filled for the second; the star alignment, where no path survived the
+# first sweep, reads the forward fills.
+@pytest.mark.parametrize(
+    "words,fills,stars",
+    [
+        (("strodə", "strɔət", "strat"), 3, 0),  # the bound is met
+        (("ata", "t", "a"), 6, 0),  # missed, with a path in the first sweep
+        (("a", "ə", "aə"), 6, 1),  # missed, with no path: the star's cost
+    ],
+    ids=["met", "missed", "star"],
+)
+def test_reversed_fills_only_where_the_pairwise_bound_is_missed(
+    tok, monkeypatch, words, fills, stars
+):
+    calls = collections.Counter()
+
+    def counted(name, f):
+        def call(*args):
+            calls[name] += 1
+            return f(*args)
+
+        monkeypatch.setattr(f"dialign.triple.{name}", call)
+
+    counted("fill", triple.fill)
+    counted("star", triple.star)
+    cm = binary_cost_model(constrained=False)
+    al = align_triple(*map(tok, words), cm)
+    assert al.total_cost == brute_force_min_cost(*map(tok, words), cm)
+    assert (calls["fill"], calls["star"]) == (fills, stars)
 
 
 def test_seven_presence_patterns_only(tok):
