@@ -7,19 +7,20 @@ digests, each to a temporary file, and renames them into place in that
 order. So identical configurations give byte-identical results, and a
 run that fails changes no file, unless a rename fails midway. Bad input
 data, a path that cannot be read or written, or running out of memory
-ends with exit 1, a bad option value with exit 2, an interrupt with 130,
-each with one line on stderr and no traceback.
+ends with exit 1, a bad option or option value with exit 2, an
+interrupt with 130, each with one line on stderr and no traceback.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import hashlib
 import json
 import math
 import os
+import re
 import sys
+from types import SimpleNamespace
 
 from . import __version__, pmi as pmi_mod
 from .corpus import distinct, ingest, pair, read_groups, retention_report
@@ -244,66 +245,150 @@ def cmd_report(args):
     return outputs, [args.records, args.groups, args.coords]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dialign",
-        description=(
-            "Quantify phonetic convergence/divergence between two "
-            "time-separated dialect corpora relative to a standard variety. "
-            "Corpus TSV columns: location, word, source{older|newer|standard}, "
-            "transcription, cognate_id, exclusion{-|lex|morph|reduction|missing}."
+_ABOUT = (
+    "Quantify phonetic convergence/divergence between two time-separated\n"
+    "dialect corpora relative to a standard variety. Corpus TSV columns:\n"
+    "location, word, source{older|newer|standard}, transcription, cognate_id,\n"
+    "exclusion{-|lex|morph|reduction|missing}."
+)
+# Each command's function, help line and options. An option is its name,
+# its default (_REQUIRED if it has none), its converter (str, int, float, a
+# tuple of choices, or bool for a flag) and its help line.
+_REQUIRED = object()
+_HELP = ("help", False, bool, "show this help")
+_CORPUS_OPTIONS = (
+    ("corpus", _REQUIRED, str, "corpus TSV path"),
+    (
+        "segments", None, str,
+        "segment table (symbol<TAB>V|C<TAB>flags); default: built-in IPA table",
+    ),
+    ("out-dir", _REQUIRED, str, "output directory"),
+    ("unconstrained", False, bool, "drop the vowel-consonant alignment constraint"),
+    ("max-iter", 50, int, "PMI induction's iteration cap"),
+    ("smoothing", 0.5, float, "PMI induction's additive smoothing"),
+)
+COMMANDS = {
+    "pmi": (cmd_pmi, "induce a PMI distance table from a corpus", _CORPUS_OPTIONS),
+    "align": (
+        cmd_align,
+        "align triples and write per-word change records",
+        _CORPUS_OPTIONS + (
+            (
+                "mode", "pmi", ("binary", "pmi", "load"),
+                "cost model: unit costs, induced PMI costs or a saved table",
+            ),
+            ("pmi-table", None, str, "table for --mode load"),
         ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+    ),
+    "report": (
+        cmd_report,
+        "group summaries, LS contrast, and geo export",
+        (
+            ("records", _REQUIRED, str, "change_records.csv path"),
+            ("groups", _REQUIRED, str, "location<TAB>group map"),
+            ("coords", None, str, "location<TAB>lon<TAB>lat"),
+            ("n-perm", 9999, int, "permutations of the LS contrast"),
+            ("seed", 0, int, "seed of the permutations"),
+            ("out-dir", _REQUIRED, str, "output directory"),
+        ),
+    ),
+}
 
-    def add_common(p):
-        p.add_argument("--corpus", required=True, help="corpus TSV path")
-        p.add_argument(
-            "--segments",
-            default=None,
-            help="segment table (symbol<TAB>V|C<TAB>flags); default: built-in IPA table",
-        )
-        p.add_argument("--out-dir", required=True, help="output directory")
-        p.add_argument(
-            "--unconstrained",
-            action="store_true",
-            help="drop the vowel-consonant alignment constraint",
-        )
 
-    def add_pmi_opts(p):
-        p.add_argument("--max-iter", type=int, default=50)
-        p.add_argument("--smoothing", type=float, default=0.5)
+def _find(token, options):
+    """The option of options that token names, by its name or a unique
+    prefix, and the value after its '=' or None; (None, None) for an
+    unknown option, None for a value. As in argparse, a token that starts
+    with '-' and names no option is a value only if it is '-', a negative
+    number, or holds a space."""
+    if token[:1] != "-" or token == "-":
+        return None
+    name, eq, value = token.partition("=")
+    name = "--help" if name == "-h" else name
+    found = [o for o in options if "--" + o[0] == name]
+    if not found and name.startswith("--") and len(name) > 2:
+        found = [o for o in options if o[0].startswith(name[2:])]
+    if len(found) > 1:
+        names = ", ".join("--" + o[0] for o in found)
+        raise ValueError(f"ambiguous option {name}: could be {names}")
+    if found:
+        return found[0], (value if eq else None)
+    if " " in token or re.match(r"^-\d+$|^-\d*\.\d+$", token):
+        return None
+    return None, None
 
-    p_pmi = sub.add_parser("pmi", help="induce a PMI distance table from a corpus")
-    add_common(p_pmi)
-    add_pmi_opts(p_pmi)
-    p_pmi.set_defaults(func=cmd_pmi)
 
-    p_align = sub.add_parser(
-        "align", help="align triples and write per-word change records"
-    )
-    add_common(p_align)
-    add_pmi_opts(p_align)
-    p_align.add_argument(
-        "--mode",
-        choices=("binary", "pmi", "load"),
-        default="pmi",
-        help="cost model: unit costs, corpus-induced PMI costs, or a saved table",
-    )
-    p_align.add_argument("--pmi-table", default=None, help="table for --mode load")
-    p_align.set_defaults(func=cmd_align)
+def parse_args(argv):
+    """The command of argv and its options, by the names and with the
+    values and types that argparse would give: `command`, `func`, and each
+    option's name with '_' for '-'. The last of a repeated option wins.
+    Returns the help text instead for -h or --help; an option error
+    raises ValueError."""
+    command = argv[0] if argv else None
+    if command not in COMMANDS:
+        if command is not None and _find(command, (_HELP,)) == (_HELP, None):
+            return _help()
+        got = f", not {command!r}" if argv else ""
+        raise ValueError(f"expected a command: {', '.join(COMMANDS)}{got}")
+    func, _, options = COMMANDS[command]
+    known, values, i = options + (_HELP,), {}, 1
+    while i < len(argv):
+        option, value = _find(argv[i], known) or (None, None)
+        if option is None:
+            raise ValueError(f"unrecognized argument {argv[i]!r}")
+        name, _, convert, _ = option
+        i += 1
+        if convert is bool:
+            if value is not None:
+                raise ValueError(f"--{name} takes no value")
+            if option is _HELP:
+                return _help(command)
+            value = True
+        elif value is None:
+            if i == len(argv) or _find(argv[i], known) is not None:
+                raise ValueError(f"--{name} expects a value")
+            value, i = argv[i], i + 1
+        if isinstance(convert, tuple):
+            if value not in convert:
+                choices = ", ".join(convert)
+                raise ValueError(f"--{name} must be one of {choices}, not {value!r}")
+        else:
+            try:
+                value = convert(value)
+            except ValueError:
+                kind = convert.__name__
+                raise ValueError(f"--{name}: invalid {kind} {value!r}") from None
+        values[name] = value
+    missing = [f"--{o[0]}" for o in options if o[1] is _REQUIRED and o[0] not in values]
+    if missing:
+        raise ValueError(f"{command} requires {', '.join(missing)}")
+    args = {n.replace("-", "_"): values.get(n, d) for n, d, _, _ in options}
+    return SimpleNamespace(command=command, func=func, **args)
 
-    p_report = sub.add_parser(
-        "report", help="group summaries, LS contrast, and geo export"
-    )
-    p_report.add_argument("--records", required=True, help="change_records.csv path")
-    p_report.add_argument("--groups", required=True, help="location<TAB>group map")
-    p_report.add_argument("--coords", default=None, help="location<TAB>lon<TAB>lat")
-    p_report.add_argument("--n-perm", type=int, default=9999)
-    p_report.add_argument("--seed", type=int, default=0)
-    p_report.add_argument("--out-dir", required=True)
-    p_report.set_defaults(func=cmd_report)
-    return parser
+
+def _help(command=None) -> str:
+    """The --help text of a command, or of dialign without one."""
+    if command is None:
+        lines = [f"usage: dialign {{{','.join(COMMANDS)}}} [options]", "", _ABOUT, ""]
+        lines += [f"  {name:<8}{about}" for name, (_, about, _) in COMMANDS.items()]
+        lines += ["", "Run 'dialign COMMAND --help' for a command's options."]
+        return "\n".join(lines)
+    _, about, options = COMMANDS[command]
+    lines = [f"usage: dialign {command} [options]", "", about, ""]
+    for name, default, convert, text in options:
+        if convert is bool:
+            form = f"--{name}"
+        elif isinstance(convert, tuple):
+            form = f"--{name} {{{','.join(convert)}}}"
+        else:
+            form = f"--{name} {name.upper().replace('-', '_')}"
+        if default is _REQUIRED:
+            text += " (required)"
+        elif default is not None and convert is not bool:
+            text += f" (default: {default})"
+        lines.append(f"  {form:<26}{text}")
+    lines.append(f"  {'-h, --help':<26}{_HELP[3]}")
+    return "\n".join(lines)
 
 
 def _validate(args) -> None:
@@ -354,12 +439,16 @@ def main(argv=None) -> int:
     output's path is a directory; --out-dir is made only then, and a
     failed write leaves it as it was (_write_outputs)."""
     try:
-        args = build_parser().parse_args(argv)
         try:
-            _validate(args)
+            args = parse_args(sys.argv[1:] if argv is None else argv)
+            if not isinstance(args, str):  # a str is the help text
+                _validate(args)
         except ValueError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG_ERROR
+        if isinstance(args, str):
+            print(args)
+            return EXIT_OK
         _missing_dirs(args.out_dir)
         outputs, inputs = args.func(args)
         config = {k: v for k, v in vars(args).items() if k != "func"}

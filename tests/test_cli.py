@@ -202,12 +202,71 @@ def test_config_errors(tmp_path, corpus_path, capsys):
             ("--smoothing", "0"),
             ("--smoothing", "nan"),
             ("--smoothing", "inf"),
+            ("--max-iter", "abc"),
+            ("--smoothing", "x"),
         ]:
             cases.append([command, *common, option, value])
+    report = ["report", "--records", "r.csv", "--groups", "g.tsv", "--out-dir", str(out)]
+    cases += [
+        [],  # no command
+        ["align", *common, "--bogus"],
+        ["align", "--corpus", str(corpus_path)],  # no --out-dir
+        [*report, "--n-perm", "1.5"],
+        ["align", *common, "--mode", "fast"],
+        ["align", "--out-dir", str(out), "--corpus"],
+    ]
     for argv in cases:
         assert main(argv) == 2, argv
-        assert capsys.readouterr().err.startswith("config error: "), argv
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, (argv, err)
         assert not out.exists(), argv
+
+
+def test_manifest_config_of_each_command(tmp_path, corpus_path, capsys):
+    # run_manifest.json's config holds every option of the command, by the
+    # names and with the JSON types of the parsed values
+    def config(*argv):
+        out = str(tmp_path / f"o{len(os.listdir(tmp_path))}")
+        assert main([*argv, "--out-dir", out]) == 0, argv
+        text = Path(out, "run_manifest.json").read_text(encoding="utf-8")
+        return json.loads(text)["config"], text, out
+
+    corpus = str(corpus_path)
+    common = {
+        "corpus": corpus, "segments": None, "unconstrained": False,
+        "max_iter": 50, "smoothing": 0.5,
+    }
+    got, _, out = config("pmi", "--corpus", corpus)
+    assert got == {**common, "command": "pmi", "out_dir": out}
+    table = str(Path(out, "pmi_table.tsv"))
+    got, _, out = config("align", "--corpus=" + corpus)
+    assert got == {
+        **common, "command": "align", "out_dir": out, "mode": "pmi", "pmi_table": None,
+    }
+    got, text, out = config(
+        "align", "--corpus", corpus, "--max-iter", "7", "--max", "3", "--unc",
+        "--smoothing", "1", "--mode=binary", "--mode", "load", "--pmi-t", table,
+    )
+    assert got == {
+        **common, "command": "align", "out_dir": out, "max_iter": 3,
+        "smoothing": 1.0, "unconstrained": True, "mode": "load", "pmi_table": table,
+    }
+    assert '"smoothing": 1.0,' in text and '"max_iter": 3,' in text
+    records = str(Path(out, "change_records.csv"))
+    groups = tmp_path / "groups.tsv"
+    groups.write_text(GROUPS_6, encoding="utf-8")
+    got, _, out = config("report", "--records", records, "--groups", str(groups))
+    assert got == {
+        "command": "report", "records": records, "groups": str(groups),
+        "coords": None, "n_perm": 9999, "seed": 0, "out_dir": out,
+    }
+    report = ["report", "--rec", records, "--groups=" + str(groups), "--n-perm", "999"]
+    got, _, out = config(*report, "--seed", "5", "--seed=2")
+    assert (got["n_perm"], got["seed"]) == (999, 2)
+    for seed in (["--seed", "-1"], ["--seed=-1"]):
+        assert main([*report, *seed, "--out-dir", str(tmp_path / "neg")]) == 2
+        assert capsys.readouterr().err == "config error: --seed must be >= 0\n"
+    assert not (tmp_path / "neg").exists()
 
 
 def test_pmi_subcommand_and_load_mode(tmp_path, corpus_path):
@@ -367,12 +426,48 @@ def test_cli_starts_without_dataclasses():
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import dialign.cli; "
         "print(' '.join(m for m in ('dataclasses', 'typing', 'inspect', 'numpy',"
-        " 'logging', 'pathlib') if m in sys.modules))"
+        " 'logging', 'pathlib', 'argparse', 'gettext', 'locale') if m in sys.modules))"
     )
     run = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
     )
     assert run.stdout.split() == []
+
+
+def test_align_run_leaves_locale_unloaded(tmp_path):
+    # option parsing formats its own messages, so no run pays for gettext's
+    # import of locale
+    src = str(Path(dialign.__file__).parents[1])
+    argv = ["align", "--corpus", str(DATA_DIR / "corpus.tsv"), "--mode", "binary"]
+    argv += ["--out-dir", str(tmp_path / "o")]
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); from dialign.cli import main; "
+        f"assert main({argv!r}) == 0; print('locale' in sys.modules)"
+    )
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert run.stdout.split() == ["False"]
+
+
+def test_help_names_the_commands(capsys):
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    for command in ("pmi", "align", "report"):
+        assert re.search(rf"^  {command} ", out, re.M), command
+
+
+def test_align_help_names_every_option_with_its_default(capsys):
+    assert main(["align", "--help"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for option, note in [
+        ("--corpus", "(required)"), ("--segments", "default: built-in IPA table"),
+        ("--out-dir", "(required)"), ("--unconstrained", ""),
+        ("--max-iter", "(default: 50)"), ("--smoothing", "(default: 0.5)"),
+        ("--mode", "(default: pmi)"), ("--pmi-table", ""), ("-h, --help", ""),
+    ]:
+        line = [ln for ln in lines if ln.startswith(f"  {option} ")]
+        assert len(line) == 1 and line[0].endswith(note), (option, line)
 
 
 def test_pmi_and_align_induce_identically(tmp_path, corpus_path):
