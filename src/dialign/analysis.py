@@ -13,7 +13,7 @@ from collections import namedtuple
 import numpy as np
 
 from .corpus import GROUPS
-from .errors import DegenerateContrast, MissingCoordinates, UnmappedLocation
+from .errors import DialignError
 from .triple import ChangeRecord
 
 
@@ -41,7 +41,7 @@ def by_location(
     by_loc: dict[str, list[ChangeRecord]] = {}
     for r in sorted(records, key=lambda r: (r.location, r.word)):
         if r.location not in groups:
-            raise UnmappedLocation(f"location {r.location!r} has no group")
+            raise DialignError(f"location {r.location!r} has no group")
         by_loc.setdefault(r.location, []).append(r)
     return by_loc
 
@@ -122,9 +122,7 @@ def permutation_contrast(
     n = len(is_ls)
     n_ls = int(is_ls.sum())
     if n_ls == 0 or n_ls == n:
-        raise DegenerateContrast(
-            f"contrast needs locations on both sides (LS={n_ls} of {n})"
-        )
+        raise DialignError(f"contrast needs locations on both sides (LS={n_ls} of {n})")
 
     rows = list(by_loc.values())
     conv = np.array([float(np.mean([r.conv for r in rs])) for rs in rows])
@@ -170,7 +168,7 @@ def export_geo(
     lines = ["location,lon,lat,mean_conv,mean_div"]
     for loc, rs in by_loc.items():
         if loc not in coords:
-            raise MissingCoordinates(f"no coordinates for location {loc!r}")
+            raise DialignError(f"no coordinates for location {loc!r}")
         lon, lat = coords[loc]
         mean_conv = sum(r.conv for r in rs) / len(rs)
         mean_div = sum(r.div for r in rs) / len(rs)

@@ -25,7 +25,7 @@ from types import SimpleNamespace
 from . import __version__, pmi as pmi_mod
 from .corpus import distinct, ingest, pair, read_groups, retention_report
 from .costs import BinaryDistanceTable, CostModel, binary_cost_model
-from .errors import DialignError, EmptyCorpus, FirstLines, ParseError, read_table
+from .errors import DialignError, FirstLines, ParseError, read_table
 from .pmi import InductionOptions, PmiTable
 from .phonetics import SegmentTable
 from .triple import ChangeRecord, align_triple, decompose, directions, price
@@ -64,7 +64,7 @@ def _load_triples(args):
         table = SegmentTable.default()
     triples, excluded = pair(ingest(args.corpus), table)
     if not triples:
-        raise EmptyCorpus("no comparison triples after pairing and exclusions")
+        raise DialignError("no comparison triples after pairing and exclusions")
     return triples, excluded
 
 

@@ -178,8 +178,7 @@ def _transcribe(r: CorpusRecord, table: SegmentTable, segments: dict):
                 r.path,
                 r.line,
                 f"location {r.location!r}, word {r.word!r}, {r.source} "
-                f"transcription {r.raw!r}: unknown symbol {exc.char!r} "
-                f"at position {exc.position}",
+                f"transcription {r.raw!r}: {exc}",
             ) from None
     return segments[r.raw]
 

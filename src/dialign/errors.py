@@ -1,6 +1,9 @@
-"""Exception types shared across the toolkit, and the reader of its
-line-oriented input tables and their duplicate-key check, which raise
-them."""
+"""The input layer: the reader of every line-oriented input table, which
+decodes it as UTF-8 and normalises it to NFC once, so that names and
+symbols differing only in normal form are one; the duplicate-key check;
+and the three error types that bad input raises."""
+
+import unicodedata
 
 
 class DialignError(Exception):
@@ -14,14 +17,6 @@ class UnknownSymbol(DialignError):
         super().__init__(f"unknown symbol {char!r} at position {position}")
 
 
-class EmptyInput(DialignError):
-    pass
-
-
-class EmptyCorpus(DialignError):
-    pass
-
-
 class ParseError(DialignError):
     def __init__(self, path, line, reason):
         self.path = path
@@ -31,19 +26,22 @@ class ParseError(DialignError):
 
 
 def read_lines(path) -> list[str]:
-    """The lines of a UTF-8 text file, without a leading byte order mark
-    or a line's trailing "\\r"; only "\\n" ends a line, so a line number
-    counts the "\\n" before it. A byte that is not UTF-8 is a ParseError
-    naming its line."""
+    """The lines of a UTF-8 text file in NFC, without a leading byte order
+    mark or a line's trailing "\\r"; only "\\n" ends a line, so a line
+    number counts the "\\n" before it. No canonical composition involves
+    a tab, a comma, "\\r" or "\\n", so normalising the whole text keeps
+    every line and field as normalising each field would. A byte that is
+    not UTF-8 is a ParseError naming its line."""
     with open(path, "rb") as f:
         data = f.read()
     if data.startswith(b"\xef\xbb\xbf"):  # stripped here, not by utf-8-sig,
         data = data[3:]  # so that error offsets index this data
     try:
-        return [line.removesuffix("\r") for line in data.decode("utf-8").split("\n")]
+        text = unicodedata.normalize("NFC", data.decode("utf-8"))
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ParseError(path, line, f"not UTF-8: {exc.reason}") from None
+    return [line.removesuffix("\r") for line in text.split("\n")]
 
 
 def read_table(
@@ -82,13 +80,9 @@ def read_table(
         yield lineno, fields
 
 
-class DuplicateRecord(ParseError):
-    pass
-
-
 class FirstLines:
     """The line of each key's first record in one file; a repeated key is
-    a DuplicateRecord naming its line and the first one. Its message is
+    a ParseError naming its line and the first one. Its message is
     ``what % key``, formatted only then."""
 
     def __init__(self, path):
@@ -99,16 +93,4 @@ class FirstLines:
         first = self.lines.setdefault(key, lineno)
         if first != lineno:
             reason = f"{what % key} (first at line {first})"
-            raise DuplicateRecord(self.path, lineno, reason)
-
-
-class UnmappedLocation(DialignError):
-    pass
-
-
-class DegenerateContrast(DialignError):
-    pass
-
-
-class MissingCoordinates(DialignError):
-    pass
+            raise ParseError(self.path, lineno, reason)

@@ -13,7 +13,7 @@ import unicodedata
 from collections import namedtuple
 from functools import cache
 
-from .errors import EmptyInput, FirstLines, ParseError, UnknownSymbol, read_table
+from .errors import DialignError, FirstLines, ParseError, UnknownSymbol, read_table
 
 
 # The seven sonorant consonants that a schwa may align with.
@@ -91,7 +91,7 @@ class SegmentTable:
         """
         entries, seen = {}, FirstLines(path)
         for lineno, fields in read_table(path, "symbol<TAB>V|C[<TAB>flags]", 2, 3):
-            symbol = unicodedata.normalize("NFC", fields[0])
+            symbol = fields[0]
             if symbol == GAP:
                 raise ParseError(path, lineno, f"{GAP!r} is the gap symbol")
             if _is_modifier(symbol[0]) or not all(map(_is_modifier, symbol[1:])):
@@ -142,7 +142,7 @@ def tokenize(raw: str, table: SegmentTable) -> tuple[Segment, ...]:
     Concatenating the segment symbols reproduces the normalized input.
     """
     if raw == "":
-        raise EmptyInput("empty transcription")
+        raise DialignError("empty transcription")
     raw = unicodedata.normalize("NFC", raw)
     # A segment starts at each character that is not a modifier.
     starts = [i for i, mod in enumerate(map(_is_modifier, raw)) if not mod]

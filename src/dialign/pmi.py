@@ -12,13 +12,12 @@ co-occurring sounds thus get costs close to 0.
 from __future__ import annotations
 
 import math
-import unicodedata
 from collections import Counter, namedtuple
 from itertools import combinations_with_replacement
 
 from .corpus import distinct
 from .costs import GAP, CostModel
-from .errors import DialignError, EmptyCorpus, FirstLines, ParseError, read_table
+from .errors import DialignError, FirstLines, ParseError, read_table
 from .pairwise import align_pair
 
 MIN_PAIRS = 50  # the CLI warns when it induces from fewer pairs
@@ -66,7 +65,6 @@ class PmiTable(namedtuple("PmiTable", "dist iterations_run converged")):
                 raise ParseError(path, lineno, f"bad distance {value!r}")
             if not 0.0 <= d <= 1.0:  # also false for NaN
                 raise ParseError(path, lineno, f"distance {value!r} outside [0, 1]")
-            a, b = (unicodedata.normalize("NFC", s) for s in (a, b))
             key = (a, b) if a <= b else (b, a)
             seen.add(key, lineno, "repeated pair (%r, %r)")
             dist[key] = d
@@ -143,7 +141,7 @@ def induce_distances(
     records converged=False.
     """
     if not pairs:
-        raise EmptyCorpus("no transcription pairs for PMI induction")
+        raise DialignError("no transcription pairs for PMI induction")
 
     # Pairs with equal symbols align alike under any one cost model, so
     # each iteration aligns only the first of them, and counts its columns

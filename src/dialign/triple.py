@@ -51,15 +51,13 @@ EPS = 1e-9
 ChangeRecord = namedtuple("ChangeRecord", "location word conv div alignment_length")
 
 
-def through(ua, ub, C, fwd=None):
-    """The fill's cost table fwd of the 2D lattice of strings numbered ua
-    and ub in the price table C, filled here unless given, and the least
-    cost of an alignment of them through each node (i, j): the fill's cost
-    to the node plus the reversed strings' fill's cost from it."""
-    if fwd is None:
-        fwd = fill(ua, ub, C)
+def through(fwd, ua, ub, C):
+    """The least cost of an alignment of strings numbered ua and ub in the
+    price table C through each node (i, j) of their 2D lattice: the cost
+    to the node in their fill's cost table fwd plus the reversed strings'
+    fill's cost from it."""
     bwd = fill(ua[::-1], ub[::-1], C)
-    return fwd, [list(map(add, f, reversed(b))) for f, b in zip(fwd, reversed(bwd))]
+    return [list(map(add, f, reversed(b))) for f, b in zip(fwd, reversed(bwd))]
 
 
 def near_optimal(cost, ua, ub, C):
@@ -285,7 +283,7 @@ def align_triple(sx, sy, sz, cm: CostModel) -> Alignment:
     if found + EPS / 2 > limit:  # half of EPS is left for the bounds' rounding
         if found == inf:
             found = star(ux, uy, uz, C, fxz, fyz)[1]
-        bounds = (through(ua, ub, C, f)[1] for ua, ub, f in pairs)
+        bounds = (through(f, ua, ub, C) for ua, ub, f in pairs)
         cost = sweep(found + EPS, *bounds)  # inf + EPS is inf
 
     def tight(node):

@@ -659,6 +659,66 @@ def test_report_rejects_negative_seed(tmp_path, capsys):
     assert not (tmp_path / "rep").exists()
 
 
+# A West Frisian place name, in NFC; its NFD spells each 'â' as 'a' + U+0302.
+WALTERSWALD = "wâlterswâld"
+
+
+def renamed_synthetic(directory, groups_form):
+    """The bundled data in directory with loc01 renamed WALTERSWALD, in NFC
+    in corpus.tsv and coords.tsv and in groups_form in groups.tsv."""
+    directory.mkdir()
+    for name in ("corpus.tsv", "coords.tsv", "groups.tsv"):
+        form = groups_form if name == "groups.tsv" else "NFC"
+        text = (DATA_DIR / name).read_text(encoding="utf-8")
+        text = text.replace("loc01\t", unicodedata.normalize(form, WALTERSWALD) + "\t")
+        (directory / name).write_text(text, encoding="utf-8")
+    return directory
+
+
+# Names that differ only in normal form are one name in every input table.
+def test_a_location_named_in_nfd_in_the_group_map_is_the_nfc_location(tmp_path, capsys):
+    outputs = []
+    for form in ("NFC", "NFD"):
+        data = renamed_synthetic(tmp_path / form, form)
+        assert unicodedata.normalize(form, WALTERSWALD) in (
+            (data / "groups.tsv").read_text(encoding="utf-8")
+        )
+        rc = main(
+            [
+                "align", "--corpus", str(data / "corpus.tsv"),
+                "--out-dir", str(data / "a"), "--mode", "binary",
+            ]
+        )
+        assert (rc, capsys.readouterr().err) == (0, "")
+        rc = main(
+            [
+                "report", "--records", str(data / "a" / "change_records.csv"),
+                "--groups", str(data / "groups.tsv"),
+                "--coords", str(data / "coords.tsv"),
+                "--out-dir", str(data / "r"), "--n-perm", "999",
+            ]
+        )
+        assert (rc, capsys.readouterr().err) == (0, "")
+        names = ("summary.txt", "contrasts.csv", "geo.csv")
+        outputs.append([(data / "r" / name).read_bytes() for name in names])
+    assert outputs[0] == outputs[1]
+    geo = outputs[1][2].decode("utf-8")
+    assert f"\n{WALTERSWALD}," in geo
+    assert unicodedata.normalize("NFD", WALTERSWALD) not in geo
+
+
+def test_group_map_lines_differing_only_in_normal_form_are_duplicates(tmp_path, capsys):
+    groups = "".join(
+        f"{unicodedata.normalize(form, WALTERSWALD)}\tFR\n" for form in ("NFC", "NFD")
+    )
+    assert run_report(tmp_path, groups=groups) == 1
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'groups.tsv'}: line 2: "
+        f"duplicate location '{WALTERSWALD}' (first at line 1)\n"
+    )
+    assert not (tmp_path / "rep").exists()
+
+
 FIELD_VALUES = ("nan", "inf", "-0", "1e308", "5e-324", "", "\0")
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from dialign import corpus
 from dialign.corpus import distinct, ingest, pair, read_groups, retention_report
-from dialign.errors import DuplicateRecord, ParseError
+from dialign.errors import ParseError
 from dialign.phonetics import SegmentTable, tokenize
 
 HEADER = "location\tword\tsource\ttranscription\tcognate_id\texclusion"
@@ -40,7 +40,7 @@ def test_ingest_duplicate_row(tmp_path):
             "kampen\tstraat\tolder\tstrodə\tstraat\t-",
         ],
     )
-    with pytest.raises(DuplicateRecord) as info:
+    with pytest.raises(ParseError) as info:
         ingest(path)
     assert (info.value.path, info.value.line) == (path, 3)
     assert str(info.value) == (
@@ -57,7 +57,7 @@ def test_ingest_duplicate_standard_word(tmp_path):
             "b\tstraat\tstandard\tstrat\tstraat\t-",
         ],
     )
-    with pytest.raises(DuplicateRecord) as info:
+    with pytest.raises(ParseError) as info:
         ingest(path)
     assert (info.value.path, info.value.line) == (path, 3)
     assert str(info.value) == (
@@ -319,7 +319,7 @@ def test_group_map_errors(tmp_path):
         read_groups(path)
     assert str(info.value) == f"{path}: line 1: unknown group 'XX'"
     path.write_text("loc01\tFR\nloc01\tGR\n", encoding="utf-8")
-    with pytest.raises(DuplicateRecord) as info:
+    with pytest.raises(ParseError) as info:
         read_groups(path)
     assert str(info.value) == (
         f"{path}: line 2: duplicate location 'loc01' (first at line 1)"

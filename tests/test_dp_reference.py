@@ -144,7 +144,9 @@ def pair_prices(cm, a, b):
 @SETTINGS
 @given(words(5), words(5), DYADIC_COSTS)
 def test_through_is_the_least_pair_cost_through_each_node(a, b, cm):
-    fwd, table = through(*pair_prices(cm, a, b))
+    ua, ub, C = pair_prices(cm, a, b)
+    fwd = fill(ua, ub, C)
+    table = through(fwd, ua, ub, C)
     for i, j in itertools.product(range(len(a) + 1), range(len(b) + 1)):
         head = align_pair_loop(a[:i], b[:j], cm).total_cost
         tail = align_pair_loop(a[i:], b[j:], cm).total_cost
@@ -171,8 +173,8 @@ SECOND_SWEEP = tok("a", "ə", "aə")
 @example(*tok("aaə", "a", "ət"), UNIT)
 @example(*tok("t", "aəa", "ttaa"), UNIT)
 def test_star_alignment_is_an_alignment_that_bounds_the_optimum(x, y, z, cm):
-    fxz, _ = through(*pair_prices(cm, x, z))
-    fyz, _ = through(*pair_prices(cm, y, z))
+    fxz = fill(*pair_prices(cm, x, z))
+    fyz = fill(*pair_prices(cm, y, z))
     ux, uy, uz = cm.numbers(x), cm.numbers(y), cm.numbers(z)
     columns, cost = star(ux, uy, uz, cm.cost, fxz, fyz)
     for s, us in enumerate((ux, uy, uz)):  # each word's segments once, in order

@@ -3,7 +3,7 @@ import unicodedata
 
 import pytest
 
-from dialign.errors import EmptyInput, ParseError, UnknownSymbol
+from dialign.errors import DialignError, ParseError, UnknownSymbol
 from dialign.phonetics import (
     MODIFIER_CHARS,
     Segment,
@@ -30,8 +30,9 @@ def test_tokenize_newer_variant(table):
 
 
 def test_tokenize_empty_raises(table):
-    with pytest.raises(EmptyInput):
+    with pytest.raises(DialignError) as info:
         tokenize("", table)
+    assert str(info.value) == "empty transcription"
 
 
 def test_tokenize_unknown_symbol(table):

@@ -10,7 +10,7 @@ from loop_dp import (
 )
 
 from dialign.costs import FORBIDDEN, GAP, CostModel, binary_cost_model
-from dialign.errors import DialignError, EmptyCorpus, ParseError
+from dialign.errors import DialignError, ParseError
 from dialign.pairwise import align_pair
 from dialign.phonetics import tokenize
 from dialign.pmi import (
@@ -25,8 +25,9 @@ def corpus_from_strings(table, string_pairs):
 
 
 def test_empty_corpus_raises():
-    with pytest.raises(EmptyCorpus):
+    with pytest.raises(DialignError) as info:
         induce_distances([], binary_cost_model())
+    assert str(info.value) == "no transcription pairs for PMI induction"
 
 
 def test_identity_corpus(table):
