@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import FirstLines, ParseError, UnknownSymbol, read_table
+from .errors import DialignError, FirstLines, ParseError, read_table
 from .phonetics import Segment, SegmentTable
 
 # perfbench/tracer.py wraps the tokenizer under this module-level name.
@@ -173,7 +173,7 @@ def _transcribe(r: CorpusRecord, table: SegmentTable, segments: dict):
     if r.raw not in segments:
         try:
             segments[r.raw] = make_transcription(r.raw, table)
-        except UnknownSymbol as exc:
+        except DialignError as exc:
             raise ParseError(
                 r.path,
                 r.line,

@@ -1,20 +1,14 @@
 """The input layer: the reader of every line-oriented input table, which
 decodes it as UTF-8 and normalises it to NFC once, so that names and
 symbols differing only in normal form are one; the duplicate-key check;
-and the three error types that bad input raises."""
+and the two error types that bad input raises, DialignError and
+ParseError, a DialignError that names the file and line."""
 
 import unicodedata
 
 
 class DialignError(Exception):
     """Base class for all toolkit errors."""
-
-
-class UnknownSymbol(DialignError):
-    def __init__(self, position, char):
-        self.position = position
-        self.char = char
-        super().__init__(f"unknown symbol {char!r} at position {position}")
 
 
 class ParseError(DialignError):

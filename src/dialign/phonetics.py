@@ -13,7 +13,7 @@ import unicodedata
 from collections import namedtuple
 from functools import cache
 
-from .errors import DialignError, FirstLines, ParseError, UnknownSymbol, read_table
+from .errors import DialignError, FirstLines, ParseError, read_table
 
 
 # The seven sonorant consonants that a schwa may align with.
@@ -56,15 +56,13 @@ class Segment(namedtuple("Segment", "symbol klass is_sonorant_consonant is_schwa
             raise ValueError("sonorant flag requires a consonant")
         return super().__new__(cls, symbol, klass, is_sonorant_consonant, is_schwa)
 
-    def __str__(self) -> str:
-        return self.symbol
-
 
 class SegmentTable:
     """Maps symbol strings to (class, sonorant, schwa) classifications.
 
-    Unknown base symbols are a hard error: silent misclassification would
-    corrupt the vowel-consonant alignment constraint downstream.
+    A symbol that neither its own entry, its base's nor its NFD base's
+    classes is a hard error: silent misclassification would corrupt the
+    vowel-consonant alignment constraint downstream.
     """
 
     def __init__(self, entries: dict[str, tuple[str, bool, bool]]):
@@ -117,20 +115,18 @@ class SegmentTable:
             entries[symbol] = (klass, sonorant, schwa)
         return cls(entries)
 
-    def classify(self, symbol: str) -> tuple[str, bool, bool]:
-        """Classification for a full symbol; falls back to its base symbol."""
-        if symbol in self.entries:
-            return self.entries[symbol]
-        base = "".join(ch for ch in symbol if not _is_modifier(ch))
-        if base in self.entries:
-            return self.entries[base]
-        raise UnknownSymbol(0, symbol)
-
-    def segment(self, symbol: str) -> Segment:
-        """The table's one Segment for a symbol, classified on first use."""
+    def segment(self, symbol: str) -> Segment | None:
+        """The table's one Segment for a symbol, classified on first use by
+        the first entry of the symbol, its base (the symbol without its
+        modifiers) and the base of its NFD; None if there is none."""
         seg = self._by_symbol.get(symbol)
         if seg is None:
-            seg = self._by_symbol[symbol] = Segment(symbol, *self.classify(symbol))
+            nfd = unicodedata.normalize("NFD", symbol)
+            bases = ("".join(c for c in s if not _is_modifier(c)) for s in (symbol, nfd))
+            for key in (symbol, *bases):
+                if key in self.entries:
+                    seg = self._by_symbol[symbol] = Segment(symbol, *self.entries[key])
+                    break
         return seg
 
 
@@ -140,18 +136,17 @@ def tokenize(raw: str, table: SegmentTable) -> tuple[Segment, ...]:
     The input is NFC-normalized first; each base symbol plus all
     immediately following modifier characters forms one segment.
     Concatenating the segment symbols reproduces the normalized input.
+    A segment that the table does not class is a DialignError.
     """
     if raw == "":
         raise DialignError("empty transcription")
     raw = unicodedata.normalize("NFC", raw)
-    # A segment starts at each character that is not a modifier.
-    starts = [i for i, mod in enumerate(map(_is_modifier, raw)) if not mod]
-    if not starts or starts[0]:  # a modifier with no preceding base symbol
-        raise UnknownSymbol(0, raw[0])
+    # Segments start at non-modifiers and at a leading modifier, which no entry classes.
+    starts = [i for i, mod in enumerate(map(_is_modifier, raw)) if not (mod and i)]
     segments = []
     for i, j in zip(starts, starts[1:] + [len(raw)]):
-        try:  # the table knows the segment or its base symbol
-            segments.append(table.segment(raw[i:j]))
-        except UnknownSymbol:
-            raise UnknownSymbol(i, raw[i]) from None
+        seg = table.segment(raw[i:j])
+        if seg is None:
+            raise DialignError(f"unknown symbol {raw[i]!r} at position {i}")
+        segments.append(seg)
     return tuple(segments)

@@ -719,6 +719,48 @@ def test_group_map_lines_differing_only_in_normal_form_are_duplicates(tmp_path, 
     assert not (tmp_path / "rep").exists()
 
 
+NASAL = "mxzlk\u00e3dpdv"  # w01's standard with an 'l' turned into 'ã'
+
+
+def nasal_synthetic(directory):
+    """The bundled corpus in directory, where w01 at loc01 and at loc02 is
+    its standard form when older and NASAL when newer, in NFC at loc01 and
+    in NFD at loc02. The built-in table does not list 'ã'."""
+    directory.mkdir()
+    text = (DATA_DIR / "corpus.tsv").read_text(encoding="utf-8")
+    rows = [line.split("\t") for line in text.splitlines()]
+    for row in rows:
+        if row[0] in ("loc01", "loc02") and row[1] == "w01":
+            form = "NFC" if row[0] == "loc01" else "NFD"
+            older = row[2] == "older"
+            row[3] = "mxzlkldpdv" if older else unicodedata.normalize(form, NASAL)
+    path = directory / "corpus.tsv"
+    path.write_text("".join("\t".join(row) + "\n" for row in rows), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("mode", ["binary", "pmi"])
+def test_a_precomposed_vowel_aligns_by_its_canonical_base(tmp_path, capsys, mode):
+    corpus, out = nasal_synthetic(tmp_path / "data"), tmp_path / "o"
+    text = corpus.read_text(encoding="utf-8")
+    assert NASAL in text and unicodedata.normalize("NFD", NASAL) in text
+    rc = main(["align", "--corpus", str(corpus), "--out-dir", str(out), "--mode", mode])
+    assert (rc, capsys.readouterr().err) == (0, "")
+
+    def w01(lines, loc):  # loc's record or alignment of w01, loc cut out
+        heads = (f"{loc},w01,", f"# {loc} / w01 ")
+        return next(line for line in lines if line.startswith(heads)).replace(loc, "", 1)
+
+    records = (out / "change_records.csv").read_text(encoding="utf-8").splitlines()
+    alignments = (out / "alignments.txt").read_text(encoding="utf-8")
+    blocks = alignments.split("\n\n")
+    assert w01(records, "loc01") == w01(records, "loc02")
+    assert w01(blocks, "loc01") == w01(blocks, "loc02")
+    newer = next(r for r in w01(blocks, "loc01").split("\n") if r.startswith("newer\t"))
+    assert newer.replace("\t", "").replace("-", "") == "newer" + NASAL
+    assert "\u0303" not in alignments
+
+
 FIELD_VALUES = ("nan", "inf", "-0", "1e308", "5e-324", "", "\0")
 
 

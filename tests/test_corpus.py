@@ -252,7 +252,7 @@ def test_pair_unknown_symbol_names_the_first_record_that_holds_it(tmp_path, tabl
         + ["standard\tw1\tstandard\tstrɔət\tw1\t-"]
     )
     path = write_corpus(tmp_path, rows)
-    no_open_o = SegmentTable({s: table.classify(s) for s in "strdoaə"})
+    no_open_o = SegmentTable({s: table.entries[s] for s in "strdoaə"})
     with pytest.raises(ParseError) as info:
         pair(ingest(path), no_open_o)
     assert str(info.value) == (

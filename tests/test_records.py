@@ -71,9 +71,7 @@ def test_segment_rejects_a_flag_of_the_other_class(args, message):
     assert str(exc.value) == message
 
 
-def test_segment_str_and_alignment_length():
-    assert str(Segment("oː", "V", False, False)) == "oː"
-    assert f"{Segment('n', 'C', True, False)}" == "n"
+def test_alignment_length():
     assert Alignment((), 0.0).length == 0
     assert Alignment(((1, 1, 0),) * 3, 0.0).length == 3
 
