@@ -1,14 +1,15 @@
 """Command-line front end: pmi, align, and report subcommands.
 
-Each command returns its outputs, CSV/TSV texts by file name, and its
-input paths. Once it has succeeded, ``main`` writes the outputs, then a
-run manifest of the version, the configuration and the input and output
-digests, each to a temporary file, and renames them into place in that
-order. So identical configurations give byte-identical results, and a
-run that fails changes no file, unless a rename fails midway. Bad input
-data, a path that cannot be read or written, or running out of memory
-ends with exit 1, a bad option or option value with exit 2, an
-interrupt with 130, each with one line on stderr and no traceback.
+Each command returns only its outputs, CSV/TSV texts by file name. Once
+it has succeeded, ``main`` writes the outputs, then a run manifest of
+the version, the configuration, the digests of the input bytes that the
+run parsed (errors.digests) and of the outputs, each to a temporary
+file, and renames them into place in that order. So identical
+configurations give byte-identical results, and a run that fails changes
+no file, unless a rename fails midway. Bad input data, a path that
+cannot be read or written, or running out of memory ends with exit 1, a
+bad option or option value with exit 2, an interrupt with 130, each with
+one line on stderr and no traceback.
 """
 
 from __future__ import annotations
@@ -18,11 +19,10 @@ import hashlib
 import json
 import math
 import os
-import re
 import sys
 from types import SimpleNamespace
 
-from . import __version__, pmi as pmi_mod
+from . import __version__, errors, pmi as pmi_mod
 from .corpus import distinct, ingest, pair, read_groups, retention_report
 from .costs import BinaryDistanceTable, CostModel, binary_cost_model
 from .errors import DialignError, FirstLines, ParseError, read_table
@@ -36,11 +36,6 @@ EXIT_CONFIG_ERROR = 2
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as shells report it
 
 _RECORDS_HEADER = "location,word,conv,div,alignment_length"
-
-
-def _sha256(path) -> str:
-    with open(path, "rb") as f:
-        return hashlib.sha256(f.read()).hexdigest()
 
 
 def _missing_dirs(path) -> list[str]:
@@ -155,12 +150,12 @@ def cmd_align(args):
     outputs["change_records.csv"] = "\n".join(lines) + "\n"
     outputs["alignments.txt"] = "\n".join(dumps)
     outputs["retention.txt"] = retention_report(triples, excluded)
-    return outputs, [args.corpus, args.segments, args.pmi_table]
+    return outputs
 
 
 def cmd_pmi(args):
     triples, _ = _load_triples(args)
-    return _induce(args, triples)[1], [args.corpus, args.segments]
+    return _induce(args, triples)[1]
 
 
 def _read_change_records(path) -> list[ChangeRecord]:
@@ -242,7 +237,7 @@ def cmd_report(args):
     outputs["contrasts.csv"] = "\n".join(contrast_lines) + "\n"
     if geo is not None:
         outputs["geo.csv"] = geo
-    return outputs, [args.records, args.groups, args.coords]
+    return outputs
 
 
 _ABOUT = (
@@ -298,24 +293,22 @@ COMMANDS = {
 def _find(token, options):
     """The option of options that token names, by its name or a unique
     prefix, and the value after its '=' or None; (None, None) for an
-    unknown option, None for a value. As in argparse, a token that starts
-    with '-' and names no option is a value only if it is '-', a negative
-    number, or holds a space."""
-    if token[:1] != "-" or token == "-":
-        return None
+    unknown option, None for a value: a token that is not -h, -h=... or
+    starts with '--', such as -1e-3, or that names no option and holds a
+    space."""
     name, eq, value = token.partition("=")
     name = "--help" if name == "-h" else name
+    if name[:2] != "--":
+        return None
     found = [o for o in options if "--" + o[0] == name]
-    if not found and name.startswith("--") and len(name) > 2:
+    if not found and len(name) > 2:
         found = [o for o in options if o[0].startswith(name[2:])]
     if len(found) > 1:
         names = ", ".join("--" + o[0] for o in found)
         raise ValueError(f"ambiguous option {name}: could be {names}")
     if found:
         return found[0], (value if eq else None)
-    if " " in token or re.match(r"^-\d+$|^-\d*\.\d+$", token):
-        return None
-    return None, None
+    return None if " " in token else (None, None)
 
 
 def parse_args(argv):
@@ -450,11 +443,11 @@ def main(argv=None) -> int:
             print(args)
             return EXIT_OK
         _missing_dirs(args.out_dir)
-        outputs, inputs = args.func(args)
+        errors.digests.clear()
+        outputs = args.func(args)
         config = {k: v for k, v in vars(args).items() if k != "func"}
-        inputs = {p: _sha256(p) for p in inputs if p}
         digests = {n: hashlib.sha256(t.encode()).hexdigest() for n, t in outputs.items()}
-        manifest = {"config": config, "inputs": inputs, "outputs": digests}
+        manifest = {"config": config, "inputs": errors.digests, "outputs": digests}
         manifest["version"] = __version__
         text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"  # sorts all maps
         outputs["run_manifest.json"] = text

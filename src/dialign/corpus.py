@@ -119,7 +119,7 @@ def pair(
     once, so an unknown symbol names the first record, in that order,
     that holds it.
     """
-    standard = {r.word: r for r in records if r.source == "standard" and r.raw}
+    standard = {r.word: r for r in records if r.source == "standard"}
     cells: dict[tuple[str, str], list[CorpusRecord | None]] = {}  # [older, newer]
     for r in records:
         if r.source != "standard":
@@ -139,10 +139,8 @@ def pair(
         for r in (older, newer, std):
             if r is None:
                 continue
-            if r.exclusion is not None:
+            if r.exclusion is not None:  # ingest tags an empty transcription missing
                 reasons.add(r.exclusion)
-            if not r.raw:
-                reasons.add("missing")
         if (
             older is not None
             and newer is not None

@@ -1,10 +1,14 @@
-"""The input layer: the reader of every line-oriented input table, which
-decodes it as UTF-8 and normalises it to NFC once, so that names and
-symbols differing only in normal form are one; the duplicate-key check;
-and the two error types that bad input raises, DialignError and
-ParseError, a DialignError that names the file and line."""
+"""The input layer: the reader of every input table, which records the
+SHA-256 of the bytes it read and decodes them as UTF-8 in NFC once, so
+that names and symbols differing only in normal form are one; the
+duplicate-key check; and the two error types that bad input raises,
+DialignError and ParseError, a DialignError naming the file and line."""
 
+import hashlib
 import unicodedata
+
+# The SHA-256 of the bytes read_lines read of each file, by the path given.
+digests: dict[str, str] = {}
 
 
 class DialignError(Exception):
@@ -25,9 +29,10 @@ def read_lines(path) -> list[str]:
     number counts the "\\n" before it. No canonical composition involves
     a tab, a comma, "\\r" or "\\n", so normalising the whole text keeps
     every line and field as normalising each field would. A byte that is
-    not UTF-8 is a ParseError naming its line."""
+    not UTF-8 is a ParseError naming its line. Stores the bytes' digest."""
     with open(path, "rb") as f:
         data = f.read()
+    digests[path] = hashlib.sha256(data).hexdigest()
     if data.startswith(b"\xef\xbb\xbf"):  # stripped here, not by utf-8-sig,
         data = data[3:]  # so that error offsets index this data
     try:

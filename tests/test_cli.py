@@ -222,6 +222,33 @@ def test_config_errors(tmp_path, corpus_path, capsys):
         assert not out.exists(), argv
 
 
+@pytest.mark.parametrize(
+    "options, error",
+    [
+        (["--s", "x"], "ambiguous option --s: could be --segments, --smoothing"),
+        (["--unconstrained=yes"], "--unconstrained takes no value"),
+        # a token that does not start with "--" is a value, an exponent too
+        (["--smoothing", "-1e-3"], "smoothing must be finite and > 0, got -0.001"),
+    ],
+)
+def test_option_error_messages(tmp_path, corpus_path, capsys, options, error):
+    out = tmp_path / "o"
+    argv = ["align", "--corpus", str(corpus_path), "--out-dir", str(out), *options]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"config error: {error}\n"
+    assert not out.exists()
+
+
+def test_a_single_dash_token_after_an_option_is_its_value(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    assert main(["align", "--corpus", "-x", "--out-dir", "o", "--mode", "binary"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'-x'" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_manifest_config_of_each_command(tmp_path, corpus_path, capsys):
     # run_manifest.json's config holds every option of the command, by the
     # names and with the JSON types of the parsed values
@@ -1117,6 +1144,74 @@ def test_manifest_names_the_outputs_of_its_run(tmp_path, corpus_path):
     ]
     for name, digest in manifest["outputs"].items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+
+def test_manifest_inputs_are_the_digests_of_the_files_given(tmp_path, corpus_path):
+    # run_manifest.json's inputs map each file that the run was given, and
+    # no other, to the SHA-256 of its bytes
+    files = (
+        "--corpus", "--segments", "--pmi-table", "--records", "--groups", "--coords",
+    )
+
+    def run_with(*argv):
+        out = tmp_path / f"o{len(os.listdir(tmp_path))}"
+        assert main([*argv, "--out-dir", str(out)]) == 0, argv
+        given = [p for option, p in zip(argv, argv[1:]) if option in files]
+        want = {p: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in given}
+        text = (out / "run_manifest.json").read_text(encoding="utf-8")
+        assert json.loads(text)["inputs"] == want, argv
+        return out
+
+    corpus = str(corpus_path)
+    segments = tmp_path / "segments.tsv"
+    segments.write_text(
+        segments_table(corpus_path.read_text(encoding="utf-8")), encoding="utf-8"
+    )
+    with_segments = ("--corpus", corpus, "--segments", str(segments))
+    run_with("pmi", "--corpus", corpus)
+    table = str(run_with("pmi", *with_segments) / "pmi_table.tsv")
+    run_with("align", "--corpus", corpus)
+    run_with("align", *with_segments, "--mode", "binary")
+    out = run_with("align", *with_segments, "--mode", "load", "--pmi-table", table)
+    groups, coords = tmp_path / "groups.tsv", tmp_path / "coords.tsv"
+    groups.write_text(GROUPS_6, encoding="utf-8")
+    coords.write_text(
+        "".join(f"loc0{i}\t{i}\t5{i}\n" for i in range(1, 7)), encoding="utf-8"
+    )
+    report = ("report", "--n-perm", "999", "--records", str(out / "change_records.csv"))
+    run_with(*report, "--groups", str(groups))
+    run_with(*report, "--groups", str(groups), "--coords", str(coords))
+
+
+def test_manifest_inputs_are_the_bytes_that_the_run_parsed(tmp_path, monkeypatch):
+    # a corpus appended to after it was read keeps the digest of the bytes
+    # that the run parsed, not of the file that the run left
+    corpus = worked_example_corpus(tmp_path)
+    parsed = hashlib.sha256(corpus.read_bytes()).hexdigest()
+    pair = dialign.cli.pair
+
+    def appending_pair(records, table):
+        with open(corpus, "a", encoding="utf-8") as f:
+            f.write("kampen\tsteen\tolder\tsten\tsteen\t-\n")
+        return pair(records, table)
+
+    monkeypatch.setattr(dialign.cli, "pair", appending_pair)
+    out = tmp_path / "o"
+    argv = ["align", "--corpus", str(corpus), "--out-dir", str(out), "--mode", "binary"]
+    assert main(argv) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text(encoding="utf-8"))
+    assert hashlib.sha256(corpus.read_bytes()).hexdigest() != parsed
+    assert manifest["inputs"] == {str(corpus): parsed}
+
+
+def test_a_second_run_in_one_process_names_only_its_own_input(tmp_path, corpus_path):
+    other = worked_example_corpus(tmp_path)
+    for corpus, out in ((corpus_path, tmp_path / "o1"), (other, tmp_path / "o2")):
+        argv = ["align", "--corpus", str(corpus), "--out-dir", str(out)]
+        assert main([*argv, "--mode", "binary"]) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text(encoding="utf-8"))
+    digest = hashlib.sha256(other.read_bytes()).hexdigest()
+    assert manifest["inputs"] == {str(other): digest}
 
 
 @pytest.mark.parametrize("command", ["align", "report"])

@@ -172,6 +172,34 @@ def test_pair_missing_source_beats_other_reasons(tmp_path, table):
     assert excluded[0].reason == "missing"
 
 
+@pytest.mark.parametrize("raw", ["-", ""])
+@pytest.mark.parametrize("role", ["older", "newer", "standard"])
+def test_pair_excludes_an_empty_transcription_by_its_missing_tag(
+    tmp_path, table, role, raw
+):
+    # ingest admits an empty or "-" transcription only tagged missing, so
+    # the tag alone excludes its cell, as if the row were absent
+    rows = clean_cell("kampen", "w1") + clean_cell("kampen", "w2") + [
+        "standard\tw1\tstandard\tstrat\tw1\t-",
+        "standard\tw2\tstandard\tstrat\tw2\t-",
+    ]
+    i = {"older": 0, "newer": 1, "standard": 4}[role]
+    loc, word, source, _, cognate, _ = rows[i].split("\t")
+    tagged = rows[:i] + [f"{loc}\t{word}\t{source}\t{raw}\t{cognate}\tmissing"]
+    records = ingest(write_corpus(tmp_path, tagged + rows[i + 1 :]))
+    assert records[i].raw == "" and records[i].exclusion == "missing"
+    triples, excluded = pair(records, table)
+    assert [(t.location, t.word) for t in triples] == [("kampen", "w2")]
+    assert excluded == [("kampen", "w1", "missing")]
+    path = write_corpus(tmp_path, rows[:i] + rows[i + 1 :], "absent.tsv")
+    absent = pair(ingest(path), table)
+    assert retention_report(triples, excluded) == retention_report(*absent) == (
+        "location\tretained\ttotal\n"
+        "kampen\t1\t2\n"
+        "overall\t1\t2\t(retention 0.5000)\n"
+    )
+
+
 def test_pair_explicit_flags(tmp_path, table):
     rows = [
         "loc\tlater\tolder\tlatər\tlater\t-",
