@@ -9,7 +9,7 @@ are all present, unflagged, and the older/newer cognates match.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 from .errors import DialignError, FirstLines, ParseError, read_table
 from .phonetics import Segment, SegmentTable
@@ -133,23 +133,12 @@ def pair(
         older, newer = cells[(location, word)]
         std = standard.get(word)
 
-        reasons = set()
-        if older is None or newer is None or std is None:
-            reasons.add("missing")
-        for r in (older, newer, std):
-            if r is None:
-                continue
-            if r.exclusion is not None:  # ingest tags an empty transcription missing
-                reasons.add(r.exclusion)
-        if (
-            older is not None
-            and newer is not None
-            and older.cognate_id != newer.cognate_id
-        ):
+        reasons = {r.exclusion if r else "missing" for r in (older, newer, std)}
+        reasons.discard(None)  # an untagged row's
+        if older and newer and older.cognate_id != newer.cognate_id:
             reasons.add("lex")
-
         if reasons:
-            reason = next(p for p in EXCLUSIONS if p in reasons)
+            reason = min(reasons, key=EXCLUSIONS.index)
             excluded.append(ExcludedPair(location, word, reason))
             continue
         triples.append(
@@ -186,18 +175,13 @@ def retention_report(
 ) -> str:
     """The text of retention.txt: the retained and total cells of each
     location, then of the whole corpus with the retained share."""
-    per_location: dict[str, list[int]] = {}  # location -> [retained, total]
-    for t in triples:
-        per_location.setdefault(t.location, [0, 0])[0] += 1
-    for cell in [*triples, *excluded]:
-        per_location.setdefault(cell.location, [0, 0])[1] += 1
+    retained = Counter(t.location for t in triples)
+    total = Counter(cell.location for cell in [*triples, *excluded])
     lines = ["location\tretained\ttotal"]
-    for loc in sorted(per_location):
-        kept, total = per_location[loc]
-        lines.append(f"{loc}\t{kept}\t{total}")
-    retained, total = len(triples), len(triples) + len(excluded)
-    retention = retained / total if total else 0.0
-    lines.append(f"overall\t{retained}\t{total}\t(retention {retention:.4f})")
+    lines += [f"{loc}\t{retained[loc]}\t{total[loc]}" for loc in sorted(total)]
+    kept, cells = len(triples), len(triples) + len(excluded)
+    retention = kept / cells if cells else 0.0
+    lines.append(f"overall\t{kept}\t{cells}\t(retention {retention:.4f})")
     return "\n".join(lines) + "\n"
 
 

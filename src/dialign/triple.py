@@ -1,22 +1,24 @@
 """Three-string alignment of (older, newer, standard) transcriptions.
 
 The cubic-lattice DP uses seven column operations: advance any one
-string, any two, or all three; their order in MOVES matters only to the
-traceback. Column cost is the sum of the three pairwise distances, with
-gap-gap pairs costing 0 and segment-gap pairs priced at the segment's
-gap distance; so bounds from the three pairwise lattices (Carrillo and
-Lipman 1988) show which cells an optimal alignment can pass through,
-and the DP fills only those, with costs only; where moves tie, the
-traceback counts lengths with pairwise.longest. Each pair's lattice is
-filled forward once. The first sweep's bounds mark the nodes of each
-pair's alignments within EPS of its optimum (near_optimal); only if it
-misses the sum of the pairwise optima are the reversed lattices filled
-for the true bounds (through) of a second. Where two strings are
-equal and their symbols price 0 against themselves and more than EPS
-against the gap, the bound is met exactly with the two in lockstep, so
-one 2D alignment of the third string with them, each price doubled, is
-the triple's, and no 3D lattice is filled. Columns hold the cost
-model's numbers, 0 for a gap. Per-column direction of change is
+string, any two, or all three. Their order matters only to the
+traceback, which prefers them as listed here: older, newer, standard
+alone, then older and newer, older and standard, newer and standard,
+then all three. Column cost is the sum of the three pairwise distances,
+with gap-gap pairs costing 0 and segment-gap pairs priced at the
+segment's gap distance; so bounds from the three pairwise lattices
+(Carrillo and Lipman 1988) show which cells an optimal alignment can
+pass through, and the DP fills only those, with costs only; where moves
+tie, the traceback counts lengths with pairwise.longest. Each pair's
+lattice is filled forward once. The first sweep's bounds mark the nodes
+of each pair's alignments within EPS of its optimum (near_optimal);
+only if it misses the sum of the pairwise optima are the reversed
+lattices filled for the true bounds (through) of a second. Where two
+strings are equal and their symbols price 0 against themselves and more
+than EPS against the gap, the bound is met exactly with the two in
+lockstep, so one 2D alignment of the third string with them, each price
+doubled, is the triple's, and no 3D lattice is filled. Columns hold the
+cost model's numbers, 0 for a gap. Per-column direction of change is
 distance(newer, standard) - distance(older, standard): positive means
 divergence from the standard, negative convergence towards it.
 """
@@ -30,18 +32,6 @@ from operator import add
 
 from .costs import Alignment, CostModel
 from .pairwise import align_numbers, fill, longest, trace
-
-# Moves as (dx, dy, dz) in frozen traceback preference order: single-string
-# advances first (x, then y, then z), then pairs, then all three.
-MOVES = (
-    (1, 0, 0),
-    (0, 1, 0),
-    (0, 0, 1),
-    (1, 1, 0),
-    (1, 0, 1),
-    (0, 1, 1),
-    (1, 1, 1),
-)
 
 # Slack of the pruning bound, far above the float error of summing it in
 # another order than the DP sums the costs.
@@ -174,7 +164,8 @@ def align_triple(sx, sy, sz, cm: CostModel) -> Alignment:
     # optimum, met only with the equal two in lockstep: any other alignment
     # gaps each of them, at least 2 * EPS more, far above float error. A
     # lockstep move costs p + p (and a 0.0), exactly twice its 2D price p;
-    # with the third string first, 2D del > ins > sub is MOVES order. So
+    # with the third string first, 2D del > ins > sub is the traceback's
+    # order of the third string alone, the equal two, and all three. So
     # the sweep would trace the lockstep image of the 2D alignment.
     paired = lockstep(ux, uy, uz, cm)
     if paired is not None:
@@ -236,8 +227,9 @@ def align_triple(sx, sy, sz, cm: CostModel) -> Alignment:
                 r_x, r_y, r_xy = cost[i - 1][j], cost_i[j - 1], cost[i - 1][j - 1]
                 cy, cyz, dyz_j = c_y[j - 1], c_yz[j - 1], dyz[j - 1]
                 cxy, dxy_ij = c_xy[i - 1][j - 1], dxy[i - 1][j - 1]
-                # The moves are unrolled (about 3x faster than looping over
-                # MOVES); each row is named by the move that reads it.
+                # The moves are unrolled (about 3x faster than a loop over
+                # them), in the traceback's order; each row is named by the
+                # move that reads it.
                 for k in ks:
                     best = r_x[k] + cx  # (1, 0, 0)
                     c = r_y[k] + cy  # (0, 1, 0)
@@ -287,9 +279,10 @@ def align_triple(sx, sy, sz, cm: CostModel) -> Alignment:
         cost = sweep(found + EPS, *bounds)  # inf + EPS is inf
 
     def tight(node):
-        """The starts of the tight moves into a cell, in MOVES order; a
-        move from a pruned or outside cell is never tight. Each start's
-        cost plus price is summed as the sweep sums it."""
+        """The starts of the tight moves into a cell, in the traceback's
+        order (the module docstring's); a move from a pruned or outside
+        cell is never tight. Each start's cost plus price is summed as
+        the sweep sums it."""
         i, j, k = node
         a, b, h = i - 1, j - 1, k - 1
         r_x, r_y, r_xy, r_z = cost[a][j], cost[i][b], cost[a][b], cost[i][j]
@@ -310,8 +303,9 @@ def align_triple(sx, sy, sz, cm: CostModel) -> Alignment:
             out.append((a, b, h))
         return out
 
-    # Traceback. Where several moves are tight, take the first in MOVES
-    # order that keeps the alignment longest.
+    # Traceback. Where several moves are tight, take the first in the
+    # order of the module docstring (one string, in role order, then two,
+    # then all three) that keeps the alignment longest.
     columns, memo = [], {(0, 0, 0): 0}
     node = (nx, ny, nz)
     while any(node):

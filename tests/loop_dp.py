@@ -25,7 +25,19 @@ from dialign.errors import DialignError
 from dialign.pairwise import align_pair
 from dialign.phonetics import Segment
 from dialign.pmi import InductionOptions, PmiTable, distances_from_counts
-from dialign.triple import MOVES
+
+# The 3D moves as (dx, dy, dz), in the package traceback's tie order:
+# one string first (older, then newer, then standard), then two (older
+# and newer, older and standard, newer and standard), then all three.
+MOVES = (
+    (1, 0, 0),
+    (0, 1, 0),
+    (0, 0, 1),
+    (1, 1, 0),
+    (1, 0, 1),
+    (0, 1, 1),
+    (1, 1, 1),
+)
 
 
 class CapExceeded(DialignError):

@@ -1,9 +1,20 @@
+import tempfile
 import unicodedata
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dialign import corpus
-from dialign.corpus import distinct, ingest, pair, read_groups, retention_report
+from dialign.corpus import (
+    EXCLUSIONS,
+    SOURCES,
+    distinct,
+    ingest,
+    pair,
+    read_groups,
+    retention_report,
+)
 from dialign.errors import ParseError
 from dialign.phonetics import SegmentTable, tokenize
 
@@ -224,6 +235,86 @@ def test_pair_exclusion_priority(tmp_path, table, older_tag, cognate, reason):
     triples, excluded = pair(ingest(write_corpus(tmp_path, rows)), table)
     assert not triples
     assert excluded[0].reason == reason
+
+
+@pytest.mark.parametrize("tagged", ["older", "newer", "standard"])
+def test_pair_a_missing_tag_beats_a_cognate_mismatch(tmp_path, table, tagged):
+    # all three rows present, one tagged missing, older and newer of
+    # different cognates
+    tag = {role: "missing" if role == tagged else "-" for role in SOURCES}
+    rows = [
+        f"loc\tsteen\tolder\tsten\tsteen\t{tag['older']}",
+        f"loc\tsteen\tnewer\tkɛi\tkei\t{tag['newer']}",
+        f"standard\tsteen\tstandard\tsten\tsteen\t{tag['standard']}",
+    ]
+    triples, excluded = pair(ingest(write_corpus(tmp_path, rows)), table)
+    assert not triples
+    assert excluded == [("loc", "steen", "missing")]
+
+
+def test_pair_no_standard_row_beats_a_cognate_mismatch(tmp_path, table):
+    rows = [
+        "loc\tsteen\tolder\tsten\tsteen\t-",
+        "loc\tsteen\tnewer\tkɛi\tkei\t-",
+    ]
+    triples, excluded = pair(ingest(write_corpus(tmp_path, rows)), table)
+    assert not triples
+    assert excluded == [("loc", "steen", "missing")]
+
+
+# A row of a cell: absent (None), or its transcription, cognate id and
+# exclusion fields; a transcription may be empty only under missing.
+COGNATE = st.sampled_from(["a", "b", "-", ""])
+ROW = st.one_of(
+    st.tuples(st.just("strat"), COGNATE, st.just("-")),
+    st.tuples(st.just("strat"), COGNATE, st.sampled_from(EXCLUSIONS)),
+    st.tuples(st.sampled_from(["-", ""]), COGNATE, st.just("missing")),
+    st.none(),
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(
+    st.dictionaries(st.sampled_from(["w1", "w2", "w3"]), ROW),  # standard rows
+    st.dictionaries(
+        st.tuples(st.sampled_from(["l1", "l2"]), st.sampled_from(["w1", "w2", "w3"])),
+        st.tuples(ROW, ROW),  # older, newer
+    ),
+)
+def test_pair_excludes_a_cell_by_the_first_of_its_reasons(table, standards, cells):
+    # README's rule: a cell's reasons are each present row's tag, missing
+    # for each absent row, and lex when older and newer are both present
+    # with different cognate ids ("-" and empty both mean none); the cell
+    # is excluded when they are not empty, by the first in EXCLUSIONS
+    lines, expected = [], {}
+    for (loc, word), (older, newer) in sorted(cells.items()):
+        std = standards.get(word)
+        for source, row in (("older", older), ("newer", newer)):
+            if row is not None:
+                lines.append("\t".join((loc, word, source, *row)))
+        if older is None and newer is None:
+            continue  # no row names the cell
+        reasons = set()
+        for row in (older, newer, std):
+            if row is None:
+                reasons.add("missing")
+            elif row[2] != "-":
+                reasons.add(row[2])
+        ids = [None if row[1] in ("-", "") else row[1] for row in (older, newer) if row]
+        if len(ids) == 2 and ids[0] != ids[1]:
+            reasons.add("lex")
+        expected[(loc, word)] = next((p for p in EXCLUSIONS if p in reasons), None)
+    for word, row in standards.items():
+        if row is not None:
+            lines.append("\t".join(("standard", word, "standard", *row)))
+    with tempfile.TemporaryDirectory() as tmp:
+        triples, excluded = pair(ingest(write_corpus(Path(tmp), lines)), table)
+    assert [(t.location, t.word) for t in triples] == [
+        cell for cell, reason in sorted(expected.items()) if reason is None
+    ]
+    assert excluded == [
+        (*cell, reason) for cell, reason in sorted(expected.items()) if reason
+    ]
 
 
 def test_pair_partition_complete_and_ordered(tmp_path, table):

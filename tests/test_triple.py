@@ -3,12 +3,12 @@ import itertools
 import random
 
 import pytest
-from loop_dp import as_symbols, brute_force_min_cost, double_pairwise_delta
+from loop_dp import MOVES, as_symbols, brute_force_min_cost, double_pairwise_delta
 
 from dialign import triple
 from dialign.costs import GAP, Alignment, CostModel, binary_cost_model
 from dialign.pmi import PmiTable, induce_distances
-from dialign.triple import MOVES, align_triple, decompose, directions
+from dialign.triple import align_triple, decompose, directions
 
 
 def test_worked_example_reproduces_reference_layout(tok):
