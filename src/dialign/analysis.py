@@ -12,9 +12,8 @@ from collections import namedtuple
 
 import numpy as np
 
-from .corpus import GROUPS
+from .corpus import GROUPS, ChangeRecord
 from .errors import DialignError
-from .triple import ChangeRecord
 
 
 GroupSummary = namedtuple("GroupSummary", "group mean_conv mean_div n_records")

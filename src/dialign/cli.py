@@ -23,12 +23,12 @@ import sys
 from types import SimpleNamespace
 
 from . import __version__, errors, pmi as pmi_mod
-from .corpus import distinct, ingest, pair, read_groups, retention_report
+from .corpus import ChangeRecord, distinct, ingest, pair, read_groups, retention_report
 from .costs import BinaryDistanceTable, CostModel, binary_cost_model
 from .errors import DialignError, FirstLines, ParseError, read_table
 from .pmi import InductionOptions, PmiTable
 from .phonetics import SegmentTable
-from .triple import ChangeRecord, align_triple, decompose, directions, price
+from .triple import align_triple, decompose, directions, price
 
 EXIT_OK = 0
 EXIT_DATA_ERROR = 1
@@ -197,7 +197,7 @@ def cmd_report(args):
     records = _read_change_records(args.records)
     groups = read_groups(args.groups)
     by_loc = analysis.by_location(records, groups)
-    geo = None
+    outputs = {}
     if args.coords:  # a bad coords file fails before the permutation test
         coords, seen = {}, FirstLines(args.coords)
         usage = "location<TAB>lon<TAB>lat"
@@ -211,7 +211,7 @@ def cmd_report(args):
                 raise ParseError(
                     args.coords, lineno, f"coordinates {lon}, {lat} not finite"
                 )
-        geo = analysis.export_geo(by_loc, coords)
+        outputs["geo.csv"] = analysis.export_geo(by_loc, coords)
 
     summaries = analysis.summarize(by_loc, groups)
     contrasts = analysis.permutation_contrast(
@@ -226,7 +226,7 @@ def cmd_report(args):
                 f"{s.group}\t{s.n_records}\t{s.mean_conv:.6f}\t{s.mean_div:.6f}"
                 f"\t{s.mean_conv + s.mean_div:.6f}"
             )
-    outputs = {"summary.txt": "\n".join(lines) + "\n"}
+    outputs["summary.txt"] = "\n".join(lines) + "\n"
 
     contrast_lines = ["measure,statistic,p_value,n_permutations,direction"]
     for result in contrasts:
@@ -235,8 +235,6 @@ def cmd_report(args):
             f"{result.n_permutations},{result.direction}"
         )
     outputs["contrasts.csv"] = "\n".join(contrast_lines) + "\n"
-    if geo is not None:
-        outputs["geo.csv"] = geo
     return outputs
 
 
@@ -385,8 +383,10 @@ def _help(command=None) -> str:
 
 
 def _validate(args) -> None:
-    if not args.out_dir:  # an unset shell variable would write into the cwd
-        raise ValueError("--out-dir must not be empty")
+    for name, _, convert, _ in COMMANDS[args.command][2]:
+        # a str option is a path, which an unset shell variable leaves empty
+        if convert is str and getattr(args, name.replace("-", "_")) == "":
+            raise ValueError(f"--{name} must not be empty")
     if args.command in ("pmi", "align"):  # InductionOptions checks the values
         InductionOptions(max_iter=args.max_iter, smoothing=args.smoothing)
     if args.command == "align" and (args.mode == "load") != bool(args.pmi_table):

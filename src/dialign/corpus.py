@@ -66,6 +66,10 @@ class ExcludedPair(namedtuple("ExcludedPair", "location word reason")):
     __slots__ = ()
 
 
+# A change_records.csv row, as align writes it and report reads it.
+ChangeRecord = namedtuple("ChangeRecord", "location word conv div alignment_length")
+
+
 def ingest(path) -> list[CorpusRecord]:
     """Parse the corpus TSV; duplicate (location, word, source) rows and
     malformed fields are errors."""

@@ -26,7 +26,6 @@ divergence from the standard, negative convergence towards it.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from itertools import zip_longest
 from operator import add
 
@@ -36,9 +35,6 @@ from .pairwise import align_numbers, fill, longest, trace
 # Slack of the pruning bound, far above the float error of summing it in
 # another order than the DP sums the costs.
 EPS = 1e-9
-
-
-ChangeRecord = namedtuple("ChangeRecord", "location word conv div alignment_length")
 
 
 def through(fwd, ua, ub, C):

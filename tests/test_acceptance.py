@@ -23,7 +23,7 @@ from loop_dp import (
 )
 
 from dialign.cli import main
-from dialign.corpus import ingest, pair
+from dialign.corpus import ChangeRecord, ingest, pair
 from dialign.costs import GAP, CostModel, binary_cost_model
 from dialign.pairwise import align_pair
 from dialign.phonetics import SegmentTable
@@ -31,7 +31,6 @@ from dialign.pmi import induce_distances
 from dialign.synth import make_benchmark_corpus, make_mixed_corpus
 from dialign.triple import align_triple, decompose, directions
 from dialign.analysis import by_location, permutation_contrast
-from dialign.triple import ChangeRecord
 
 DATA_DIR = Path(__file__).parents[1] / "data" / "synthetic"
 

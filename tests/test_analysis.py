@@ -12,8 +12,8 @@ from dialign.analysis import (
     permutation_contrast,
     summarize,
 )
+from dialign.corpus import ChangeRecord
 from dialign.errors import DialignError
-from dialign.triple import ChangeRecord
 
 
 def make_groups(n_ls=10, n_other=10):

@@ -141,18 +141,27 @@ def test_relative_nested_out_dir_is_made_on_first_write(tmp_path, monkeypatch):
     ]
 
 
-# An empty --out-dir, as an unset shell variable gives, would write every
-# output into the working directory, over files of the same names.
-@pytest.mark.parametrize("command", ["pmi", "align", "report"])
-def test_empty_out_dir_is_a_config_error(
-    tmp_path, corpus_path, capsys, monkeypatch, command
+# An empty path, as an unset shell variable gives, would read the built-in
+# segment table, leave out geo.csv or write every output into the working
+# directory, so each path option of each command rejects it before any
+# input is read. A run that went on would make --out-dir o in the working
+# directory.
+@pytest.mark.parametrize(
+    "command,option",
+    [("pmi", o) for o in ("corpus", "segments", "out-dir")]
+    + [("align", o) for o in ("corpus", "segments", "out-dir", "pmi-table")]
+    + [("report", o) for o in ("records", "groups", "coords", "out-dir")],
+)
+def test_empty_path_is_a_config_error(
+    tmp_path, corpus_path, capsys, monkeypatch, command, option
 ):
     groups = tmp_path / "groups.tsv"
     groups.write_text(GROUPS_6, encoding="utf-8")
     records = tmp_path / "a" / "change_records.csv"
+    mode = "load" if option == "pmi-table" else "binary"
     argv = {
         "pmi": ["pmi", "--corpus", str(corpus_path)],
-        "align": ["align", "--corpus", str(corpus_path), "--mode", "binary"],
+        "align": ["align", "--corpus", str(corpus_path), "--mode", mode],
         "report": [
             "report", "--records", str(records), "--groups", str(groups),
             "--n-perm", "999",
@@ -161,12 +170,15 @@ def test_empty_out_dir_is_a_config_error(
     if command == "report":
         align = ["align", "--corpus", str(corpus_path), "--mode", "binary"]
         assert main([*align, "--out-dir", str(records.parent)]) == 0
+    for name, value in {"out-dir": "o", option: ""}.items():
+        argv += [f"--{name}", value]
     cwd = tmp_path / "cwd"
     cwd.mkdir()
     monkeypatch.chdir(cwd)
-    assert main([*argv, "--out-dir", ""]) == 2
-    assert capsys.readouterr().err == "config error: --out-dir must not be empty\n"
-    assert os.listdir(cwd) == []
+    dialign.errors.digests.clear()  # each input read is digested here
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"config error: --{option} must not be empty\n"
+    assert os.listdir(cwd) == [] and dialign.errors.digests == {}
 
 
 @pytest.mark.parametrize(
@@ -446,6 +458,27 @@ def test_cli_import_does_not_load_numpy():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
+def test_analysis_import_leaves_the_aligner_unloaded():
+    # report reads change records and aligns nothing, so it pays for no
+    # alignment module's import
+    env = dict(os.environ, PYTHONPATH=str(Path(dialign.__file__).parents[1]))
+    code = (
+        "import dialign.analysis, sys; print(' '.join(m for m in ('dialign.triple',"
+        " 'dialign.pairwise', 'dialign.costs') if m in sys.modules))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout.split() == []
+
+
+def test_package_version_matches_pyproject():
+    # run_manifest.json records dialign.__version__; pip installs the
+    # version in pyproject.toml, read by a regex as tomllib needs 3.11
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.findall(r'^version = "(.*)"$', text, re.M) == [dialign.__version__]
+
+
 def test_cli_starts_without_dataclasses():
     # Every command pays its imports at start-up; -S keeps a site hook
     # from loading these modules before dialign.cli does.
@@ -486,7 +519,11 @@ def test_help_names_the_commands(capsys):
 
 def test_align_help_names_every_option_with_its_default(capsys):
     assert main(["align", "--help"]) == 0
-    lines = capsys.readouterr().out.splitlines()
+    out = capsys.readouterr().out
+    # --help wins over an empty path, which is rejected only after parsing
+    assert main(["align", "--segments", "", "--help"]) == 0
+    assert capsys.readouterr().out == out
+    lines = out.splitlines()
     for option, note in [
         ("--corpus", "(required)"), ("--segments", "default: built-in IPA table"),
         ("--out-dir", "(required)"), ("--unconstrained", ""),

@@ -6,11 +6,10 @@ import math
 import pytest
 
 from dialign.analysis import ContrastResult, GroupSummary
-from dialign.corpus import CorpusRecord, ExcludedPair, PairedTriple
+from dialign.corpus import ChangeRecord, CorpusRecord, ExcludedPair, PairedTriple
 from dialign.costs import GAP, Alignment
 from dialign.phonetics import Segment
 from dialign.pmi import InductionOptions, PmiTable
-from dialign.triple import ChangeRecord
 
 SEG = Segment("a", "V", False, False)
 
