@@ -4,19 +4,19 @@ Each command returns only its outputs, CSV/TSV texts by file name. Once
 it has succeeded, ``main`` writes the outputs, then a run manifest of
 the version, the configuration, the digests of the input bytes that the
 run parsed (errors.digests) and of the outputs, each to a temporary
-file, and renames them into place in that order. So identical
-configurations give byte-identical results, and a run that fails changes
-no file, unless a rename fails midway. Bad input data, a path that
-cannot be read or written, or running out of memory ends with exit 1, a
-bad option or option value with exit 2, an interrupt with 130, each with
-one line on stderr and no traceback.
+file, and renames them into place in that order. ``_json`` writes the
+manifest as json.dumps(indent=2, sort_keys=True) does, without importing
+json. So identical configurations give byte-identical results, and a run
+that fails changes no file, unless a rename fails midway. Bad input
+data, a path that cannot be read or written, or running out of memory
+ends with exit 1, a bad option or option value with exit 2, an interrupt
+with 130, each with one line on stderr and no traceback.
 """
 
 from __future__ import annotations
 
 import gc
 import hashlib
-import json
 import math
 import os
 import sys
@@ -426,6 +426,32 @@ def _write_outputs(out_dir, outputs) -> None:
         raise
 
 
+class _Escapes(dict):
+    """str.translate's table of json's ensure_ascii text of each code point."""
+
+    def __missing__(self, n):  # \uXXXX per UTF-16 code unit, a lone surrogate's too
+        units = [0xD800 + (n - 0x10000 >> 10), 0xDC00 | n & 0x3FF] if n > 0xFFFF else [n]
+        text = chr(n) if 0x20 <= n < 0x7F else "".join(f"\\u{u:04x}" for u in units)
+        return self.setdefault(n, text)
+
+
+_ESCAPES = _Escapes({ord(c): "\\" + e for c, e in zip('"\\\n\r\t\b\f', '"\\nrtbf')})
+
+
+def _json(value, pad="") -> str:
+    """value as json.dumps(value, indent=2, sort_keys=True) writes it, for a
+    manifest's str, int, bool, None, finite float and dict of str keys; any
+    other value, NaN and the infinities among them, raises TypeError."""
+    if type(value) is str:
+        return '"' + value.translate(_ESCAPES) + '"'
+    if value is None or type(value) in (bool, int, float) and abs(value) < math.inf:
+        return "null" if value is None else repr(value).lower()  # true, false
+    if type(value) is not dict or not all(type(k) is str for k in value):
+        raise TypeError(f"{type(value).__name__} {value!r} is not a manifest value")
+    items = [f"{pad}  {_json(k)}: {_json(value[k], pad + '  ')}" for k in sorted(value)]
+    return "{\n" + ",\n".join(items) + f"\n{pad}}}" if items else "{}"
+
+
 def main(argv=None) -> int:
     """Run one command and write its outputs, the manifest last; returns
     the exit code. Nothing is written unless the command succeeds and no
@@ -449,8 +475,7 @@ def main(argv=None) -> int:
         digests = {n: hashlib.sha256(t.encode()).hexdigest() for n, t in outputs.items()}
         manifest = {"config": config, "inputs": errors.digests, "outputs": digests}
         manifest["version"] = __version__
-        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"  # sorts all maps
-        outputs["run_manifest.json"] = text
+        outputs["run_manifest.json"] = _json(manifest) + "\n"
         _write_outputs(args.out_dir, outputs)
         return EXIT_OK
     except (OSError, DialignError, MemoryError) as exc:  # OSError: an unusable path

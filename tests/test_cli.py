@@ -13,7 +13,7 @@ import unicodedata
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import dialign
 import dialign.cli
@@ -481,12 +481,14 @@ def test_package_version_matches_pyproject():
 
 def test_cli_starts_without_dataclasses():
     # Every command pays its imports at start-up; -S keeps a site hook
-    # from loading these modules before dialign.cli does.
+    # from loading these modules before dialign.cli does. Without json,
+    # nothing that cli imports loads re or, through it, enum.
     src = str(Path(dialign.__file__).parents[1])
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import dialign.cli; "
         "print(' '.join(m for m in ('dataclasses', 'typing', 'inspect', 'numpy',"
-        " 'logging', 'pathlib', 'argparse', 'gettext', 'locale') if m in sys.modules))"
+        " 'logging', 'pathlib', 'argparse', 'gettext', 'locale', 'json', 're',"
+        " 'enum') if m in sys.modules))"
     )
     run = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
@@ -496,18 +498,62 @@ def test_cli_starts_without_dataclasses():
 
 def test_align_run_leaves_locale_unloaded(tmp_path):
     # option parsing formats its own messages, so no run pays for gettext's
-    # import of locale
+    # import of locale; cli writes the manifest itself, so no run imports
+    # json, not even once its command has run
     src = str(Path(dialign.__file__).parents[1])
-    argv = ["align", "--corpus", str(DATA_DIR / "corpus.tsv"), "--mode", "binary"]
-    argv += ["--out-dir", str(tmp_path / "o")]
+    corpus = ["--corpus", str(DATA_DIR / "corpus.tsv")]
+    align = ["align", *corpus, "--mode", "binary", "--out-dir", str(tmp_path / "a")]
+    pmi = ["pmi", *corpus, "--max-iter", "2", "--out-dir", str(tmp_path / "p")]
+    loaded = "print(*(m in sys.modules for m in ('locale', 'json')))"
     code = (
         f"import sys; sys.path.insert(0, {src!r}); from dialign.cli import main; "
-        f"assert main({argv!r}) == 0; print('locale' in sys.modules)"
+        f"assert main({align!r}) == 0; {loaded}; assert main({pmi!r}) == 0; {loaded}"
     )
     run = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
     )
-    assert run.stdout.split() == ["False"]
+    assert run.stdout.split() == ["False"] * 4
+    assert (tmp_path / "p" / "run_manifest.json").is_file()
+
+
+# Manifest values: nested dicts of str keys over str (lone surrogates,
+# as an undecodable path gives, among the characters), int, bool, None
+# and finite floats.
+_MANIFEST_TEXT = st.text(
+    st.characters(exclude_categories=()) | st.characters(categories=["Cs"])
+)
+_MANIFEST_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | _MANIFEST_TEXT
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda values: st.dictionaries(_MANIFEST_TEXT, values, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.dictionaries(_MANIFEST_TEXT, _MANIFEST_VALUES, max_size=5))
+@example({})
+@example({"": {}, "a": {"b": {}}})
+@example({"\x00\x08\t\n\x0b\x0c\r\x1b\x1f": "\x00\x01\b\f\n\r\t\x1f"})
+@example({'"': "\\", "\x7f": "\x7f~ ", "\u00e9": "caf\u00e9"})
+@example({"astral": "\U0001f600\U00010000\U0010ffff", "\uffff": "\ud7ff\ue000"})
+@example({"lone": "out/\udcff\udc80", "pair": "\ud83d\ude00", "high": "\ud800"})
+@example({"floats": {"a": -0.0, "b": 1e16, "c": 5e-324, "d": 1.7976931348623157e308}})
+@example({"ints": {"big": 10**400, "neg": -1, "zero": 0}, "t": True, "f": False, "n": None})
+def test_manifest_writer_matches_json_dumps(manifest):
+    assert dialign.cli._json(manifest) == json.dumps(manifest, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [float("inf"), -float("inf"), float("nan"), (1, 2), ["a"], b"a", {1: "a"}],
+    ids=["inf", "-inf", "nan", "tuple", "list", "bytes", "int-key"],
+)
+def test_manifest_writer_rejects_what_is_not_a_manifest_value(value):
+    # json.dumps would write Infinity, NaN, a tuple as a list or an int key
+    # as a string; the writer raises instead
+    with pytest.raises(TypeError):
+        dialign.cli._json({"config": {"value": value}})
 
 
 def test_help_names_the_commands(capsys):
