@@ -16,7 +16,6 @@ with 130, each with one line on stderr and no traceback.
 from __future__ import annotations
 
 import gc
-import hashlib
 import math
 import os
 import sys
@@ -472,7 +471,7 @@ def main(argv=None) -> int:
         errors.digests.clear()
         outputs = args.func(args)
         config = {k: v for k, v in vars(args).items() if k != "func"}
-        digests = {n: hashlib.sha256(t.encode()).hexdigest() for n, t in outputs.items()}
+        digests = {n: errors.sha256(t.encode()).hexdigest() for n, t in outputs.items()}
         manifest = {"config": config, "inputs": errors.digests, "outputs": digests}
         manifest["version"] = __version__
         outputs["run_manifest.json"] = _json(manifest) + "\n"

@@ -4,8 +4,15 @@ that names and symbols differing only in normal form are one; the
 duplicate-key check; and the two error types that bad input raises,
 DialignError and ParseError, a DialignError naming the file and line."""
 
-import hashlib
 import unicodedata
+
+try:  # CPython's own SHA-256; importing hashlib would map OpenSSL's libcrypto
+    from _sha2 import sha256  # CPython >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython <= 3.11
+    except ImportError:  # a build without either
+        from hashlib import sha256
 
 # The SHA-256 of the bytes read_lines read of each file, by the path given.
 digests: dict[str, str] = {}
@@ -32,7 +39,7 @@ def read_lines(path) -> list[str]:
     not UTF-8 is a ParseError naming its line. Stores the bytes' digest."""
     with open(path, "rb") as f:
         data = f.read()
-    digests[path] = hashlib.sha256(data).hexdigest()
+    digests[path] = sha256(data).hexdigest()
     if data.startswith(b"\xef\xbb\xbf"):  # stripped here, not by utf-8-sig,
         data = data[3:]  # so that error offsets index this data
     try:

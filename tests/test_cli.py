@@ -17,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import dialign
 import dialign.cli
+import dialign.errors
 import dialign.triple
 from dialign.cli import main
 from dialign.corpus import ingest, pair
@@ -482,13 +483,14 @@ def test_package_version_matches_pyproject():
 def test_cli_starts_without_dataclasses():
     # Every command pays its imports at start-up; -S keeps a site hook
     # from loading these modules before dialign.cli does. Without json,
-    # nothing that cli imports loads re or, through it, enum.
+    # nothing that cli imports loads re or, through it, enum; digests come
+    # from the built-in SHA-256, so no OpenSSL is mapped through hashlib.
     src = str(Path(dialign.__file__).parents[1])
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import dialign.cli; "
         "print(' '.join(m for m in ('dataclasses', 'typing', 'inspect', 'numpy',"
         " 'logging', 'pathlib', 'argparse', 'gettext', 'locale', 'json', 're',"
-        " 'enum') if m in sys.modules))"
+        " 'enum', 'hashlib', '_hashlib') if m in sys.modules))"
     )
     run = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
@@ -499,12 +501,13 @@ def test_cli_starts_without_dataclasses():
 def test_align_run_leaves_locale_unloaded(tmp_path):
     # option parsing formats its own messages, so no run pays for gettext's
     # import of locale; cli writes the manifest itself, so no run imports
-    # json, not even once its command has run
+    # json, not even once its command has run; and digesting the inputs and
+    # outputs loads no OpenSSL
     src = str(Path(dialign.__file__).parents[1])
     corpus = ["--corpus", str(DATA_DIR / "corpus.tsv")]
     align = ["align", *corpus, "--mode", "binary", "--out-dir", str(tmp_path / "a")]
     pmi = ["pmi", *corpus, "--max-iter", "2", "--out-dir", str(tmp_path / "p")]
-    loaded = "print(*(m in sys.modules for m in ('locale', 'json')))"
+    loaded = "print(*(m in sys.modules for m in ('locale', 'json', '_hashlib')))"
     code = (
         f"import sys; sys.path.insert(0, {src!r}); from dialign.cli import main; "
         f"assert main({align!r}) == 0; {loaded}; assert main({pmi!r}) == 0; {loaded}"
@@ -512,8 +515,56 @@ def test_align_run_leaves_locale_unloaded(tmp_path):
     run = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
     )
-    assert run.stdout.split() == ["False"] * 4
+    assert run.stdout.split() == ["False"] * 6
     assert (tmp_path / "p" / "run_manifest.json").is_file()
+
+
+def test_hashlib_fallback_writes_the_same_digests(tmp_path):
+    # a build with neither built-in module, _sha2 (CPython >= 3.12) nor
+    # _sha256, digests through hashlib, to the same manifest
+    src = str(Path(dialign.__file__).parents[1])
+    corpus = ["--corpus", str(DATA_DIR / "corpus.tsv"), "--mode", "binary"]
+    masked, builtin = tmp_path / "masked", tmp_path / "builtin"
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); "
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None; "
+        "import hashlib; from dialign import errors; from dialign.cli import main; "
+        "assert errors.sha256 is hashlib.sha256; "
+        f"sys.exit(main(['align', *{corpus!r}, '--out-dir', {str(masked)!r}]))"
+    )
+    subprocess.run([sys.executable, "-S", "-c", code], check=True)
+    assert main(["align", *corpus, "--out-dir", str(builtin)]) == 0
+    manifests = [
+        json.loads((out / "run_manifest.json").read_text(encoding="utf-8"))
+        for out in (masked, builtin)
+    ]
+    for key in ("inputs", "outputs"):
+        assert manifests[0][key] == manifests[1][key]
+    assert len(manifests[0]["outputs"]) == 3
+
+
+def _records_text():
+    # a records file of report-perm's shape, 200 locations x 30 words, ~185 KB
+    rng = random.Random(0)
+    rows = [
+        f"loc{i:03d},w{j:02d},{rng.random():.6f},{rng.random():.6f},{rng.randint(3, 14)}\n"
+        for i in range(200)
+        for j in range(30)
+    ]
+    return "location,word,conv,div,alignment_length\n" + "".join(rows)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"",
+        b"\xef\xbb\xbf" + (DATA_DIR / "corpus.tsv").read_bytes(),
+        _records_text().encode(),
+    ],
+    ids=["empty", "bom-corpus", "records"],
+)
+def test_builtin_sha256_matches_hashlib(data):
+    assert dialign.errors.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
 
 
 # Manifest values: nested dicts of str keys over str (lone surrogates,
