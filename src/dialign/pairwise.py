@@ -7,15 +7,17 @@ and the price table, never a symbol, and the fill can start from rows
 already built: align_numbers takes those of the cost model's last fill
 where the second string is the same and the first shares a prefix.
 align_pair numbers two segment tuples and aligns their numbers with it.
-Two equal strings whose symbols price 0 against themselves and above 0
-against the gap take the diagonal, with no fill. `trace` is the one 2D
-traceback, shared with triple's star bound; like the 3D traceback, it
-counts lengths with `longest` only at a tie. When costs tie, deletion is preferred over
+Two strings of equal length whose diagonal costs less than any gapped
+alignment take it with no fill. `trace` is the one 2D traceback,
+shared with triple's star bound; like the 3D traceback, it counts lengths
+with `longest` only at a tie. When costs tie, deletion is preferred over
 insertion over substitution, applied right-to-left, among the moves that
 keep the alignment longest.
 """
 
 from __future__ import annotations
+
+from math import inf
 
 from .costs import Alignment, CostModel
 
@@ -136,11 +138,22 @@ def trace(cost, ua, ub, C):
 def align_numbers(ua, ub, cm: CostModel) -> Alignment:
     """Minimal-cost alignment of maximal length among the optima of two
     strings numbered ua and ub in cm, as pairs of their numbers, 0 for
-    the gap."""
+    the gap. Prices are at least 0 and rounded addition is monotone, so
+    where ua and ub are of equal length, every other alignment, having a
+    deletion and an insertion, costs at least ua's least gap price plus
+    ub's; a diagonal that sums, as the fill sums it, below that bound is
+    returned with no fill. It must be below: a longer optimum may tie it."""
     C, last = cm.cost, cm.last_fill
-    if ua == ub and all(C[u][u] == 0.0 and C[u][0] > 0.0 for u in ua):
-        # Every other alignment has a gap column, which prices above 0.
-        return Alignment(tuple(zip(ua, ua)), 0.0)
+    if len(ua) == len(ub):  # the diagonal, summed as the fill sums it
+        gap, diagonal = C[0], 0.0
+        for u, v in zip(ua, ub):
+            diagonal += C[u][v]
+            if diagonal >= gap[u] + gap[v]:  # not below the bound: fill
+                break
+        else:
+            least = min(map(gap.__getitem__, ua), default=inf)
+            if diagonal < least + min(map(gap.__getitem__, ub), default=inf):
+                return Alignment(tuple(zip(ua, ub)), diagonal)
     # The rows of the last fill under cm for the same b and a prefix of a
     # are this fill's rows; callers that sort their pairs share the most.
     head = None

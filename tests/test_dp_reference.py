@@ -27,7 +27,7 @@ from loop_dp import (
 from dialign import costs
 from dialign.corpus import ingest, pair
 from dialign.costs import GAP, BinaryDistanceTable, CostModel, binary_cost_model
-from dialign.pairwise import align_pair, fill
+from dialign.pairwise import align_numbers, align_pair, fill
 from dialign.phonetics import SegmentTable, tokenize
 from dialign.pmi import InductionOptions, PmiTable, induce_distances
 from dialign.synth import make_mixed_corpus
@@ -302,11 +302,13 @@ def test_align_triple_with_two_equal_strings_matches_loop_reference(a, b, cm):
         assert got == align_triple_loop(x, y, z, cm)
 
 
-# align_pair returns the diagonal of two equal strings without a fill
-# where each of their symbols prices 0 against itself and above 0 against
-# the gap. Under FREE_GAP a "t" gaps for nothing, and under SELF_PRICED an
-# "a" prices 0.25 against itself, so both take the DP; under the first,
-# two "t"s that do not advance together give a longer optimum.
+# align_pair returns the diagonal of two strings of equal length without
+# a fill where it costs less than any gapped alignment: less than the
+# least gap price of one string plus that of the other. Under FREE_GAP a
+# "t" gaps for nothing, so "tat" takes the DP, and two "t"s that do not
+# advance together give a longer optimum. Under SELF_PRICED an "a" prices
+# 0.25 against itself: the diagonal of "ata", 0.5, is below the bound of
+# 1.0 and needs no fill, but that of "aaaa", 1.0, meets it, so the DP runs.
 SELF_PRICED = CostModel(
     PmiTable({(GAP, "a"): 0.5, (GAP, "t"): 0.5, ("a", "a"): 0.25, ("a", "t"): 1.0}),
     constrained=False,
@@ -317,8 +319,74 @@ SELF_PRICED = CostModel(
 @given(words(8), st.one_of(ANY_COSTS, DYADIC_COSTS))
 @example(*tok("tat"), FREE_GAP)
 @example(*tok("ata"), SELF_PRICED)
+@example(*tok("aaaa"), SELF_PRICED)
 def test_align_pair_of_equal_strings_matches_loop_reference(a, cm):
     assert as_symbols(align_pair(a, a, cm), cm) == align_pair_loop(a, a, cm)
+
+
+def equal_length_words(alphabet, max_len):
+    """Two words of one length over alphabet, drawn apart."""
+
+    def word(n):
+        raws = st.text(alphabet, min_size=n, max_size=n)
+        return raws.map(lambda raw: tokenize(raw, TABLE) if raw else ())
+
+    return st.integers(0, max_len).flatmap(lambda n: st.tuples(word(n), word(n)))
+
+
+# Each case is two words of equal length and a cost model; FREE_GAP,
+# SELF_PRICED and UNEVEN_GAPS price "a" and "t" only. The diagonal of "at"
+# and "ta" meets the bound under UNIT (2) and under UNEVEN_GAPS (0.5), so
+# the DP runs, and a 3-column optimum ties it. Under UNIT a column's own
+# gap prices meet the diagonal's partial sum, under UNEVEN_GAPS only the
+# whole sum meets the bound. Under UNIT_CONSTRAINED "a" against "t" is
+# FORBIDDEN. Under FREE_GAP the 0 gap price of "t" makes the bound 0,
+# which no diagonal is below.
+UNEVEN_GAPS = CostModel(
+    PmiTable({(GAP, "a"): 1.0, (GAP, "t"): 0.25, ("a", "t"): 0.25}), constrained=False
+)
+EQUAL_LENGTH_CASES = st.one_of(
+    st.tuples(equal_length_words(ALPHABET, 8), st.one_of(ANY_COSTS, DYADIC_COSTS)),
+    st.tuples(
+        equal_length_words("at", 8),
+        st.sampled_from((UNIT, FREE_GAP, SELF_PRICED, UNEVEN_GAPS)),
+    ),
+).map(lambda case: (*case[0], case[1]))
+
+
+@SETTINGS
+@given(EQUAL_LENGTH_CASES)
+@example((*tok("at", "ta"), UNIT))
+@example((*tok("at", "ta"), UNEVEN_GAPS))
+@example((*tok("ata", "att"), UNIT_CONSTRAINED))
+@example((*tok("at", "at"), FREE_GAP))
+@example(((), (), UNIT))
+def test_align_pair_of_equal_length_words_matches_loop_reference(case):
+    a, b, cm = case
+    got, want = as_symbols(align_pair(a, b, cm), cm), align_pair_loop(a, b, cm)
+    assert got.total_cost == want.total_cost
+    assert got.columns == want.columns
+
+
+# The diagonal is summed from 0.0 left to right, as the fill sums it: of
+# 0.1, 0.2 and 0.3 that is 0.6000000000000001, where a compensated sum
+# (sum() on Python 3.12 and later, or math.fsum) gives 0.6, and so does
+# the sum right to left. The gap prices of 0.9 leave the diagonal below
+# the bound, so it needs no fill and the last fill is not replaced.
+def test_the_diagonal_is_summed_in_the_order_of_the_fill():
+    cm = CostModel(
+        PmiTable(
+            {(GAP, "a"): 0.9, (GAP, "o"): 0.9, (GAP, "ə"): 0.9,
+             ("a", "o"): 0.1, ("o", "ə"): 0.2, ("a", "ə"): 0.3}
+        ),
+        constrained=False,
+    )
+    a, b = tok("aoə", "oəa")
+    ua, ub = cm.numbers(a), cm.numbers(b)
+    al = align_numbers(ua, ub, cm)
+    assert al.total_cost == fill(ua, ub, cm.cost)[-1][-1] == 0.6000000000000001
+    assert al.columns == tuple(zip(ua, ub))
+    assert cm.last_fill is None
 
 
 # Under one cost model align_pair takes the leading rows of its fill from

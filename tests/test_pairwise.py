@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from pathlib import Path
 
 import pytest
 from loop_dp import (
@@ -12,8 +13,14 @@ from loop_dp import (
     table_prices,
 )
 
+from dialign import pairwise
+from dialign.cli import main
+from dialign.corpus import ingest, pair
 from dialign.costs import FORBIDDEN, GAP, binary_cost_model
 from dialign.pairwise import align_pair
+from dialign.pmi import InductionOptions, induce_distances
+
+BUNDLED = Path(__file__).parents[1] / "data" / "synthetic" / "corpus.tsv"
 
 
 def op(col) -> str:
@@ -182,3 +189,29 @@ def test_normalized_distance_within_unit_interval(tok):
         a = "".join(rng.choice("ptaən") for _ in range(rng.randint(1, 6)))
         b = "".join(rng.choice("ptaən") for _ in range(rng.randint(1, 6)))
         assert 0.0 <= normalized_distance(align_pair(tok(a), tok(b), cm)) <= 1.0
+
+
+
+# Under unit costs every 2D pair that the bundled corpus gives is of equal
+# length, with a diagonal below its gap bound: each lockstep pair of
+# align --mode binary, and each of the 240 distinct pairs of induction's
+# first iteration. So neither fills a 2D lattice.
+def test_bundled_binary_pairs_take_the_diagonal_with_no_fill(
+    tmp_path, monkeypatch, table
+):
+    fills, fill = [], pairwise.fill
+
+    def counted(*args):
+        fills.append(args)
+        return fill(*args)
+
+    monkeypatch.setattr(pairwise, "fill", counted)
+    argv = ["align", "--corpus", str(BUNDLED), "--mode", "binary"]
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 0
+    assert not fills
+    triples, _ = pair(ingest(BUNDLED), table)
+    pairs = [p for t in triples for p in ((t.older, t.standard), (t.newer, t.standard))]
+    induce_distances(pairs, binary_cost_model(), InductionOptions(max_iter=1))
+    assert not fills
+    induce_distances(pairs, binary_cost_model(), InductionOptions(max_iter=2))
+    assert fills  # the counter sees the fills of induced prices
